@@ -27,7 +27,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use sbft_labels::{LabelingSystem, ReadLabel};
 use sbft_net::{Automaton, Ctx, ProcessId, ENV};
-use sbft_storage::{ByteReader, Codec, DiskHandle, Fnv64};
+use sbft_storage::{ByteReader, Cadence, Codec, DiskHandle, Fnv64, Journal};
 
 use crate::config::ClusterConfig;
 use crate::messages::{ClientEvent, History, Msg, ValTs, Value};
@@ -49,16 +49,13 @@ pub struct Server<B: LabelingSystem> {
     pub writes_applied: u64,
     /// Optional stable storage; when present, applied writes persist
     /// through it and [`Server::recover`] can rebuild state after a crash.
-    disk: Option<DiskHandle>,
+    /// Boxed: a KV node holds one `Server` per key and journals for all of
+    /// them itself, so this slot is empty in all but stand-alone registers
+    /// and should cost a pointer, not a journal's worth of bytes per key.
+    journal: Option<Box<Journal>>,
 }
 
-/// Every `SYNC_EVERY`-th applied write syncs the record log — between
-/// syncs there is an unflushed tail for `DiskFault::LostSuffix` to eat.
-pub const SYNC_EVERY: u64 = 4;
-/// Every `SNAPSHOT_EVERY`-th applied write rewrites the snapshot and
-/// compacts the log (keeping recovery replay short and giving
-/// `DiskFault::StaleSnapshot` a previous generation to roll back to).
-pub const SNAPSHOT_EVERY: u64 = 16;
+pub use sbft_storage::{SNAPSHOT_EVERY, SYNC_EVERY};
 
 impl<B: LabelingSystem> Server<B> {
     /// A server booted in the canonical clean state.
@@ -72,15 +69,23 @@ impl<B: LabelingSystem> Server<B> {
             old_vals: VecDeque::new(),
             running_read: BTreeMap::new(),
             writes_applied: 0,
-            disk: None,
+            journal: None,
         }
     }
 
-    /// Attach stable storage: every subsequently applied write is
-    /// persisted (record append + periodic sync/snapshot).
+    /// Attach stable storage (a fresh disk): every subsequently applied
+    /// write is persisted through a [`Journal`] — one record appended per
+    /// write, synced every [`SYNC_EVERY`] records, with the snapshot
+    /// rewritten once the log has outgrown it.
     pub fn with_disk(mut self, disk: DiskHandle) -> Self {
-        self.disk = Some(disk);
+        self.journal = Some(Box::new(Journal::new(disk)));
         self
+    }
+
+    /// Where the attached journal stands in its snapshot cadence (`None`
+    /// without stable storage).
+    pub fn cadence(&self) -> Option<Cadence> {
+        self.journal.as_ref().map(|j| j.cadence())
     }
 
     /// Encode the durable state — `(value, ts, old_vals, writes_applied)`
@@ -88,12 +93,29 @@ impl<B: LabelingSystem> Server<B> {
     /// a rebooted server has no open read sessions.
     pub fn state_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        self.value.encode(&mut out);
-        self.ts.encode(&mut out);
-        let hist: Vec<ValTs<Ts<B>>> = self.old_vals.iter().cloned().collect();
-        hist.encode(&mut out);
-        self.writes_applied.encode(&mut out);
+        self.encode_state(&mut out);
         out
+    }
+
+    /// Append [`Server::state_bytes`] to `out` without an intermediate
+    /// buffer (the KV node embeds one of these per key in its snapshot).
+    pub fn encode_state(&self, out: &mut Vec<u8>) {
+        self.value.encode(out);
+        self.ts.encode(out);
+        // Same bytes as `Vec<ValTs>`: a u32 count, then the pairs.
+        (self.old_vals.len() as u32).encode(out);
+        for (value, ts) in &self.old_vals {
+            value.encode(out);
+            ts.encode(out);
+        }
+        self.writes_applied.encode(out);
+    }
+
+    /// Append this register's log record — the `(value, ts)` pair
+    /// [`Server::replay_record`] applies — to `out`.
+    pub fn encode_record(&self, out: &mut Vec<u8>) {
+        self.value.encode(out);
+        self.ts.encode(out);
     }
 
     /// Rebuild a server from a snapshot payload. Returns `None` only on
@@ -120,7 +142,7 @@ impl<B: LabelingSystem> Server<B> {
             old_vals,
             running_read: BTreeMap::new(),
             writes_applied,
-            disk: None,
+            journal: None,
         })
     }
 
@@ -157,7 +179,8 @@ impl<B: LabelingSystem> Server<B> {
             s.replay_record(rec);
         }
         s.old_vals.truncate(cfg.history_depth);
-        s.disk = Some(disk);
+        let journal = Journal::resume(disk, &salvaged, |out| s.encode_state(out));
+        s.journal = Some(Box::new(journal));
         s
     }
 
@@ -175,17 +198,14 @@ impl<B: LabelingSystem> Server<B> {
         self.value = value;
         self.ts = ts;
         self.writes_applied += 1;
-        if let Some(disk) = &self.disk {
-            if self.writes_applied.is_multiple_of(SNAPSHOT_EVERY) {
-                disk.put_snapshot(&self.state_bytes());
+        // Taken out for the call so the encoders can borrow `self`.
+        if let Some(mut journal) = self.journal.take() {
+            if journal.snapshot_due() {
+                journal.put_snapshot(|out| self.encode_state(out));
             } else {
-                let mut rec = Vec::new();
-                (self.value, self.ts.clone()).encode(&mut rec);
-                disk.append(&rec);
-                if self.writes_applied.is_multiple_of(SYNC_EVERY) {
-                    disk.sync();
-                }
+                journal.append(|out| self.encode_record(out));
             }
+            self.journal = Some(journal);
         }
     }
 }
@@ -480,6 +500,23 @@ mod tests {
         assert!(disk.stats().snapshots >= 2);
         let r = Server::<B>::recover(s.sys.clone(), s.cfg, disk);
         assert_eq!((r.value, r.ts.clone()), (s.value, s.ts.clone()));
+    }
+
+    #[test]
+    fn register_cadence_is_a_snapshot_every_sixteenth_write() {
+        // A register's snapshot is worth about seven of its records, so the
+        // shared journal's byte rule never delays it past the record-count
+        // floor: 15 appends (synced at 4, 8, 12), then a snapshot.
+        let disk = DiskHandle::sim(3);
+        let mut s = durable_server(&disk);
+        write_n(&mut s, 40);
+        let st = disk.stats();
+        assert_eq!((st.snapshots, st.appends, st.syncs), (2, 38, 8));
+        let cadence = s.cadence().expect("durable server has a journal");
+        assert_eq!(cadence.records, 8);
+        // A reboot resumes the count where the disk left it.
+        let r = Server::<B>::recover(s.sys.clone(), s.cfg, disk);
+        assert_eq!(r.cadence(), Some(cadence));
     }
 
     #[test]

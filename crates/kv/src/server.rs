@@ -1,4 +1,10 @@
 //! The storage node: one register-server state per key, one process.
+//!
+//! With a disk attached the node persists every applied write as one
+//! `(key, value, ts)` record through a shared [`Journal`], which decides
+//! when the log has grown large enough to be worth replacing by a snapshot
+//! of the whole key map — so the durable cost of a write is O(1) amortized,
+//! as the paper's per-register server state is, not O(keys).
 
 use std::collections::BTreeMap;
 
@@ -6,11 +12,11 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use sbft_core::config::ClusterConfig;
 use sbft_core::messages::Msg;
-use sbft_core::server::{Server, SNAPSHOT_EVERY, SYNC_EVERY};
+use sbft_core::server::Server;
 use sbft_core::{Sys, Ts};
 use sbft_labels::LabelingSystem;
 use sbft_net::{Automaton, Ctx, ProcessId, ENV};
-use sbft_storage::{ByteReader, Codec, DiskHandle};
+use sbft_storage::{ByteReader, Cadence, Codec, DiskHandle, Journal};
 
 use crate::messages::{Key, KvEvent, KvMsg};
 
@@ -23,22 +29,28 @@ pub struct KvServer<B: LabelingSystem> {
     /// Per-key register state.
     pub registers: BTreeMap<Key, Server<B>>,
     /// Stable storage for the whole node (all keys share one disk).
-    disk: Option<DiskHandle>,
-    /// Writes applied across all keys; drives the sync/snapshot cadence.
+    journal: Option<Journal>,
+    /// Writes applied across all keys (persisted; diagnostics only).
     pub writes_applied: u64,
 }
+
+/// Smallest possible snapshot entry: a key and an (empty) state's length.
+const MIN_ENTRY_BYTES: usize = 8 + 4;
 
 impl<B: LabelingSystem> KvServer<B> {
     /// A storage node with no keys yet.
     pub fn new(sys: Sys<B>, cfg: ClusterConfig) -> Self {
-        Self { sys, cfg, registers: BTreeMap::new(), disk: None, writes_applied: 0 }
+        Self { sys, cfg, registers: BTreeMap::new(), journal: None, writes_applied: 0 }
     }
 
-    /// Attach stable storage: every subsequently applied write appends a
-    /// `(key, value, ts)` record, with periodic sync and whole-map
-    /// snapshots on the same cadence as the plain register server.
+    /// Attach stable storage (a fresh disk): every subsequently applied
+    /// write appends one `(key, value, ts)` record through a [`Journal`],
+    /// on the same sync and snapshot cadence as the plain register server —
+    /// the whole key map is re-encoded only once the log has grown as
+    /// large as the last snapshot, so the cost per write does not depend
+    /// on how many keys the node holds.
     pub fn with_disk(mut self, disk: DiskHandle) -> Self {
-        self.disk = Some(disk);
+        self.journal = Some(Journal::new(disk));
         self
     }
 
@@ -47,13 +59,64 @@ impl<B: LabelingSystem> KvServer<B> {
         self.registers.len()
     }
 
+    /// Where the attached journal stands in its snapshot cadence (`None`
+    /// without stable storage).
+    pub fn cadence(&self) -> Option<Cadence> {
+        self.journal.as_ref().map(Journal::cadence)
+    }
+
     /// Encode the node's durable state: the node-wide write counter plus
     /// every key's register snapshot (each key reuses the register
     /// server's own snapshot payload).
     pub fn state_bytes(&self) -> Vec<u8> {
-        let entries: Vec<(Key, Vec<u8>)> =
-            self.registers.iter().map(|(&k, reg)| (k, reg.state_bytes())).collect();
-        (self.writes_applied, entries).to_bytes()
+        let mut out = Vec::new();
+        Self::encode_state(self.writes_applied, &self.registers, &mut out);
+        out
+    }
+
+    /// The bytes of `(writes, Vec<(Key, Vec<u8>)>)` — a u32 entry count,
+    /// then per key a u32-length-prefixed register state — written in one
+    /// pass: each register encodes in place and its length is patched in
+    /// afterwards.
+    fn encode_state(writes: u64, registers: &BTreeMap<Key, Server<B>>, out: &mut Vec<u8>) {
+        writes.encode(out);
+        let count = u32::try_from(registers.len()).expect("a node holds under 2^32 keys");
+        count.encode(out);
+        for (key, reg) in registers {
+            key.encode(out);
+            let len_at = out.len();
+            0u32.encode(out);
+            reg.encode_state(out);
+            let len = (out.len() - len_at - 4) as u32;
+            out[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
+        }
+    }
+
+    /// Inverse of [`KvServer::encode_state`]; `None` on structurally
+    /// unreadable bytes. The entry count is bounded by the bytes actually
+    /// present rather than by `codec::MAX_SEQ_LEN` (a node may well hold
+    /// more than 2^16 keys), and nothing is allocated from it. A key whose
+    /// embedded register state is unreadable boots that key clean.
+    fn decode_state(
+        sys: &Sys<B>,
+        cfg: ClusterConfig,
+        bytes: &[u8],
+    ) -> Option<(u64, BTreeMap<Key, Server<B>>)> {
+        let mut r = ByteReader::new(bytes);
+        let writes = r.u64()?;
+        let count = r.u32()? as usize;
+        if count > r.remaining() / MIN_ENTRY_BYTES {
+            return None;
+        }
+        let mut registers = BTreeMap::new();
+        for _ in 0..count {
+            let key = Key::decode(&mut r)?;
+            let len = r.u32()? as usize;
+            let reg = Server::from_state_bytes(sys.clone(), cfg, r.take(len)?)
+                .unwrap_or_else(|| Server::new(sys.clone(), cfg));
+            registers.insert(key, reg);
+        }
+        r.is_empty().then_some((writes, registers))
     }
 
     /// Reboot a storage node from its (possibly crash-damaged) disk.
@@ -67,15 +130,10 @@ impl<B: LabelingSystem> KvServer<B> {
     pub fn recover(sys: Sys<B>, cfg: ClusterConfig, disk: DiskHandle) -> Self {
         let salvaged = disk.load();
         let mut node = Self::new(sys.clone(), cfg);
-        if let Some(bytes) = &salvaged.snapshot {
-            if let Some((writes, entries)) = <(u64, Vec<(Key, Vec<u8>)>)>::from_bytes(bytes) {
-                node.writes_applied = writes;
-                for (key, state) in entries {
-                    let reg = Server::from_state_bytes(sys.clone(), cfg, &state)
-                        .unwrap_or_else(|| Server::new(sys.clone(), cfg));
-                    node.registers.insert(key, reg);
-                }
-            }
+        let snapshot = salvaged.snapshot.as_deref();
+        if let Some((writes, registers)) = snapshot.and_then(|b| Self::decode_state(&sys, cfg, b)) {
+            node.writes_applied = writes;
+            node.registers = registers;
         }
         for rec in &salvaged.records {
             let mut r = ByteReader::new(rec);
@@ -86,27 +144,10 @@ impl<B: LabelingSystem> KvServer<B> {
                 node.writes_applied += 1;
             }
         }
-        node.disk = Some(disk);
+        node.journal = Some(Journal::resume(disk, &salvaged, |out| {
+            Self::encode_state(node.writes_applied, &node.registers, out)
+        }));
         node
-    }
-
-    /// Persist the write just applied to `key`'s register: snapshot the
-    /// whole map every [`SNAPSHOT_EVERY`] writes, otherwise append one
-    /// `(key, (value, ts))` record and sync every [`SYNC_EVERY`].
-    fn persist_write(&mut self, key: Key) {
-        self.writes_applied += 1;
-        let Some(disk) = self.disk.clone() else { return };
-        if self.writes_applied.is_multiple_of(SNAPSHOT_EVERY) {
-            disk.put_snapshot(&self.state_bytes());
-        } else if let Some(reg) = self.registers.get(&key) {
-            let mut rec = Vec::new();
-            key.encode(&mut rec);
-            (reg.value, reg.ts.clone()).encode(&mut rec);
-            disk.append(&rec);
-            if self.writes_applied.is_multiple_of(SYNC_EVERY) {
-                disk.sync();
-            }
-        }
     }
 }
 
@@ -133,8 +174,23 @@ impl<B: LabelingSystem> Automaton<KvMsg<Ts<B>>, KvEvent<Ts<B>>> for KvServer<B> 
         };
         if is_write {
             // The register adopts every sanitized write unconditionally
-            // (Figure 1), so a Write message always advanced (value, ts).
-            self.persist_write(key);
+            // (Figure 1), so a Write message always advanced (value, ts):
+            // persist it, as one appended `(key, (value, ts))` record or —
+            // when the journal says the log has outgrown the snapshot — as
+            // a rewrite of the whole map.
+            self.writes_applied += 1;
+            if let Some(journal) = &mut self.journal {
+                if journal.snapshot_due() {
+                    journal.put_snapshot(|out| {
+                        Self::encode_state(self.writes_applied, &self.registers, out)
+                    });
+                } else {
+                    journal.append(|out| {
+                        key.encode(out);
+                        register.encode_record(out);
+                    });
+                }
+            }
         }
         for (to, m) in sends {
             ctx.send(to, KvMsg::new(key, m));

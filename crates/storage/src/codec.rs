@@ -58,10 +58,12 @@ impl<'a> ByteReader<'a> {
 }
 
 /// Sequence lengths larger than this are rejected outright during decode.
-/// Legitimate persisted collections (label antistings, history windows, KV
-/// key maps) are orders of magnitude smaller; a length field this large is
-/// always corruption, and capping it keeps adversarial input from forcing
-/// huge allocations before the data underneath fails to parse.
+/// The collections persisted as a `Vec` (label antistings, history windows)
+/// are orders of magnitude smaller; a length field this large is always
+/// corruption, and capping it keeps adversarial input from forcing huge
+/// allocations before the data underneath fails to parse. A KV node's key
+/// map is *not* such a collection — it grows with the data stored — so
+/// `sbft-kv` decodes it entry by entry, bounded by the bytes present.
 pub const MAX_SEQ_LEN: usize = 1 << 16;
 
 /// Infallible binary encoding with total (never-panicking) decoding.

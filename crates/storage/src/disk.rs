@@ -3,8 +3,8 @@
 //! A server owns one stable store holding two regions:
 //!
 //! * a **snapshot** — one frame with the full encoded server state,
-//!   rewritten (atomically, like a rename) every so many writes, which
-//!   compacts the log away;
+//!   rewritten (atomically, like a rename) once the log has grown as large
+//!   as it (see [`crate::journal`]), which compacts the log away;
 //! * a **log** — appended record frames, split into a durable prefix
 //!   (synced) and an **unflushed tail** (appended but not yet `sync`ed —
 //!   the bytes a real kernel still holds in its page cache).
@@ -18,7 +18,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use crate::frame::{decode_frames, write_frame, FrameDamage};
+use crate::frame::{for_each_frame, last_frame_len, write_frame, FrameDamage, FRAME_HEADER};
 
 /// Crash-time failure model applied to a [`SimDisk`].
 ///
@@ -176,8 +176,9 @@ impl SimDisk {
             if region.is_empty() {
                 continue;
             }
-            let (frames, _) = decode_frames(region);
-            let last_len = frames.last().map_or(region.len(), |p| 12 + p.len());
+            // A header walk, not a decode: the log is as large as the
+            // snapshot now, and only the last frame's length is wanted.
+            let last_len = last_frame_len(region).unwrap_or(region.len());
             let cut = (last_len / 2).max(1).min(region.len());
             region.truncate(region.len() - cut);
             return;
@@ -204,9 +205,12 @@ impl SimDisk {
 
 impl Stable for SimDisk {
     fn put_snapshot(&mut self, payload: &[u8]) {
-        self.prev_snapshot = std::mem::take(&mut self.snapshot);
+        self.prev_snapshot =
+            std::mem::replace(&mut self.snapshot, Vec::with_capacity(FRAME_HEADER + payload.len()));
         write_frame(&mut self.snapshot, payload);
-        self.log.clear();
+        // Freed, not cleared: a log regrown to snapshot size by doubling
+        // would otherwise pin up to twice that per disk between snapshots.
+        self.log = Vec::new();
         self.unflushed.clear();
         self.stats.snapshots += 1;
     }
@@ -237,14 +241,24 @@ impl Stable for SimDisk {
     }
 
     fn load(&self) -> Recovered {
-        let (snap_frames, snap_damage) = decode_frames(&self.snapshot);
-        let snapshot = snap_frames.into_iter().next_back();
-        let snapshot_damaged = snap_damage.is_damaged();
+        let mut snapshot = None;
+        let snapshot_damaged =
+            for_each_frame(&self.snapshot, 0, |p| snapshot = Some(p.to_vec())).is_damaged();
         // The log and its unflushed tail are one byte stream on disk:
-        // damage in the durable prefix also severs everything behind it.
-        let mut stream = self.log.clone();
-        stream.extend_from_slice(&self.unflushed);
-        let (records, log_damage) = decode_frames(&stream);
+        // damage in the durable prefix also severs everything behind it,
+        // and a torn frame ending the prefix runs on into the tail. Only
+        // that remnant and the (few-record) tail are joined by copying.
+        let mut records = Vec::new();
+        let mut log_damage = for_each_frame(&self.log, 0, |p| records.push(p.to_vec()));
+        let tail_at = match log_damage {
+            FrameDamage::None => Some(self.log.len()),
+            FrameDamage::Torn { dropped_bytes } => Some(self.log.len() - dropped_bytes),
+            FrameDamage::Corrupt { .. } => None,
+        };
+        if let Some(at) = tail_at.filter(|_| !self.unflushed.is_empty()) {
+            let tail = [&self.log[at..], &self.unflushed[..]].concat();
+            log_damage = for_each_frame(&tail, at, |p| records.push(p.to_vec()));
+        }
         Recovered { snapshot, records, snapshot_damaged, log_damage }
     }
 
@@ -436,6 +450,58 @@ mod tests {
         let r = d.load();
         assert_eq!(r.snapshot, None);
         assert!(r.snapshot_damaged);
+    }
+
+    #[test]
+    fn torn_frame_on_a_long_log_drops_exactly_the_last_record() {
+        let mut d = SimDisk::new(7);
+        d.put_snapshot(b"snap");
+        for i in 0..5_000u32 {
+            d.append(&i.to_le_bytes());
+            if i % 4 == 3 {
+                d.sync();
+            }
+        }
+        // The unflushed tail is empty, so the tear lands in the durable log.
+        d.crash(DiskFault::TornFrame);
+        let r = d.load();
+        assert_eq!(r.records.len(), 4_999);
+        assert_eq!(r.records.last().unwrap(), &4_998u32.to_le_bytes().to_vec());
+        // Half of the 16-byte final frame was cut; the other half is torn.
+        assert_eq!(r.log_damage, FrameDamage::Torn { dropped_bytes: (FRAME_HEADER + 4) / 2 });
+    }
+
+    /// What `load` must return for the record log: the decode of the
+    /// durable log and its unflushed tail joined into one byte stream.
+    fn joined_decode(d: &SimDisk) -> (Vec<Vec<u8>>, FrameDamage) {
+        crate::frame::decode_frames(&[&d.log[..], &d.unflushed[..]].concat())
+    }
+
+    #[test]
+    fn load_equals_decoding_log_and_tail_as_one_stream() {
+        for fault in DiskFault::ALL {
+            for seed in 0..40u64 {
+                let mut d = SimDisk::new(seed);
+                let payload = |i: u64| vec![i as u8; 1 + (i * 7 % 23) as usize];
+                let synced = 1 + seed % 9;
+                for i in 0..synced {
+                    d.append(&payload(i));
+                }
+                d.sync();
+                for i in 0..seed % 4 {
+                    d.append(&payload(100 + i));
+                }
+                d.crash(fault);
+                let r = d.load();
+                assert_eq!((r.records, r.log_damage), joined_decode(&d), "{fault:?} seed {seed}");
+                // Keep writing behind whatever the fault left (a torn log
+                // tail now runs on into the new bytes).
+                d.append(b"behind-the-damage");
+                d.append(b"and-more");
+                let r = d.load();
+                assert_eq!((r.records, r.log_damage), joined_decode(&d), "{fault:?} seed {seed}+");
+            }
+        }
     }
 
     #[test]

@@ -21,6 +21,10 @@
 //!   disk whose crash-time failure model is injectable via
 //!   [`disk::DiskFault`]: torn final frame, lost unflushed suffix, silent
 //!   bit rot, stale-snapshot rollback.
+//! * [`journal`] — the [`journal::Journal`] a durable node writes through:
+//!   one record per applied write, a sync every few records, and a
+//!   snapshot only once the log has grown as large as the state (so the
+//!   bytes written per write do not depend on how much is stored).
 //!
 //! The crate is a leaf (no dependencies): `sbft-labels` implements
 //! [`codec::Codec`] for its timestamp types, `sbft-core` persists server
@@ -33,8 +37,10 @@ pub mod codec;
 pub mod disk;
 pub mod fnv;
 pub mod frame;
+pub mod journal;
 
 pub use codec::{ByteReader, Codec};
 pub use disk::{DiskFault, DiskHandle, DiskSet, DiskStats, Recovered, SimDisk, Stable};
 pub use fnv::Fnv64;
 pub use frame::{decode_frames, write_frame, FrameDamage};
+pub use journal::{Cadence, Journal, SNAPSHOT_EVERY, SYNC_EVERY};
