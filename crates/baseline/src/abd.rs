@@ -188,7 +188,6 @@ impl AbdCluster {
         let mut sim: Simulation<BMsg, BEvent> = Simulation::new(SimConfig {
             seed,
             delay: DelayModel::uniform(1, 10),
-            trace_capacity: 0,
             ..SimConfig::default()
         });
         for _ in 0..n {

@@ -308,7 +308,6 @@ impl KlmwCluster {
         let mut sim: Simulation<BMsg, BEvent> = Simulation::new(SimConfig {
             seed,
             delay: DelayModel::uniform(1, 10),
-            trace_capacity: 0,
             ..SimConfig::default()
         });
         for s in 0..n {

@@ -195,7 +195,6 @@ impl MrCluster {
         let mut sim: Simulation<BMsg, BEvent> = Simulation::new(SimConfig {
             seed,
             delay: DelayModel::uniform(1, 10),
-            trace_capacity: 0,
             ..SimConfig::default()
         });
         for _ in 0..n {

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! harness all            # every experiment (default scale)
-//! harness e1 … e18       # one experiment
+//! harness e1 … e20       # one experiment (there is no e9: see E15's threaded closed cells)
 //! harness ablations      # the ablation tables
 //! harness quick          # all experiments at reduced scale (CI-sized)
 //! harness load           # E15 sustained-load run; writes BENCH_e15.json
@@ -48,6 +48,14 @@
 
 use sbft_bench::*;
 
+/// Write one experiment's machine-readable artifact to the current directory.
+fn write_bench(file: &str, json: &str, cells: usize) {
+    match std::fs::write(file, json) {
+        Ok(()) => eprintln!("wrote {file} ({cells} cells)"),
+        Err(e) => eprintln!("could not write {file}: {e}"),
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let csv = args.iter().any(|a| a == "--csv");
@@ -66,6 +74,13 @@ fn main() {
             println!("{}", t.render());
         }
         printed = true;
+    };
+
+    let flag = |name: &str| {
+        args.iter()
+            .position(|a| a == name)
+            .and_then(|i| args.get(i + 1))
+            .and_then(|v| v.parse::<u64>().ok())
     };
 
     // Scales: (seeds, ops) tuned so `all` finishes in a couple of minutes.
@@ -95,9 +110,6 @@ fn main() {
     if want("e8") {
         emit(e8_concurrency::run(seeds.min(5)));
     }
-    if want("e9") {
-        emit(e9_threaded::run(if quick { 20 } else { 100 }));
-    }
     if want("e10") {
         emit(e10_datalink::run(seeds, if quick { 20 } else { 50 }));
         emit(e10_datalink::run_substrate(seeds.min(3), if quick { 8 } else { 16 }));
@@ -115,21 +127,11 @@ fn main() {
         emit(e14_chaos::run(if quick { 3 } else { 10 }, if quick { 1 } else { 2 }));
     }
     if want("e15") || arg == "load" {
-        let flag = |name: &str| {
-            args.iter()
-                .position(|a| a == name)
-                .and_then(|i| args.get(i + 1))
-                .and_then(|v| v.parse::<u64>().ok())
-        };
         let clients = flag("--clients").unwrap_or(4) as usize;
         let ops = flag("--ops").unwrap_or(if quick { 60 } else { 400 });
         let cells = e15_load::run_cells(clients, ops, 42);
         emit(e15_load::table(&cells));
-        let json = e15_load::to_json(&cells);
-        match std::fs::write("BENCH_e15.json", &json) {
-            Ok(()) => eprintln!("wrote BENCH_e15.json ({} cells)", cells.len()),
-            Err(e) => eprintln!("could not write BENCH_e15.json: {e}"),
-        }
+        write_bench("BENCH_e15.json", &e15_load::to_json(&cells), cells.len());
     }
     if want("e16") || arg == "explore" {
         let replay_file =
@@ -191,37 +193,19 @@ fn main() {
     if want("e20") {
         let cells = e20_parallel::run_cells(quick);
         emit(e20_parallel::table(&cells));
-        let json = e20_parallel::to_json(&cells);
-        match std::fs::write("BENCH_e20.json", &json) {
-            Ok(()) => eprintln!("wrote BENCH_e20.json ({} cells)", cells.len()),
-            Err(e) => eprintln!("could not write BENCH_e20.json: {e}"),
-        }
+        write_bench("BENCH_e20.json", &e20_parallel::to_json(&cells), cells.len());
     }
     if want("e17") || arg == "mobile" {
         let cells = e17_mobile::run_cells(quick);
         emit(e17_mobile::table(&cells));
-        let json = e17_mobile::to_json(&cells);
-        match std::fs::write("BENCH_e17.json", &json) {
-            Ok(()) => eprintln!("wrote BENCH_e17.json ({} cells)", cells.len()),
-            Err(e) => eprintln!("could not write BENCH_e17.json: {e}"),
-        }
+        write_bench("BENCH_e17.json", &e17_mobile::to_json(&cells), cells.len());
     }
     if want("e18") || arg == "recover" {
         let cells = e18_recover::run_cells(quick);
         emit(e18_recover::table(&cells));
-        let json = e18_recover::to_json(&cells);
-        match std::fs::write("BENCH_e18.json", &json) {
-            Ok(()) => eprintln!("wrote BENCH_e18.json ({} cells)", cells.len()),
-            Err(e) => eprintln!("could not write BENCH_e18.json: {e}"),
-        }
+        write_bench("BENCH_e18.json", &e18_recover::to_json(&cells), cells.len());
     }
     if want("e19") || arg == "scale" {
-        let flag = |name: &str| {
-            args.iter()
-                .position(|a| a == name)
-                .and_then(|i| args.get(i + 1))
-                .and_then(|v| v.parse::<u64>().ok())
-        };
         let cells = if quick {
             e19_scale::run_quick(42)
         } else {
@@ -230,11 +214,7 @@ fn main() {
             e19_scale::run_cells(clients, ops, 42)
         };
         emit(e19_scale::table(&cells));
-        let json = e19_scale::to_json(&cells);
-        match std::fs::write("BENCH_e19.json", &json) {
-            Ok(()) => eprintln!("wrote BENCH_e19.json ({} cells)", cells.len()),
-            Err(e) => eprintln!("could not write BENCH_e19.json: {e}"),
-        }
+        write_bench("BENCH_e19.json", &e19_scale::to_json(&cells), cells.len());
     }
     if want("ablations") {
         emit(ablations::ablate_selection(seeds.min(5)));
@@ -244,7 +224,7 @@ fn main() {
 
     if !printed {
         eprintln!(
-            "unknown experiment {arg:?}; use all | quick | e1..e20 | load | explore | mobile | recover | scale | ablations [--csv|--quick|--clients N|--replay FILE|--jobs N|--scenario NAME|--dedup]"
+            "unknown experiment {arg:?}; use all | quick | e1..e8 | e10..e20 | load | explore | mobile | recover | scale | ablations [--csv|--quick|--clients N|--replay FILE|--jobs N|--scenario NAME|--dedup]"
         );
         std::process::exit(2);
     }

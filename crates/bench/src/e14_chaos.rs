@@ -22,7 +22,7 @@
 //! relocate the adversary to an honest server and the vacated seat
 //! rejoins **cured-but-amnesiac** ([`CureMode::Amnesiac`]) — state
 //! re-corrupted to an arbitrary configuration, so it must re-run
-//! stabilization. The [`WindowTracker`] therefore treats every cure as
+//! stabilization. The [`sbft_core::WindowTracker`] therefore treats every cure as
 //! window-closing until the next completed all-clear write converges the
 //! rejoiner (Assumption A1), even though the movement itself recovers
 //! instantly.
@@ -35,19 +35,12 @@
 //! `2f + 1` answer any read quorum.
 
 use sbft_core::adversary::ByzStrategy;
-use sbft_core::cluster::{OpOutcome, RegisterCluster};
-use sbft_core::{RetryPolicy, WindowTracker};
+use sbft_core::cluster::RegisterCluster;
+use sbft_core::{RetryPolicy, Soak, SoakReport};
 use sbft_net::nemesis::{CureMode, NemesisOpts, NemesisSchedule};
 use sbft_net::{Backend, CorruptionSeverity};
 
 use crate::table::Table;
-
-/// Safety cap on workload rounds per seed.
-const MAX_ROUNDS: u64 = 4_000;
-
-/// Nemesis event kinds that open a disturbance window.
-const DISTURBANCE_KINDS: [&str; 6] =
-    ["crash", "partition", "link-fault", "corrupt", "relocate-byz", "move-byz"];
 
 /// Aggregated chaos-soak measurements for one backend.
 #[derive(Clone, Debug)]
@@ -56,79 +49,28 @@ pub struct E14Cell {
     pub backend: Backend,
     /// Seeds run.
     pub seeds: usize,
-    /// Nemesis events fired in total.
-    pub events_fired: u64,
     /// Minimum distinct disturbance kinds fired by any one schedule.
     pub min_distinct_kinds: usize,
-    /// Completed writes.
-    pub writes_ok: u64,
-    /// Completed reads.
-    pub reads_ok: u64,
-    /// Reads that aborted (split replies, no `2f+1` witness, union off).
-    pub aborted: u64,
-    /// Operations that died on a lone deadline (or a stuck driver).
-    pub timed_out: u64,
-    /// Operations that burned through every retry.
-    pub exhausted: u64,
-    /// Amnesiac cures observed (servers vacated by the roaming seat).
-    pub cures: u64,
-    /// Heals observed (disturbance windows closed).
-    pub heals: u64,
-    /// Summed time from each heal to the next fully-successful round.
-    pub reconverge_ticks: u64,
-    /// Operations that failed *after* the last fault healed (must be 0).
-    pub post_heal_failures: u64,
-    /// Regularity violations inside stable windows (must be 0).
-    pub violations: usize,
-}
-
-impl E14Cell {
-    fn tally<T>(&mut self, out: &OpOutcome<T>, is_write: bool) {
-        match out {
-            OpOutcome::Ok(_) if is_write => self.writes_ok += 1,
-            OpOutcome::Ok(_) => self.reads_ok += 1,
-            OpOutcome::Aborted => self.aborted += 1,
-            OpOutcome::TimedOut { .. } => self.timed_out += 1,
-            OpOutcome::Exhausted { .. } => self.exhausted += 1,
-        }
-    }
-
-    /// Mean heal-to-reconvergence time in substrate ticks.
-    pub fn mean_reconverge(&self) -> u64 {
-        self.reconverge_ticks.checked_div(self.heals).unwrap_or(0)
-    }
+    /// Everything else, summed over the seeds. `post_heal_failures` and
+    /// `window_violations` must be 0.
+    pub soak: SoakReport,
 }
 
 /// Run the chaos soak on one backend across `seeds` seeds.
 pub fn run_backend(backend: Backend, seeds: u64) -> E14Cell {
-    let mut cell = E14Cell {
-        backend,
-        seeds: seeds as usize,
-        events_fired: 0,
-        min_distinct_kinds: usize::MAX,
-        writes_ok: 0,
-        reads_ok: 0,
-        aborted: 0,
-        timed_out: 0,
-        exhausted: 0,
-        cures: 0,
-        heals: 0,
-        reconverge_ticks: 0,
-        post_heal_failures: 0,
-        violations: 0,
-    };
     let strategies = ByzStrategy::all();
-    for seed in 0..seeds {
-        let strat = strategies[seed as usize % strategies.len()];
-        run_seed(&mut cell, backend, seed, strat);
+    let reports: Vec<SoakReport> = (0..seeds)
+        .map(|seed| run_seed(backend, seed, strategies[seed as usize % strategies.len()]))
+        .collect();
+    let min_distinct_kinds = reports.iter().map(|r| r.disturbances.len()).min().unwrap_or(0);
+    let mut soak = SoakReport::default();
+    for report in &reports {
+        soak.absorb(report);
     }
-    if cell.min_distinct_kinds == usize::MAX {
-        cell.min_distinct_kinds = 0;
-    }
-    cell
+    E14Cell { backend, seeds: seeds as usize, min_distinct_kinds, soak }
 }
 
-fn run_seed(cell: &mut E14Cell, backend: Backend, seed: u64, strat: ByzStrategy) {
+fn run_seed(backend: Backend, seed: u64, strat: ByzStrategy) -> SoakReport {
     let byz_seat = 5usize; // last server of the n = 6, f = 1 cluster
     let mut c = RegisterCluster::bounded(1)
         .clients(2)
@@ -146,89 +88,12 @@ fn run_seed(cell: &mut E14Cell, backend: Backend, seed: u64, strat: ByzStrategy)
         ..NemesisOpts::default()
     };
     let schedule = NemesisSchedule::random(seed, &opts);
-    let mut runner = c
+    let runner = c
         .nemesis_runner(schedule, vec![byz_seat], strat)
         .cure_mode(CureMode::Amnesiac { total_procs, severity: CorruptionSeverity::Light });
-
-    let (w, r) = (c.client(0), c.client(1));
-    let mut value = 1u64;
-    // Cure-aware stable-window bookkeeping: a window opens at a completed
-    // all-clear write, closes at the next disturbance *or* amnesiac cure.
-    let mut tracker = WindowTracker::new();
-    let mut clears_consumed = 0usize;
-    let mut cures_consumed = 0usize;
-
-    // Seed the register (and the first stable window) before the chaos.
-    let first = c.write_outcome(w, value);
-    cell.tally(&first, true);
-    if first.is_ok() {
-        tracker.write_completed(c.now(), true);
-    }
-
-    let mut rounds = 0u64;
-    while !runner.done() && rounds < MAX_ROUNDS {
-        rounds += 1;
-        let before = c.now();
-        let fired_from = runner.log.len();
-        runner.fire_due(&mut c.sim);
-        if runner.log[fired_from..].iter().any(|(_, k)| DISTURBANCE_KINDS.contains(k)) {
-            tracker.disturbance(c.now());
-        }
-        while cures_consumed < runner.cures.len() {
-            let (at, pid) = runner.cures[cures_consumed];
-            tracker.cured(pid, at.max(c.now()));
-            cures_consumed += 1;
-            cell.cures += 1;
-        }
-
-        value += 1;
-        let wout = c.write_outcome(w, value);
-        cell.tally(&wout, true);
-        let rout = c.read_outcome(r);
-        cell.tally(&rout, false);
-
-        if wout.is_ok() {
-            tracker.write_completed(c.now(), runner.all_clear());
-        }
-        if wout.is_ok() && rout.is_ok() && runner.all_clear() {
-            while clears_consumed < runner.clear_times.len() {
-                let healed_at = runner.clear_times[clears_consumed];
-                cell.reconverge_ticks += c.now().saturating_sub(healed_at);
-                cell.heals += 1;
-                clears_consumed += 1;
-            }
-        }
-
-        // Safety valve: if the substrate clock stalled (possible only in
-        // pathological schedules), fast-forward the next nemesis event so
-        // the soak always terminates.
-        if c.now() == before && !runner.done() {
-            runner.fire_next(&mut c.sim);
-        }
-    }
-
-    // The schedule is exhausted and every window healed: liveness must be
-    // back. One write + one read, both required to complete.
-    value += 1;
-    let wout = c.write_outcome(w, value);
-    cell.tally(&wout, true);
-    let rout = c.read_outcome(r);
-    cell.tally(&rout, false);
-    if !wout.is_ok() || !rout.is_ok() {
-        cell.post_heal_failures += 1;
-    }
-    if wout.is_ok() {
-        tracker.write_completed(c.now(), runner.all_clear());
-    }
-    c.settle(200_000);
-    for (start, end) in tracker.finish(u64::MAX) {
-        if let Err(errs) = c.recorder.check_window(&c.sys, start, end) {
-            cell.violations += errs.len();
-        }
-    }
-    cell.events_fired += runner.events_fired();
-    cell.min_distinct_kinds = cell.min_distinct_kinds.min(runner.distinct_disturbances_fired());
+    let report = Soak::new(&mut c, runner).run();
     c.stop();
+    report
 }
 
 /// The E14 table: one row per backend.
@@ -257,18 +122,18 @@ pub fn run(sim_seeds: u64, threaded_seeds: u64) -> Table {
         t.row(vec![
             format!("{backend:?}"),
             c.seeds.to_string(),
-            c.events_fired.to_string(),
+            c.soak.events_fired.to_string(),
             c.min_distinct_kinds.to_string(),
-            c.writes_ok.to_string(),
-            c.reads_ok.to_string(),
-            c.aborted.to_string(),
-            c.timed_out.to_string(),
-            c.exhausted.to_string(),
-            c.cures.to_string(),
-            c.heals.to_string(),
-            c.mean_reconverge().to_string(),
-            c.post_heal_failures.to_string(),
-            c.violations.to_string(),
+            c.soak.writes_ok.to_string(),
+            c.soak.reads_ok.to_string(),
+            c.soak.aborted.to_string(),
+            c.soak.timed_out.to_string(),
+            c.soak.exhausted.to_string(),
+            c.soak.cures.to_string(),
+            c.soak.heals.to_string(),
+            c.soak.mean_heal_ticks().to_string(),
+            c.soak.post_heal_failures.to_string(),
+            c.soak.window_violations.to_string(),
         ]);
     }
     t
@@ -277,131 +142,30 @@ pub fn run(sim_seeds: u64, threaded_seeds: u64) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbft_core::reader::ReaderOptions;
 
     #[test]
     fn sim_soak_has_zero_stable_window_violations() {
         let cell = run_backend(Backend::Sim, 3);
-        assert_eq!(cell.violations, 0, "{cell:?}");
-        assert_eq!(cell.post_heal_failures, 0, "{cell:?}");
+        let soak = &cell.soak;
+        assert_eq!(soak.window_violations, 0, "{cell:?}");
+        assert_eq!(soak.post_heal_failures, 0, "{cell:?}");
         assert!(cell.min_distinct_kinds >= 5, "{cell:?}");
-        assert!(cell.writes_ok > 0 && cell.reads_ok > 0, "{cell:?}");
-        assert!(cell.heals > 0, "{cell:?}");
-        assert!(cell.cures > 0, "amnesiac seat movement never fired: {cell:?}");
+        assert!(soak.writes_ok > 0 && soak.reads_ok > 0, "{cell:?}");
+        assert!(soak.heals > 0, "{cell:?}");
+        assert!(soak.cures > 0, "amnesiac seat movement never fired: {cell:?}");
+        // Pin: the `harness e14 --quick` sim row. The simulator is
+        // deterministic, so any drift here is a behaviour change.
+        assert_eq!((soak.events_fired, cell.min_distinct_kinds), (27, 5), "{cell:?}");
+        assert_eq!((soak.writes_ok, soak.reads_ok), (446, 443), "{cell:?}");
+        assert_eq!((soak.aborted, soak.timed_out, soak.exhausted), (0, 0, 2), "{cell:?}");
+        assert_eq!((soak.cures, soak.heals, soak.mean_heal_ticks()), (6, 15, 68), "{cell:?}");
     }
 
     #[test]
     fn threaded_soak_survives_the_schedule() {
         let cell = run_backend(Backend::Threaded, 1);
-        assert_eq!(cell.violations, 0, "{cell:?}");
-        assert_eq!(cell.post_heal_failures, 0, "{cell:?}");
-        assert!(cell.events_fired > 0, "{cell:?}");
-    }
-
-    // --- OpOutcome accounting regressions -------------------------------
-    //
-    // Each test manufactures exactly one failure mode and pins the tally
-    // column it lands in, so the soak summary can never silently fold one
-    // outcome into another again.
-
-    fn fresh_cell() -> E14Cell {
-        E14Cell {
-            backend: Backend::Sim,
-            seeds: 1,
-            events_fired: 0,
-            min_distinct_kinds: 0,
-            writes_ok: 0,
-            reads_ok: 0,
-            aborted: 0,
-            timed_out: 0,
-            exhausted: 0,
-            cures: 0,
-            heals: 0,
-            reconverge_ticks: 0,
-            post_heal_failures: 0,
-            violations: 0,
-        }
-    }
-
-    #[test]
-    fn timed_out_is_tallied_distinctly() {
-        // Single attempt + deadline, quorum broken by two crashed servers:
-        // the lone attempt dies on its deadline -> TimedOut, not Exhausted.
-        let mut c = RegisterCluster::bounded(1)
-            .seed(7)
-            .retry(RetryPolicy { max_attempts: 1, deadline: 300, backoff_base: 0, backoff_max: 0 })
-            .build();
-        let w = c.client(0);
-        c.sim.crash(0);
-        c.sim.crash(1);
-        let out = c.write_outcome(w, 1);
-        assert!(matches!(out, OpOutcome::TimedOut { .. }), "{out:?}");
-        let mut cell = fresh_cell();
-        cell.tally(&out, true);
-        assert_eq!(
-            (cell.timed_out, cell.exhausted, cell.aborted, cell.writes_ok),
-            (1, 0, 0, 0),
-            "{cell:?}"
-        );
-    }
-
-    #[test]
-    fn exhausted_is_tallied_distinctly() {
-        // Two attempts, quorum still broken: both die on deadlines and the
-        // retry budget burns out -> Exhausted, not TimedOut.
-        let mut c = RegisterCluster::bounded(1)
-            .seed(7)
-            .retry(RetryPolicy {
-                max_attempts: 2,
-                deadline: 300,
-                backoff_base: 10,
-                backoff_max: 20,
-            })
-            .build();
-        let w = c.client(0);
-        c.sim.crash(0);
-        c.sim.crash(1);
-        let out = c.write_outcome(w, 1);
-        assert!(matches!(out, OpOutcome::Exhausted { .. }), "{out:?}");
-        let mut cell = fresh_cell();
-        cell.tally(&out, true);
-        assert_eq!(
-            (cell.timed_out, cell.exhausted, cell.aborted, cell.writes_ok),
-            (0, 1, 0, 0),
-            "{cell:?}"
-        );
-    }
-
-    #[test]
-    fn aborted_is_tallied_distinctly() {
-        // Union fallback disabled + heavy state corruption: replies split
-        // below the 2f+1 witness threshold and the single-attempt read
-        // aborts -> Aborted, not a timeout.
-        let mut c = RegisterCluster::bounded(1)
-            .seed(11)
-            .reader_options(ReaderOptions { use_union: false, ..ReaderOptions::default() })
-            .retry(RetryPolicy::none())
-            .build();
-        let (w, r) = (c.client(0), c.client(1));
-        assert!(c.write_outcome(w, 1).is_ok());
-        let mut aborted = None;
-        for round in 0..40 {
-            c.corrupt_servers(&[0, 1, 2], sbft_net::CorruptionSeverity::Adversarial);
-            let out = c.read_outcome(r);
-            if matches!(out, OpOutcome::Aborted) {
-                aborted = Some(out);
-                break;
-            }
-            // Re-seed a coherent value before the next corruption round.
-            let _ = c.write_outcome(w, 2 + round);
-        }
-        let out = aborted.expect("no corrupted read aborted in 40 rounds");
-        let mut cell = fresh_cell();
-        cell.tally(&out, false);
-        assert_eq!(
-            (cell.timed_out, cell.exhausted, cell.aborted, cell.reads_ok),
-            (0, 0, 1, 0),
-            "{cell:?}"
-        );
+        assert_eq!(cell.soak.window_violations, 0, "{cell:?}");
+        assert_eq!(cell.soak.post_heal_failures, 0, "{cell:?}");
+        assert!(cell.soak.events_fired > 0, "{cell:?}");
     }
 }

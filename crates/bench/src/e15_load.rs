@@ -25,19 +25,18 @@
 //! elsewhere verifies; E15 trades checking for volume (no recorder on the
 //! hot path) — correctness under this workload is E8/E12/E14's job.
 
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
 use sbft_core::cluster::RegisterCluster;
 use sbft_core::messages::{ClientEvent, Msg};
 use sbft_core::Ts;
-use sbft_kv::messages::KvMsg;
-use sbft_kv::KvCluster;
+use sbft_kv::messages::{KvEvent, KvMsg};
+use sbft_kv::{Key, KvCluster};
 use sbft_labels::BoundedLabeling;
-use sbft_net::{Backend, LatencyHistogram, ProcessId, Substrate};
+use sbft_net::{Backend, LatencyHistogram, Outputs, ProcessId, Pumped, Substrate};
 
-use crate::table::{f1, Table};
+use crate::table::{bench_json, f1, Record, Table};
 
 type B = BoundedLabeling;
 
@@ -45,11 +44,12 @@ type B = BoundedLabeling;
 /// across clients, so the per-key register sees real MWMR contention).
 const KV_KEYSPACE: u64 = 8;
 
-/// Event budget per completion wait; generous (an op is a few hundred
-/// events) so only a genuinely wedged cluster trips it.
-const PUMP_BUDGET: u64 = 2_000_000;
+/// Event budget per requested operation for a whole closed-loop run;
+/// generous (an op is a few hundred events) so only a genuinely wedged
+/// cluster trips it.
+const PUMP_BUDGET_PER_OP: u64 = 200_000;
 
-/// Consecutive idle pumps (threaded backend) before giving up on an op.
+/// Consecutive idle pumps (threaded backend) before declaring the run done.
 const MAX_IDLE_PUMPS: u32 = 50;
 
 /// Arrival pacing of the load generator.
@@ -99,12 +99,12 @@ impl LoadSpec {
     pub fn open(clients: usize, total_ops: u64, interval: u64, seed: u64) -> Self {
         Self { clients, total_ops, write_ratio: 50, mode: LoadMode::Open { interval }, seed }
     }
+}
 
-    /// Whether arrival `seq` is a write (deterministic hash of the
-    /// sequence number, so runs replay identically).
-    fn is_write(&self, seq: u64) -> bool {
-        (seq.wrapping_mul(2_654_435_761) >> 16) % 100 < self.write_ratio as u64
-    }
+/// Whether arrival `seq` is a write under a `write_ratio` percent mix
+/// (deterministic hash of the sequence number, so runs replay identically).
+pub(crate) fn is_write(seq: u64, write_ratio: u32) -> bool {
+    (seq.wrapping_mul(2_654_435_761) >> 16) % 100 < write_ratio as u64
 }
 
 /// Measured results of one (workload, backend, mode) cell.
@@ -140,131 +140,188 @@ pub struct LoadCell {
     pub msgs_per_op: f64,
 }
 
-/// How one operation ended, as classified from the client event stream.
-enum OpEnd {
-    Ok,
-    Failed,
-}
-
-fn classify<T>(ev: &ClientEvent<T>) -> Option<OpEnd> {
+/// Whether a terminal client event is a success.
+pub(crate) fn succeeded<T>(ev: &ClientEvent<T>) -> bool {
     match ev {
-        ClientEvent::WriteDone { .. } | ClientEvent::ReadDone { .. } => Some(OpEnd::Ok),
+        ClientEvent::WriteDone { .. } | ClientEvent::ReadDone { .. } => true,
         ClientEvent::ReadAborted
         | ClientEvent::ReadFailed { .. }
-        | ClientEvent::WriteFailed { .. } => Some(OpEnd::Failed),
+        | ClientEvent::WriteFailed { .. } => false,
     }
 }
 
-/// Drive `sub` under `spec`, issuing operations built by `mk_op` and
-/// classifying terminal events with `terminal`. Generic over the message
-/// and output types so the register and kv workloads share the loop.
-fn drive<M, O, S>(
-    sub: &mut S,
-    clients: &[ProcessId],
-    spec: &LoadSpec,
-    mk_op: &mut dyn FnMut(usize, u64) -> M,
-    terminal: &dyn Fn(&O) -> Option<OpEnd>,
-) -> (u64, u64, u64, LatencyHistogram, u64)
-where
-    S: Substrate<M, O>,
-{
-    let idx_of: BTreeMap<ProcessId, usize> =
-        clients.iter().enumerate().map(|(i, &p)| (p, i)).collect();
-    let mut busy_since: BTreeMap<ProcessId, u64> = BTreeMap::new();
-    let mut latency = LatencyHistogram::new();
-    let (mut issued, mut ops_ok, mut ops_failed, mut rejected) = (0u64, 0u64, 0u64, 0u64);
-    let start_ticks = sub.now();
+/// What the load loop needs to know about the workload it drives. Each
+/// client holds up to `depth` operations in flight, one per *slot key*: a
+/// register client has the single slot 0; a kv client's slots are the keys
+/// it has in flight ([`sbft_kv`]'s client silently drops a command for a
+/// key that is already busy, so the loop probes past those).
+pub(crate) struct Workload<'a, M, O> {
+    /// Slots per client.
+    pub depth: usize,
+    /// Size of the slot-key space (1 for a register).
+    pub keyspace: u64,
+    /// Preferred slot key of arrival `seq` on client index `i`.
+    pub key_of: &'a dyn Fn(usize, u64) -> Key,
+    /// The command for arrival `seq` on client index `i` in slot `key`.
+    pub mk_op: &'a dyn Fn(usize, u64, Key) -> M,
+    /// The slot a terminal output frees, and whether the op succeeded.
+    pub terminal: &'a dyn Fn(&O) -> (Key, bool),
+}
 
-    match spec.mode {
-        LoadMode::Closed => {
-            // Prime one operation per client, then re-issue on completion.
-            for (i, &pid) in clients.iter().enumerate() {
-                if issued < spec.total_ops {
-                    sub.inject(pid, mk_op(i, issued));
-                    busy_since.insert(pid, sub.now());
-                    issued += 1;
+/// Counters of one [`drive`] run.
+#[derive(Default)]
+pub(crate) struct Driven {
+    pub ops_ok: u64,
+    pub ops_failed: u64,
+    pub rejected: u64,
+    pub latency: LatencyHistogram,
+    pub ticks: u64,
+}
+
+/// Loop state shared by the closed and open pacing modes.
+struct Driver<'a, M, O, S> {
+    sub: &'a mut S,
+    clients: &'a [ProcessId],
+    load: &'a Workload<'a, M, O>,
+    idx_of: BTreeMap<ProcessId, usize>,
+    /// Per client index: slot key → issue tick.
+    inflight: Vec<BTreeMap<Key, u64>>,
+    issued: u64,
+    out: Driven,
+}
+
+impl<M, O, S: Substrate<M, O>> Driver<'_, M, O, S> {
+    fn completed(&self) -> u64 {
+        self.out.ops_ok + self.out.ops_failed
+    }
+
+    /// Issue the next arrival on client `i`, linear-probing past slot keys
+    /// the client already has in flight.
+    fn issue(&mut self, i: usize) {
+        let busy = &mut self.inflight[i];
+        let mut key = (self.load.key_of)(i, self.issued);
+        while busy.contains_key(&key) {
+            key = (key + 1) % self.load.keyspace;
+        }
+        busy.insert(key, self.sub.now());
+        self.sub.inject(self.clients[i], (self.load.mk_op)(i, self.issued, key));
+        self.issued += 1;
+    }
+
+    /// Score every output of one event (a batched frame can complete
+    /// several ops), re-issuing into each freed slot while fewer than
+    /// `reissue_below` arrivals have been issued.
+    fn complete(&mut self, time: u64, pid: ProcessId, outputs: Outputs<O>, reissue_below: u64) {
+        for out in outputs {
+            let Some(&i) = self.idx_of.get(&pid) else { continue };
+            let (key, ok) = (self.load.terminal)(&out);
+            if let Some(since) = self.inflight[i].remove(&key) {
+                self.out.latency.record(time.saturating_sub(since));
+                if ok {
+                    self.out.ops_ok += 1;
+                } else {
+                    self.out.ops_failed += 1;
+                }
+                if self.issued < reissue_below {
+                    self.issue(i);
                 }
             }
-            while ops_ok + ops_failed < issued || issued < spec.total_ops {
-                let hit = sub.pump_until(PUMP_BUDGET, MAX_IDLE_PUMPS, &mut |time, pid, out| {
-                    terminal(&out).map(|end| (time, pid, end))
-                });
-                let Some((time, pid, end)) = hit else {
-                    break; // wedged or quiescent: report what completed
-                };
-                if let Some(since) = busy_since.remove(&pid) {
-                    latency.record(time.saturating_sub(since));
+        }
+    }
+}
+
+/// Drive `sub` with `total_ops` arrivals of `load` over `clients`, paced by
+/// `mode` — the one load loop, generic over the message and output types
+/// so the register, kv and scale workloads share it. It reads the raw
+/// [`Substrate::pump`] stream: `pump_until` drops the outputs behind the
+/// first hit in an event, and a batched frame can complete several ops in
+/// one event.
+pub(crate) fn drive<M, O, S: Substrate<M, O>>(
+    sub: &mut S,
+    clients: &[ProcessId],
+    total_ops: u64,
+    mode: LoadMode,
+    load: &Workload<'_, M, O>,
+) -> Driven {
+    let start_ticks = sub.now();
+    let idx_of = clients.iter().enumerate().map(|(i, &p)| (p, i)).collect();
+    let inflight = vec![BTreeMap::new(); clients.len()];
+    let mut d = Driver { sub, clients, load, idx_of, inflight, issued: 0, out: Driven::default() };
+
+    match mode {
+        LoadMode::Closed => {
+            // Prime every client's slots, then re-issue into each freed one.
+            'prime: for _slot in 0..load.depth {
+                for i in 0..clients.len() {
+                    if d.issued >= total_ops {
+                        break 'prime;
+                    }
+                    d.issue(i);
                 }
-                match end {
-                    OpEnd::Ok => ops_ok += 1,
-                    OpEnd::Failed => ops_failed += 1,
-                }
-                if issued < spec.total_ops {
-                    let i = idx_of[&pid];
-                    sub.inject(pid, mk_op(i, issued));
-                    busy_since.insert(pid, sub.now());
-                    issued += 1;
+            }
+            let budget = total_ops.saturating_mul(PUMP_BUDGET_PER_OP);
+            let (mut events, mut idle) = (0u64, 0u32);
+            while d.completed() < d.issued && events < budget {
+                match d.sub.pump() {
+                    Pumped::Quiescent => break, // wedged: report what completed
+                    Pumped::Idle => {
+                        idle += 1;
+                        if idle >= MAX_IDLE_PUMPS {
+                            break;
+                        }
+                    }
+                    Pumped::Event { time, pid, outputs } => {
+                        idle = 0;
+                        events += 1;
+                        d.complete(time, pid, outputs, total_ops);
+                    }
                 }
             }
         }
         LoadMode::Open { interval } => {
-            let mut next_arrival = sub.now() + interval;
+            let mut next_arrival = d.sub.now() + interval;
             let mut idle = 0u32;
             // First arrival immediately.
-            let pid = clients[0];
-            sub.inject(pid, mk_op(0, 0));
-            busy_since.insert(pid, sub.now());
-            issued = 1;
+            d.issue(0);
             loop {
-                while issued < spec.total_ops && sub.now() >= next_arrival {
-                    let i = (issued as usize) % clients.len();
-                    let pid = clients[i];
-                    match busy_since.entry(pid) {
-                        Entry::Occupied(_) => rejected += 1, // saturated: one op per client
-                        Entry::Vacant(slot) => {
-                            sub.inject(pid, mk_op(i, issued));
-                            slot.insert(sub.now());
-                        }
+                while d.issued < total_ops && d.sub.now() >= next_arrival {
+                    let i = (d.issued as usize) % clients.len();
+                    if d.inflight[i].len() >= load.depth {
+                        // Saturated: shed at the door, but the arrival
+                        // still consumes its sequence number.
+                        d.out.rejected += 1;
+                        d.issued += 1;
+                    } else {
+                        d.issue(i);
                     }
-                    issued += 1;
                     next_arrival += interval;
                 }
-                if issued >= spec.total_ops && busy_since.is_empty() {
+                if d.issued >= total_ops && d.inflight.iter().all(BTreeMap::is_empty) {
                     break;
                 }
-                match sub.pump() {
-                    sbft_net::Pumped::Event { time, pid, outputs } => {
+                match d.sub.pump() {
+                    Pumped::Event { time, pid, outputs } => {
                         idle = 0;
-                        for out in outputs {
-                            if let Some(end) = terminal(&out) {
-                                if let Some(since) = busy_since.remove(&pid) {
-                                    latency.record(time.saturating_sub(since));
-                                }
-                                match end {
-                                    OpEnd::Ok => ops_ok += 1,
-                                    OpEnd::Failed => ops_failed += 1,
-                                }
-                            }
-                        }
+                        d.complete(time, pid, outputs, 0);
                     }
-                    sbft_net::Pumped::Idle => {
+                    Pumped::Idle => {
                         // While arrivals remain, an idle window is normal
                         // pacing (threads waiting for the next arrival),
                         // not a wedge — only give up once the last arrival
                         // is in and nothing completes.
-                        if issued >= spec.total_ops {
+                        if d.issued >= total_ops {
                             idle += 1;
                             if idle >= MAX_IDLE_PUMPS {
                                 break;
                             }
                         }
                     }
-                    sbft_net::Pumped::Quiescent => {
-                        if issued < spec.total_ops {
+                    Pumped::Quiescent => {
+                        if d.issued < total_ops {
                             // Simulator queue drained before virtual time
                             // reached the next arrival: fast-forward by
                             // injecting it now.
-                            next_arrival = sub.now();
+                            next_arrival = d.sub.now();
                         } else {
                             break;
                         }
@@ -273,7 +330,8 @@ where
             }
         }
     }
-    (ops_ok, ops_failed, rejected, latency, sub.now().saturating_sub(start_ticks))
+    d.out.ticks = d.sub.now().saturating_sub(start_ticks);
+    d.out
 }
 
 /// Arrival-paced pump window for threaded open-loop cells: one pump may
@@ -293,22 +351,31 @@ pub fn run_register_cell(backend: Backend, spec: &LoadSpec) -> LoadCell {
     }
     let mut c = builder.build_any();
     let clients: Vec<ProcessId> = (0..spec.clients).map(|i| c.client(i)).collect();
-    let spec_c = *spec;
-    let mut mk = move |i: usize, seq: u64| -> Msg<Ts<B>> {
-        if spec_c.is_write(seq) {
-            Msg::InvokeWrite { value: ((i as u64) << 32) | seq }
-        } else {
-            Msg::InvokeRead
-        }
+    let write_ratio = spec.write_ratio;
+    let load = Workload {
+        depth: 1,
+        keyspace: 1,
+        key_of: &|_, _| 0,
+        mk_op: &|i, seq, _| register_op(i, seq, write_ratio),
+        terminal: &|out: &ClientEvent<Ts<B>>| (0, succeeded(out)),
     };
     let before = c.metrics();
     let start = Instant::now();
-    let (ops_ok, ops_failed, rejected, latency, ticks) =
-        drive(&mut c.sim, &clients, spec, &mut mk, &classify);
+    let driven = drive(&mut c.sim, &clients, spec.total_ops, spec.mode, &load);
     let wall = start.elapsed();
     let msgs = c.metrics().delta_since(&before).messages_sent;
     c.stop();
-    finish_cell("register", backend, spec, ops_ok, ops_failed, rejected, latency, ticks, wall, msgs)
+    finish_cell("register", backend, spec, driven, wall, msgs)
+}
+
+/// Arrival `seq` on client index `i`: a write of a per-client-unique value
+/// or a read.
+fn register_op(i: usize, seq: u64, write_ratio: u32) -> Msg<Ts<B>> {
+    if is_write(seq, write_ratio) {
+        Msg::InvokeWrite { value: ((i as u64) << 32) | seq }
+    } else {
+        Msg::InvokeRead
+    }
 }
 
 /// Run the keyed-store workload on `backend` under `spec`.
@@ -319,58 +386,48 @@ pub fn run_kv_cell(backend: Backend, spec: &LoadSpec) -> LoadCell {
     }
     let mut c = builder.build_any();
     let clients: Vec<ProcessId> = (0..spec.clients).map(|i| c.client(i)).collect();
-    let spec_c = *spec;
-    let mut mk = move |i: usize, seq: u64| -> KvMsg<Ts<B>> {
-        let key = (seq + i as u64) % KV_KEYSPACE;
-        let inner = if spec_c.is_write(seq) {
-            Msg::InvokeWrite { value: ((i as u64) << 32) | seq }
-        } else {
-            Msg::InvokeRead
-        };
-        KvMsg::new(key, inner)
+    let write_ratio = spec.write_ratio;
+    let load = Workload {
+        depth: 1,
+        keyspace: KV_KEYSPACE,
+        key_of: &|i, seq| (seq + i as u64) % KV_KEYSPACE,
+        mk_op: &|i, seq, key| KvMsg::new(key, register_op(i, seq, write_ratio)),
+        terminal: &|out: &KvEvent<Ts<B>>| (out.key, succeeded(&out.inner)),
     };
     let before = c.metrics();
     let start = Instant::now();
-    let (ops_ok, ops_failed, rejected, latency, ticks) =
-        drive(&mut c.sim, &clients, spec, &mut mk, &|out: &sbft_kv::messages::KvEvent<Ts<B>>| {
-            classify(&out.inner)
-        });
+    let driven = drive(&mut c.sim, &clients, spec.total_ops, spec.mode, &load);
     let wall = start.elapsed();
     let msgs = c.metrics().delta_since(&before).messages_sent;
     c.stop();
-    finish_cell("kv", backend, spec, ops_ok, ops_failed, rejected, latency, ticks, wall, msgs)
+    finish_cell("kv", backend, spec, driven, wall, msgs)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn finish_cell(
     workload: &'static str,
     backend: Backend,
     spec: &LoadSpec,
-    ops_ok: u64,
-    ops_failed: u64,
-    rejected: u64,
-    latency: LatencyHistogram,
-    ticks: u64,
+    driven: Driven,
     wall: std::time::Duration,
     msgs: u64,
 ) -> LoadCell {
     let wall_ms = wall.as_secs_f64() * 1e3;
     // Throughput counts operations the system actually executed; busy-client
     // rejections are excluded here and surfaced via the `rejected` column.
-    let completed = ops_ok + ops_failed;
+    let completed = driven.ops_ok + driven.ops_failed;
     LoadCell {
         workload,
         backend,
         mode: spec.mode.label(),
         clients: spec.clients,
-        ops_ok,
-        ops_failed,
-        rejected,
+        ops_ok: driven.ops_ok,
+        ops_failed: driven.ops_failed,
+        rejected: driven.rejected,
         wall_ms,
         ops_per_sec: if wall_ms > 0.0 { completed as f64 / (wall_ms / 1e3) } else { 0.0 },
-        ticks,
+        ticks: driven.ticks,
         msgs_per_op: if completed > 0 { msgs as f64 / completed as f64 } else { 0.0 },
-        latency,
+        latency: driven.latency,
     }
 }
 
@@ -424,32 +481,29 @@ pub fn table(cells: &[LoadCell]) -> Table {
 
 /// Serialize the cells as the machine-readable `BENCH_e15.json` document.
 pub fn to_json(cells: &[LoadCell]) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"e15\",\n  \"schema\": 1,\n  \"unit\": {\"latency\": \"substrate ticks\", \"throughput\": \"ops per wall-clock second\"},\n  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let sep = if i + 1 == cells.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"backend\": \"{}\", \"mode\": \"{}\", \"clients\": {}, \"ops_ok\": {}, \"ops_failed\": {}, \"rejected\": {}, \"wall_ms\": {:.2}, \"ops_per_sec\": {:.1}, \"ticks\": {}, \"lat_p50\": {}, \"lat_p95\": {}, \"lat_p99\": {}, \"lat_mean\": {:.1}, \"lat_max\": {}, \"msgs_per_op\": {:.1}}}{}\n",
-            c.workload,
-            format!("{:?}", c.backend).to_lowercase(),
-            c.mode,
-            c.clients,
-            c.ops_ok,
-            c.ops_failed,
-            c.rejected,
-            c.wall_ms,
-            c.ops_per_sec,
-            c.ticks,
-            c.latency.percentile(50.0),
-            c.latency.percentile(95.0),
-            c.latency.percentile(99.0),
-            c.latency.mean(),
-            c.latency.max(),
-            c.msgs_per_op,
-            sep,
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let unit = Record::new()
+        .str("latency", "substrate ticks")
+        .str("throughput", "ops per wall-clock second");
+    let records = cells.iter().map(|c| {
+        Record::new()
+            .str("workload", c.workload)
+            .str("backend", format!("{:?}", c.backend).to_lowercase())
+            .str("mode", c.mode)
+            .num("clients", c.clients)
+            .num("ops_ok", c.ops_ok)
+            .num("ops_failed", c.ops_failed)
+            .num("rejected", c.rejected)
+            .fixed("wall_ms", c.wall_ms, 2)
+            .fixed("ops_per_sec", c.ops_per_sec, 1)
+            .num("ticks", c.ticks)
+            .num("lat_p50", c.latency.percentile(50.0))
+            .num("lat_p95", c.latency.percentile(95.0))
+            .num("lat_p99", c.latency.percentile(99.0))
+            .fixed("lat_mean", c.latency.mean(), 1)
+            .num("lat_max", c.latency.max())
+            .fixed("msgs_per_op", c.msgs_per_op, 1)
+    });
+    bench_json("e15", Record::new().nested("unit", unit), records)
 }
 
 #[cfg(test)]
@@ -508,6 +562,32 @@ mod tests {
         let cell = run_kv_cell(Backend::Sim, &spec);
         assert_eq!(cell.ops_ok + cell.ops_failed, 20, "{cell:?}");
         assert_eq!(cell.workload, "kv");
+    }
+
+    /// Pin: the four sim rows of `harness load --quick` (4 clients, 60 ops,
+    /// seed 42). The simulator is deterministic, so any drift here is a
+    /// behaviour change.
+    #[test]
+    fn quick_sim_rows_are_pinned() {
+        let row = |c: LoadCell| {
+            let p = |q| c.latency.percentile(q);
+            (c.ops_ok, c.ops_failed, c.rejected, [p(50.0), p(95.0), p(99.0)], f1(c.msgs_per_op))
+        };
+        let closed = LoadSpec::closed(4, 60, 42);
+        let open = LoadSpec::open(4, 60, 30, 42);
+        assert_eq!(
+            row(run_register_cell(Backend::Sim, &closed)),
+            (60, 0, 0, [63, 63, 95], "31.7".into())
+        );
+        assert_eq!(
+            row(run_kv_cell(Backend::Sim, &closed)),
+            (60, 0, 0, [63, 63, 65], "29.4".into())
+        );
+        assert_eq!(
+            row(run_register_cell(Backend::Sim, &open)),
+            (60, 0, 0, [40, 40, 40], "27.8".into())
+        );
+        assert_eq!(row(run_kv_cell(Backend::Sim, &open)), (60, 0, 0, [40, 40, 40], "27.8".into()));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! * **full-history regularity** — every completed op scrutinized, no
 //!   exemptions. Expected to *fail* once movement outpaces convergence:
 //!   a read overlapping a cure may legitimately see pre-cure garbage.
-//! * **cure-aware stable-window regularity** — [`WindowTracker`]
+//! * **cure-aware stable-window regularity** — [`sbft_core::WindowTracker`]
 //!   windows: open at a completed all-clear write, closed by any cure
 //!   until the next converging write (Assumption A1). The paper's
 //!   actual claim under this adversary.
@@ -25,66 +25,32 @@
 //! included as a control.
 
 use sbft_core::adversary::ByzStrategy;
-use sbft_core::cluster::{OpOutcome, RegisterCluster};
-use sbft_core::{RetryPolicy, WindowTracker};
+use sbft_core::cluster::RegisterCluster;
+use sbft_core::{RetryPolicy, Soak, SoakReport};
 use sbft_net::mobile::{mobile_schedule, MobileOpts, MovementMode};
 use sbft_net::nemesis::CureMode;
 use sbft_net::{Backend, CorruptionSeverity};
 
-use crate::table::Table;
-
-/// Safety cap on workload rounds per seed.
-const MAX_ROUNDS: u64 = 4_000;
+use crate::table::{bench_json, Record, Table};
 
 /// One cell of the mobility frontier.
 #[derive(Clone, Debug)]
 pub struct E17Cell {
-    /// Backend the cell ran on.
-    pub backend: Backend,
-    /// Cluster size.
-    pub n: usize,
-    /// Roaming Byzantine seats.
-    pub f: usize,
-    /// Movement discipline.
-    pub mode: MovementMode,
-    /// Movement round length (smaller = faster adversary).
-    pub round_len: u64,
-    /// Per-round movement probability.
-    pub move_prob: f64,
-    /// Seeds aggregated into this cell.
-    pub seeds: usize,
-    /// Seat movements fired.
-    pub moves: u64,
-    /// Amnesiac cures (= movements that vacated a server).
-    pub cures: u64,
-    /// Completed writes / reads.
-    pub writes_ok: u64,
-    /// Completed reads.
-    pub reads_ok: u64,
-    /// Aborted ops.
-    pub aborted: u64,
-    /// Lone-deadline deaths.
-    pub timed_out: u64,
-    /// Retry-budget exhaustions.
-    pub exhausted: u64,
-    /// Stable windows that formed across all seeds.
-    pub windows: u64,
-    /// Regularity violations over the *full* history (no windowing).
-    pub full_violations: usize,
-    /// Regularity violations *inside* cure-aware stable windows.
-    pub window_violations: usize,
-    /// New/old inversions (atomicity score) over the full history.
-    pub inversions: usize,
+    /// The sweep point.
+    pub spec: E17Spec,
+    /// The soak, summed over the seeds: `fired("move-byz")` seat
+    /// movements, `cures` amnesiac rejoins, the three regularity scores.
+    pub soak: SoakReport,
 }
 
 impl E17Cell {
     /// Frontier verdict for the cell.
     pub fn verdict(&self) -> &'static str {
-        if self.window_violations > 0 {
+        if self.soak.window_violations > 0 {
             "violated"
-        } else if self.windows == 0 {
+        } else if self.soak.windows == 0 {
             "collapsed"
-        } else if self.full_violations > 0 {
+        } else if self.soak.full_violations > 0 {
             "stable-window-only"
         } else {
             "regular"
@@ -103,7 +69,7 @@ pub struct E17Spec {
     pub f: usize,
     /// Movement discipline.
     pub mode: MovementMode,
-    /// Movement round length.
+    /// Movement round length (smaller = faster adversary).
     pub round_len: u64,
     /// Per-round movement probability.
     pub move_prob: f64,
@@ -113,45 +79,15 @@ pub struct E17Spec {
 
 /// Run one frontier cell.
 pub fn run_cell(spec: &E17Spec) -> E17Cell {
-    let mut cell = E17Cell {
-        backend: spec.backend,
-        n: spec.n,
-        f: spec.f,
-        mode: spec.mode,
-        round_len: spec.round_len,
-        move_prob: spec.move_prob,
-        seeds: spec.seeds as usize,
-        moves: 0,
-        cures: 0,
-        writes_ok: 0,
-        reads_ok: 0,
-        aborted: 0,
-        timed_out: 0,
-        exhausted: 0,
-        windows: 0,
-        full_violations: 0,
-        window_violations: 0,
-        inversions: 0,
-    };
     let strategies = ByzStrategy::all();
+    let mut soak = SoakReport::default();
     for seed in 0..spec.seeds {
-        let strat = strategies[seed as usize % strategies.len()];
-        run_seed(&mut cell, spec, seed, strat);
+        soak.absorb(&run_seed(spec, seed, strategies[seed as usize % strategies.len()]));
     }
-    cell
+    E17Cell { spec: *spec, soak }
 }
 
-fn tally<T>(cell: &mut E17Cell, out: &OpOutcome<T>, is_write: bool) {
-    match out {
-        OpOutcome::Ok(_) if is_write => cell.writes_ok += 1,
-        OpOutcome::Ok(_) => cell.reads_ok += 1,
-        OpOutcome::Aborted => cell.aborted += 1,
-        OpOutcome::TimedOut { .. } => cell.timed_out += 1,
-        OpOutcome::Exhausted { .. } => cell.exhausted += 1,
-    }
-}
-
-fn run_seed(cell: &mut E17Cell, spec: &E17Spec, seed: u64, strat: ByzStrategy) {
+fn run_seed(spec: &E17Spec, seed: u64, strat: ByzStrategy) -> SoakReport {
     let mut c = RegisterCluster::bounded_with_n(spec.n, spec.f)
         .clients(2)
         .byzantine_tail(strat)
@@ -166,84 +102,12 @@ fn run_seed(cell: &mut E17Cell, spec: &E17Spec, seed: u64, strat: ByzStrategy) {
         .mode(spec.mode);
     let seats = mopts.seats.clone();
     let schedule = mobile_schedule(seed, &mopts);
-    let mut runner = c
+    let runner = c
         .nemesis_runner(schedule, seats, strat)
         .cure_mode(CureMode::Amnesiac { total_procs, severity: CorruptionSeverity::Heavy });
-
-    let (w, r) = (c.client(0), c.client(1));
-    let mut value = 1u64;
-    let mut tracker = WindowTracker::new();
-    let mut cures_consumed = 0usize;
-
-    let first = c.write_outcome(w, value);
-    tally(cell, &first, true);
-    if first.is_ok() {
-        tracker.write_completed(c.now(), true);
-    }
-
-    let mut rounds = 0u64;
-    while !runner.done() && rounds < MAX_ROUNDS {
-        rounds += 1;
-        let before = c.now();
-        runner.fire_due(&mut c.sim);
-        // Every movement vacates a seat, so consuming `cures` both counts
-        // the moves and closes any open window (`cured` is a disturbance)
-        // — including moves fired through the fast-forward valve below.
-        while cures_consumed < runner.cures.len() {
-            let (at, pid) = runner.cures[cures_consumed];
-            tracker.cured(pid, at.max(c.now()));
-            cures_consumed += 1;
-            cell.cures += 1;
-        }
-
-        value += 1;
-        let wout = c.write_outcome(w, value);
-        tally(cell, &wout, true);
-        let rout = c.read_outcome(r);
-        tally(cell, &rout, false);
-
-        if wout.is_ok() {
-            tracker.write_completed(c.now(), runner.all_clear());
-        }
-        if c.now() == before && !runner.done() {
-            runner.fire_next(&mut c.sim);
-        }
-    }
-
-    // A move fired by the end-of-iteration fast-forward exits the loop
-    // with its cure unconsumed — drain those before scoring, or the
-    // final window would wrongly span the cure.
-    while cures_consumed < runner.cures.len() {
-        let (at, pid) = runner.cures[cures_consumed];
-        tracker.cured(pid, at.max(c.now()));
-        cures_consumed += 1;
-        cell.cures += 1;
-    }
-
-    // Post-mobility epilogue: one more converging write + read, then let
-    // the traffic drain before scoring.
-    value += 1;
-    let wout = c.write_outcome(w, value);
-    tally(cell, &wout, true);
-    let rout = c.read_outcome(r);
-    tally(cell, &rout, false);
-    if wout.is_ok() {
-        tracker.write_completed(c.now(), runner.all_clear());
-    }
-    c.settle(200_000);
-
-    cell.moves += runner.log.iter().filter(|(_, k)| *k == "move-byz").count() as u64;
-    if let Err(errs) = c.check_history() {
-        cell.full_violations += errs.len();
-    }
-    for (start, end) in tracker.finish(u64::MAX) {
-        cell.windows += 1;
-        if let Err(errs) = c.recorder.check_window(&c.sys, start, end) {
-            cell.window_violations += errs.len();
-        }
-    }
-    cell.inversions += c.recorder.new_old_inversions().len();
+    let report = Soak::new(&mut c, runner).run();
     c.stop();
+    report
 }
 
 /// The sweep grid. `quick` is the CI smoke (3 cells, 1 seed each); the
@@ -339,23 +203,24 @@ pub fn table(cells: &[E17Cell]) -> Table {
         ],
     );
     for c in cells {
+        let (spec, soak) = (&c.spec, &c.soak);
         t.row(vec![
-            format!("{:?}", c.backend),
-            c.n.to_string(),
-            c.f.to_string(),
-            c.mode.label().to_string(),
-            c.round_len.to_string(),
-            c.moves.to_string(),
-            c.cures.to_string(),
-            c.writes_ok.to_string(),
-            c.reads_ok.to_string(),
-            c.aborted.to_string(),
-            c.timed_out.to_string(),
-            c.exhausted.to_string(),
-            c.windows.to_string(),
-            c.full_violations.to_string(),
-            c.window_violations.to_string(),
-            c.inversions.to_string(),
+            format!("{:?}", spec.backend),
+            spec.n.to_string(),
+            spec.f.to_string(),
+            spec.mode.label().to_string(),
+            spec.round_len.to_string(),
+            soak.fired("move-byz").to_string(),
+            soak.cures.to_string(),
+            soak.writes_ok.to_string(),
+            soak.reads_ok.to_string(),
+            soak.aborted.to_string(),
+            soak.timed_out.to_string(),
+            soak.exhausted.to_string(),
+            soak.windows.to_string(),
+            soak.full_violations.to_string(),
+            soak.window_violations.to_string(),
+            soak.inversions.to_string(),
             c.verdict().to_string(),
         ]);
     }
@@ -364,35 +229,31 @@ pub fn table(cells: &[E17Cell]) -> Table {
 
 /// Serialize the frontier as BENCH_e17.json.
 pub fn to_json(cells: &[E17Cell]) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"e17\",\n  \"schema\": 1,\n  \"unit\": {\"round_len\": \"substrate ticks between movement rounds\"},\n  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let sep = if i + 1 == cells.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"backend\": \"{}\", \"n\": {}, \"f\": {}, \"mode\": \"{}\", \"round_len\": {}, \"move_prob\": {}, \"seeds\": {}, \"moves\": {}, \"cures\": {}, \"writes_ok\": {}, \"reads_ok\": {}, \"aborted\": {}, \"timed_out\": {}, \"exhausted\": {}, \"windows\": {}, \"full_violations\": {}, \"window_violations\": {}, \"new_old_inversions\": {}, \"verdict\": \"{}\"}}{}\n",
-            format!("{:?}", c.backend).to_lowercase(),
-            c.n,
-            c.f,
-            c.mode.label(),
-            c.round_len,
-            c.move_prob,
-            c.seeds,
-            c.moves,
-            c.cures,
-            c.writes_ok,
-            c.reads_ok,
-            c.aborted,
-            c.timed_out,
-            c.exhausted,
-            c.windows,
-            c.full_violations,
-            c.window_violations,
-            c.inversions,
-            c.verdict(),
-            sep,
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let unit = Record::new().str("round_len", "substrate ticks between movement rounds");
+    let records = cells.iter().map(|c| {
+        let (spec, soak) = (&c.spec, &c.soak);
+        Record::new()
+            .str("backend", format!("{:?}", spec.backend).to_lowercase())
+            .num("n", spec.n)
+            .num("f", spec.f)
+            .str("mode", spec.mode.label())
+            .num("round_len", spec.round_len)
+            .num("move_prob", spec.move_prob)
+            .num("seeds", spec.seeds)
+            .num("moves", soak.fired("move-byz"))
+            .num("cures", soak.cures)
+            .num("writes_ok", soak.writes_ok)
+            .num("reads_ok", soak.reads_ok)
+            .num("aborted", soak.aborted)
+            .num("timed_out", soak.timed_out)
+            .num("exhausted", soak.exhausted)
+            .num("windows", soak.windows)
+            .num("full_violations", soak.full_violations)
+            .num("window_violations", soak.window_violations)
+            .num("new_old_inversions", soak.inversions)
+            .str("verdict", c.verdict())
+    });
+    bench_json("e17", Record::new().nested("unit", unit), records)
 }
 
 #[cfg(test)]
@@ -411,18 +272,43 @@ mod tests {
             seeds: 2,
         };
         let cell = run_cell(&spec);
-        assert!(cell.moves > 0, "{cell:?}");
-        assert!(cell.cures > 0, "{cell:?}");
-        assert!(cell.windows > 0, "{cell:?}");
-        assert_eq!(cell.window_violations, 0, "{cell:?}");
-        assert!(cell.writes_ok > 0 && cell.reads_ok > 0, "{cell:?}");
+        let soak = &cell.soak;
+        assert!(soak.fired("move-byz") > 0, "{cell:?}");
+        assert!(soak.cures > 0, "{cell:?}");
+        assert!(soak.windows > 0, "{cell:?}");
+        assert_eq!(soak.window_violations, 0, "{cell:?}");
+        assert!(soak.writes_ok > 0 && soak.reads_ok > 0, "{cell:?}");
+    }
+
+    /// Pin: the two sim rows of `harness mobile --quick`. The simulator is
+    /// deterministic, so any drift here is a behaviour change.
+    #[test]
+    fn quick_sim_rows_are_pinned() {
+        let rows: Vec<_> = specs(true)
+            .iter()
+            .filter(|s| s.backend == Backend::Sim)
+            .map(run_cell)
+            .map(|c| {
+                let s = &c.soak;
+                let ops = (s.writes_ok, s.reads_ok, s.aborted, s.timed_out, s.exhausted);
+                let viol = (s.full_violations, s.window_violations, s.inversions);
+                (s.fired("move-byz"), s.cures, ops, s.windows, viol, c.verdict())
+            })
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                (4, 4, (229, 228, 0, 0, 0), 5, (0, 0, 0), "regular"),
+                (48, 48, (282, 281, 0, 0, 0), 49, (1, 0, 0), "stable-window-only"),
+            ]
+        );
     }
 
     /// Serialization shape only — the grid itself runs via the harness
     /// (`harness mobile --quick` in CI), not in tier-1 tests.
     #[test]
     fn json_has_one_line_per_cell_and_a_verdict() {
-        let mut a = E17Cell {
+        let spec = E17Spec {
             backend: Backend::Sim,
             n: 6,
             f: 1,
@@ -430,39 +316,39 @@ mod tests {
             round_len: 5_000,
             move_prob: 1.0,
             seeds: 1,
-            moves: 3,
+        };
+        let soak = SoakReport {
+            disturbances: [("move-byz", 3)].into(),
             cures: 3,
             writes_ok: 40,
             reads_ok: 40,
-            aborted: 0,
-            timed_out: 0,
             exhausted: 1,
             windows: 4,
-            full_violations: 0,
-            window_violations: 0,
-            inversions: 0,
+            ..SoakReport::default()
         };
+        let mut a = E17Cell { spec, soak };
         let mut b = a.clone();
-        b.backend = Backend::Threaded;
-        b.mode = MovementMode::Uncoordinated;
-        b.round_len = 400;
-        b.full_violations = 2;
+        b.spec.backend = Backend::Threaded;
+        b.spec.mode = MovementMode::Uncoordinated;
+        b.spec.round_len = 400;
+        b.soak.full_violations = 2;
         let cells = vec![a.clone(), b.clone()];
         let json = to_json(&cells);
         assert_eq!(json.matches("\"verdict\"").count(), cells.len());
         assert!(json.contains("\"experiment\": \"e17\""));
         assert!(json.contains("\"backend\": \"sim\""));
         assert!(json.contains("\"backend\": \"threaded\""));
+        assert!(json.contains("\"moves\": 3"));
         assert!(json.contains("\"new_old_inversions\""));
         // Verdict ladder: window violations dominate, then collapse, then
         // the full-history/stable-window gap, then regular.
         assert_eq!(a.verdict(), "regular");
         assert_eq!(b.verdict(), "stable-window-only");
-        b.windows = 0;
+        b.soak.windows = 0;
         assert_eq!(b.verdict(), "collapsed");
-        b.window_violations = 1;
+        b.soak.window_violations = 1;
         assert_eq!(b.verdict(), "violated");
-        a.windows = 0;
+        a.soak.windows = 0;
         assert_eq!(a.verdict(), "collapsed");
     }
 }

@@ -6,7 +6,7 @@
 //!
 //! Each cell is scored three ways:
 //!
-//! * **stable-window regularity** — [`WindowTracker`] windows, with every
+//! * **stable-window regularity** — [`sbft_core::WindowTracker`] windows, with every
 //!   recovery treated like a cure (the rejoiner may have rebooted into
 //!   stale or ill-formed state, so it counts as unconverged until the
 //!   next completed all-clear write — Assumption A1). At `n = 5f+1` this
@@ -24,16 +24,13 @@
 //! row is the best-case control (recovery without damage).
 
 use sbft_core::adversary::ByzStrategy;
-use sbft_core::cluster::{OpOutcome, RegisterCluster};
-use sbft_core::{RetryPolicy, WindowTracker};
+use sbft_core::cluster::RegisterCluster;
+use sbft_core::{RetryPolicy, Soak, SoakReport};
 use sbft_net::nemesis::{NemesisEvent, NemesisSchedule};
 use sbft_net::Backend;
 use sbft_storage::DiskFault;
 
-use crate::table::Table;
-
-/// Safety cap on workload rounds per seed.
-const MAX_ROUNDS: u64 = 4_000;
+use crate::table::{bench_json, Record, Table};
 
 /// First crash fires after this much quiet time.
 const START_AFTER: u64 = 500;
@@ -47,83 +44,26 @@ const HORIZON: u64 = 18_000;
 /// One cell of the recovery sweep.
 #[derive(Clone, Debug)]
 pub struct E18Cell {
-    /// Backend the cell ran on.
-    pub backend: Backend,
-    /// Cluster size.
-    pub n: usize,
-    /// Byzantine servers.
-    pub f: usize,
-    /// Disk damage applied at every crash in this cell.
-    pub fault: DiskFault,
-    /// Quiet gap between a recovery and the next crash (smaller = faster
-    /// crash rate).
-    pub gap: u64,
-    /// Seeds aggregated into this cell.
-    pub seeds: usize,
-    /// Crashes fired.
-    pub crashes: u64,
-    /// Damaged-disk reboots fired (one per crash).
-    pub recoveries: u64,
-    /// Recoveries that re-converged (reached an all-clear write).
-    pub converged: u64,
-    /// Summed reboot-to-convergence time in substrate ticks.
-    pub reconverge_ticks: u64,
-    /// Summed reboot-to-convergence client operations.
-    pub reconverge_ops: u64,
-    /// Worst single reboot-to-convergence time in ticks.
-    pub max_reconverge_ticks: u64,
-    /// Completed writes.
-    pub writes_ok: u64,
-    /// Completed reads.
-    pub reads_ok: u64,
-    /// Aborted ops.
-    pub aborted: u64,
-    /// Lone-deadline deaths.
-    pub timed_out: u64,
-    /// Retry-budget exhaustions.
-    pub exhausted: u64,
-    /// Completed reads older than the last acknowledged write.
-    pub lost_reads: u64,
-    /// Stable windows that formed across all seeds.
-    pub windows: u64,
-    /// Regularity violations inside recovery-aware stable windows.
-    pub window_violations: usize,
-    /// Regularity violations over the full history (no windowing).
-    pub full_violations: usize,
+    /// The sweep point.
+    pub spec: E18Spec,
+    /// The soak, summed over the seeds: `fired("crash")` crashes, `cures`
+    /// damaged-disk reboots (one per crash), `converged` of them followed
+    /// by an all-clear write, `lost_reads`, the regularity scores.
+    pub soak: SoakReport,
 }
 
 impl E18Cell {
     /// Verdict ladder: window violations dominate, then a recovery that
     /// never re-converged, then acknowledged data loss, then durable.
     pub fn verdict(&self) -> &'static str {
-        if self.window_violations > 0 {
+        if self.soak.window_violations > 0 {
             "violated"
-        } else if self.converged < self.recoveries {
+        } else if self.soak.converged < self.soak.cures {
             "unconverged"
-        } else if self.lost_reads > 0 {
+        } else if self.soak.lost_reads > 0 {
             "lossy"
         } else {
             "durable"
-        }
-    }
-
-    /// Mean reboot-to-convergence time in substrate ticks.
-    pub fn mean_reconverge_ticks(&self) -> u64 {
-        self.reconverge_ticks.checked_div(self.converged).unwrap_or(0)
-    }
-
-    /// Mean reboot-to-convergence cost in client operations.
-    pub fn mean_reconverge_ops(&self) -> u64 {
-        self.reconverge_ops.checked_div(self.converged).unwrap_or(0)
-    }
-
-    fn tally<T>(&mut self, out: &OpOutcome<T>, is_write: bool) {
-        match out {
-            OpOutcome::Ok(_) if is_write => self.writes_ok += 1,
-            OpOutcome::Ok(_) => self.reads_ok += 1,
-            OpOutcome::Aborted => self.aborted += 1,
-            OpOutcome::TimedOut { .. } => self.timed_out += 1,
-            OpOutcome::Exhausted { .. } => self.exhausted += 1,
         }
     }
 }
@@ -139,7 +79,8 @@ pub struct E18Spec {
     pub f: usize,
     /// Disk damage applied at every crash.
     pub fault: DiskFault,
-    /// Quiet gap between recovery and the next crash.
+    /// Quiet gap between a recovery and the next crash (smaller = faster
+    /// crash rate).
     pub gap: u64,
     /// Seeds to aggregate.
     pub seeds: u64,
@@ -167,38 +108,15 @@ fn crash_schedule(spec: &E18Spec, seed: u64) -> NemesisSchedule {
 
 /// Run one sweep cell.
 pub fn run_cell(spec: &E18Spec) -> E18Cell {
-    let mut cell = E18Cell {
-        backend: spec.backend,
-        n: spec.n,
-        f: spec.f,
-        fault: spec.fault,
-        gap: spec.gap,
-        seeds: spec.seeds as usize,
-        crashes: 0,
-        recoveries: 0,
-        converged: 0,
-        reconverge_ticks: 0,
-        reconverge_ops: 0,
-        max_reconverge_ticks: 0,
-        writes_ok: 0,
-        reads_ok: 0,
-        aborted: 0,
-        timed_out: 0,
-        exhausted: 0,
-        lost_reads: 0,
-        windows: 0,
-        window_violations: 0,
-        full_violations: 0,
-    };
     let strategies = ByzStrategy::all();
+    let mut soak = SoakReport::default();
     for seed in 0..spec.seeds {
-        let strat = strategies[seed as usize % strategies.len()];
-        run_seed(&mut cell, spec, seed, strat);
+        soak.absorb(&run_seed(spec, seed, strategies[seed as usize % strategies.len()]));
     }
-    cell
+    E18Cell { spec: *spec, soak }
 }
 
-fn run_seed(cell: &mut E18Cell, spec: &E18Spec, seed: u64, strat: ByzStrategy) {
+fn run_seed(spec: &E18Spec, seed: u64, strat: ByzStrategy) -> SoakReport {
     let mut c = RegisterCluster::bounded_with_n(spec.n, spec.f)
         .clients(2)
         .byzantine_tail(strat)
@@ -208,145 +126,10 @@ fn run_seed(cell: &mut E18Cell, spec: &E18Spec, seed: u64, strat: ByzStrategy) {
         .retry(RetryPolicy::chaos())
         .build_any();
     let byz_seats: Vec<usize> = (spec.n - spec.f..spec.n).collect();
-    let schedule = crash_schedule(spec, seed);
-    let mut runner = c.nemesis_runner(schedule, byz_seats, strat);
-
-    let (w, r) = (c.client(0), c.client(1));
-    let mut value = 1u64;
-    let mut last_acked = 0u64;
-    let mut tracker = WindowTracker::new();
-    let mut cures_consumed = 0usize;
-    // Reboots awaiting their convergence write: (reboot time, ops so far).
-    let mut pending: Vec<(u64, u64)> = Vec::new();
-    let mut ops = 0u64;
-
-    let first = c.write_outcome(w, value);
-    cell.tally(&first, true);
-    ops += 1;
-    if first.is_ok() {
-        last_acked = value;
-        tracker.write_completed(c.now(), true);
-    }
-
-    let mut rounds = 0u64;
-    let mut scanned = 0usize;
-    while !runner.done() && rounds < MAX_ROUNDS {
-        rounds += 1;
-        let before = c.now();
-        runner.fire_due(&mut c.sim);
-        // Scan everything fired since the last round — including events
-        // the end-of-round fast-forward valve fired — so every crash
-        // closes the window it interrupts.
-        while scanned < runner.log.len() {
-            let (at, kind) = runner.log[scanned];
-            if kind == "crash" {
-                tracker.disturbance(at);
-                cell.crashes += 1;
-            }
-            scanned += 1;
-        }
-        // Every damaged-disk reboot lands in `cures`: the rejoiner counts
-        // as unconverged until the next completed all-clear write.
-        while cures_consumed < runner.cures.len() {
-            let (at, pid) = runner.cures[cures_consumed];
-            let at = at.max(c.now());
-            tracker.cured(pid, at);
-            pending.push((at, ops));
-            cures_consumed += 1;
-            cell.recoveries += 1;
-        }
-
-        value += 1;
-        let wout = c.write_outcome(w, value);
-        cell.tally(&wout, true);
-        ops += 1;
-        if wout.is_ok() {
-            last_acked = value;
-            tracker.write_completed(c.now(), runner.all_clear());
-            if runner.all_clear() {
-                for (at, ops_at) in pending.drain(..) {
-                    let ticks = c.now().saturating_sub(at);
-                    cell.converged += 1;
-                    cell.reconverge_ticks += ticks;
-                    cell.reconverge_ops += ops - ops_at;
-                    cell.max_reconverge_ticks = cell.max_reconverge_ticks.max(ticks);
-                }
-            }
-        }
-        let rout = c.read_outcome(r);
-        ops += 1;
-        if let OpOutcome::Ok(ok) = &rout {
-            // The read begins after the last acknowledged write finished,
-            // so regularity forbids anything older than it.
-            if ok.value < last_acked {
-                cell.lost_reads += 1;
-            }
-        }
-        cell.tally(&rout, false);
-
-        // Safety valve: if the substrate clock stalled, fast-forward the
-        // next nemesis event so the sweep always terminates.
-        if c.now() == before && !runner.done() {
-            runner.fire_next(&mut c.sim);
-        }
-    }
-
-    // Drain crashes and reboots fired by the final fast-forward before
-    // scoring.
-    while scanned < runner.log.len() {
-        let (at, kind) = runner.log[scanned];
-        if kind == "crash" {
-            tracker.disturbance(at);
-            cell.crashes += 1;
-        }
-        scanned += 1;
-    }
-    while cures_consumed < runner.cures.len() {
-        let (at, pid) = runner.cures[cures_consumed];
-        let at = at.max(c.now());
-        tracker.cured(pid, at);
-        pending.push((at, ops));
-        cures_consumed += 1;
-        cell.recoveries += 1;
-    }
-
-    // Epilogue: one more converging write + read, then drain the traffic.
-    value += 1;
-    let wout = c.write_outcome(w, value);
-    cell.tally(&wout, true);
-    ops += 1;
-    if wout.is_ok() {
-        last_acked = value;
-        tracker.write_completed(c.now(), runner.all_clear());
-        if runner.all_clear() {
-            for (at, ops_at) in pending.drain(..) {
-                let ticks = c.now().saturating_sub(at);
-                cell.converged += 1;
-                cell.reconverge_ticks += ticks;
-                cell.reconverge_ops += ops - ops_at;
-                cell.max_reconverge_ticks = cell.max_reconverge_ticks.max(ticks);
-            }
-        }
-    }
-    let rout = c.read_outcome(r);
-    if let OpOutcome::Ok(ok) = &rout {
-        if ok.value < last_acked {
-            cell.lost_reads += 1;
-        }
-    }
-    cell.tally(&rout, false);
-    c.settle(200_000);
-
-    if let Err(errs) = c.check_history() {
-        cell.full_violations += errs.len();
-    }
-    for (start, end) in tracker.finish(u64::MAX) {
-        cell.windows += 1;
-        if let Err(errs) = c.recorder.check_window(&c.sys, start, end) {
-            cell.window_violations += errs.len();
-        }
-    }
+    let runner = c.nemesis_runner(crash_schedule(spec, seed), byz_seats, strat);
+    let report = Soak::new(&mut c, runner).run();
     c.stop();
+    report
 }
 
 /// The sweep grid. `quick` is the CI smoke (one fault per class, 1 seed);
@@ -420,27 +203,28 @@ pub fn table(cells: &[E18Cell]) -> Table {
         ],
     );
     for c in cells {
+        let (spec, soak) = (&c.spec, &c.soak);
         t.row(vec![
-            format!("{:?}", c.backend),
-            c.n.to_string(),
-            c.f.to_string(),
-            c.fault.name().to_string(),
-            c.gap.to_string(),
-            c.crashes.to_string(),
-            c.recoveries.to_string(),
-            c.converged.to_string(),
-            c.mean_reconverge_ticks().to_string(),
-            c.mean_reconverge_ops().to_string(),
-            c.max_reconverge_ticks.to_string(),
-            c.writes_ok.to_string(),
-            c.reads_ok.to_string(),
-            c.aborted.to_string(),
-            c.timed_out.to_string(),
-            c.exhausted.to_string(),
-            c.lost_reads.to_string(),
-            c.windows.to_string(),
-            c.window_violations.to_string(),
-            c.full_violations.to_string(),
+            format!("{:?}", spec.backend),
+            spec.n.to_string(),
+            spec.f.to_string(),
+            spec.fault.name().to_string(),
+            spec.gap.to_string(),
+            soak.fired("crash").to_string(),
+            soak.cures.to_string(),
+            soak.converged.to_string(),
+            soak.mean_converge_ticks().to_string(),
+            soak.mean_converge_ops().to_string(),
+            soak.max_converge_ticks.to_string(),
+            soak.writes_ok.to_string(),
+            soak.reads_ok.to_string(),
+            soak.aborted.to_string(),
+            soak.timed_out.to_string(),
+            soak.exhausted.to_string(),
+            soak.lost_reads.to_string(),
+            soak.windows.to_string(),
+            soak.window_violations.to_string(),
+            soak.full_violations.to_string(),
             c.verdict().to_string(),
         ]);
     }
@@ -449,38 +233,36 @@ pub fn table(cells: &[E18Cell]) -> Table {
 
 /// Serialize the sweep as BENCH_e18.json.
 pub fn to_json(cells: &[E18Cell]) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"e18\",\n  \"schema\": 1,\n  \"unit\": {\"gap\": \"quiet ticks between a recovery and the next crash\", \"reconverge\": \"damaged-disk reboot to the next all-clear completed write\"},\n  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let sep = if i + 1 == cells.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"backend\": \"{}\", \"n\": {}, \"f\": {}, \"disk_fault\": \"{}\", \"gap\": {}, \"seeds\": {}, \"crashes\": {}, \"recoveries\": {}, \"converged\": {}, \"mean_reconverge_ticks\": {}, \"mean_reconverge_ops\": {}, \"max_reconverge_ticks\": {}, \"writes_ok\": {}, \"reads_ok\": {}, \"aborted\": {}, \"timed_out\": {}, \"exhausted\": {}, \"lost_reads\": {}, \"windows\": {}, \"window_violations\": {}, \"full_violations\": {}, \"verdict\": \"{}\"}}{}\n",
-            format!("{:?}", c.backend).to_lowercase(),
-            c.n,
-            c.f,
-            c.fault.name(),
-            c.gap,
-            c.seeds,
-            c.crashes,
-            c.recoveries,
-            c.converged,
-            c.mean_reconverge_ticks(),
-            c.mean_reconverge_ops(),
-            c.max_reconverge_ticks,
-            c.writes_ok,
-            c.reads_ok,
-            c.aborted,
-            c.timed_out,
-            c.exhausted,
-            c.lost_reads,
-            c.windows,
-            c.window_violations,
-            c.full_violations,
-            c.verdict(),
-            sep,
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let unit = Record::new()
+        .str("gap", "quiet ticks between a recovery and the next crash")
+        .str("reconverge", "damaged-disk reboot to the next all-clear completed write");
+    let records = cells.iter().map(|c| {
+        let (spec, soak) = (&c.spec, &c.soak);
+        Record::new()
+            .str("backend", format!("{:?}", spec.backend).to_lowercase())
+            .num("n", spec.n)
+            .num("f", spec.f)
+            .str("disk_fault", spec.fault.name())
+            .num("gap", spec.gap)
+            .num("seeds", spec.seeds)
+            .num("crashes", soak.fired("crash"))
+            .num("recoveries", soak.cures)
+            .num("converged", soak.converged)
+            .num("mean_reconverge_ticks", soak.mean_converge_ticks())
+            .num("mean_reconverge_ops", soak.mean_converge_ops())
+            .num("max_reconverge_ticks", soak.max_converge_ticks)
+            .num("writes_ok", soak.writes_ok)
+            .num("reads_ok", soak.reads_ok)
+            .num("aborted", soak.aborted)
+            .num("timed_out", soak.timed_out)
+            .num("exhausted", soak.exhausted)
+            .num("lost_reads", soak.lost_reads)
+            .num("windows", soak.windows)
+            .num("window_violations", soak.window_violations)
+            .num("full_violations", soak.full_violations)
+            .str("verdict", c.verdict())
+    });
+    bench_json("e18", Record::new().nested("unit", unit), records)
 }
 
 #[cfg(test)]
@@ -498,60 +280,81 @@ mod tests {
             seeds: 1,
         };
         let cell = run_cell(&spec);
-        assert!(cell.crashes > 0, "{cell:?}");
-        assert_eq!(cell.recoveries, cell.crashes, "{cell:?}");
-        assert_eq!(cell.converged, cell.recoveries, "a reboot never converged: {cell:?}");
-        assert_eq!(cell.window_violations, 0, "{cell:?}");
-        assert_eq!(cell.lost_reads, 0, "{cell:?}");
-        assert!(cell.windows > 0, "{cell:?}");
+        let soak = &cell.soak;
+        assert!(soak.fired("crash") > 0, "{cell:?}");
+        assert_eq!(soak.cures, soak.fired("crash"), "{cell:?}");
+        assert_eq!(soak.converged, soak.cures, "a reboot never converged: {cell:?}");
+        assert_eq!(soak.window_violations, 0, "{cell:?}");
+        assert_eq!(soak.lost_reads, 0, "{cell:?}");
+        assert!(soak.windows > 0, "{cell:?}");
         assert_eq!(cell.verdict(), "durable", "{cell:?}");
+    }
+
+    /// Pin: the three sim rows of `harness recover --quick`. The simulator
+    /// is deterministic, so any drift here is a behaviour change.
+    #[test]
+    fn quick_sim_rows_are_pinned() {
+        let cells: Vec<_> =
+            specs(true).iter().filter(|s| s.backend == Backend::Sim).map(run_cell).collect();
+        let full: Vec<_> = cells.iter().map(|c| c.soak.full_violations).collect();
+        assert_eq!(full, [0, 0, 1]);
+        for c in &cells {
+            let s = &c.soak;
+            assert_eq!((s.fired("crash"), s.cures, s.converged), (5, 5, 5), "{c:?}");
+            let converge = (s.mean_converge_ticks(), s.mean_converge_ops(), s.max_converge_ticks);
+            assert_eq!(converge, (31, 1, 31), "{c:?}");
+            assert_eq!((s.writes_ok, s.reads_ok), (10, 9), "{c:?}");
+            assert_eq!((s.aborted, s.timed_out, s.exhausted, s.lost_reads), (0, 0, 2, 0), "{c:?}");
+            assert_eq!((s.windows, s.window_violations, c.verdict()), (2, 0, "durable"), "{c:?}");
+        }
     }
 
     /// Serialization shape only — the grid runs via `harness recover`.
     #[test]
     fn json_has_one_line_per_cell_and_a_verdict() {
-        let mut a = E18Cell {
+        let spec = E18Spec {
             backend: Backend::Sim,
             n: 6,
             f: 1,
             fault: DiskFault::BitRot,
             gap: 2_200,
             seeds: 1,
-            crashes: 5,
-            recoveries: 5,
+        };
+        let soak = SoakReport {
+            disturbances: [("crash", 5)].into(),
+            cures: 5,
             converged: 5,
-            reconverge_ticks: 5_000,
-            reconverge_ops: 50,
-            max_reconverge_ticks: 2_000,
+            converge_ticks: 5_000,
+            converge_ops: 50,
+            max_converge_ticks: 2_000,
             writes_ok: 40,
             reads_ok: 40,
-            aborted: 0,
             timed_out: 1,
             exhausted: 1,
-            lost_reads: 0,
             windows: 6,
-            window_violations: 0,
-            full_violations: 0,
+            ..SoakReport::default()
         };
+        let mut a = E18Cell { spec, soak };
         let mut b = a.clone();
-        b.backend = Backend::Threaded;
-        b.fault = DiskFault::StaleSnapshot;
+        b.spec.backend = Backend::Threaded;
+        b.spec.fault = DiskFault::StaleSnapshot;
         let cells = vec![a.clone(), b];
         let json = to_json(&cells);
         assert_eq!(json.matches("\"verdict\"").count(), cells.len());
         assert!(json.contains("\"experiment\": \"e18\""));
         assert!(json.contains("\"disk_fault\": \"bit-rot\""));
         assert!(json.contains("\"disk_fault\": \"stale-snapshot\""));
+        assert!(json.contains("\"crashes\": 5, \"recoveries\": 5"));
         assert!(json.contains("\"mean_reconverge_ticks\": 1000"));
         assert!(json.contains("\"mean_reconverge_ops\": 10"));
         // Verdict ladder: violations dominate, then convergence, then
         // acknowledged loss, then durable.
         assert_eq!(a.verdict(), "durable");
-        a.lost_reads = 1;
+        a.soak.lost_reads = 1;
         assert_eq!(a.verdict(), "lossy");
-        a.converged = 4;
+        a.soak.converged = 4;
         assert_eq!(a.verdict(), "unconverged");
-        a.window_violations = 1;
+        a.soak.window_violations = 1;
         assert_eq!(a.verdict(), "violated");
     }
 

@@ -29,7 +29,7 @@ use sbft_explorer::{
     Scenario,
 };
 
-use crate::Table;
+use crate::table::{bench_json, Record, Table};
 
 /// One explored configuration of the E20 sweep.
 pub struct ParallelCell {
@@ -293,30 +293,25 @@ pub fn table(cells: &[ParallelCell]) -> Table {
 /// Serialize the sweep (plus the core count it ran on) as BENCH_e20.json.
 pub fn to_json(cells: &[ParallelCell]) -> String {
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let mut out = format!(
-        "{{\n  \"experiment\": \"e20\",\n  \"schema\": 1,\n  \"cores\": {cores},\n  \"unit\": {{\"sched_per_sec\": \"complete schedules per wall-clock second\", \"speedup\": \"wall-clock vs jobs=1 of the same scenario and dedup setting\"}},\n  \"cells\": [\n"
-    );
-    for (i, c) in cells.iter().enumerate() {
-        let sep = if i + 1 == cells.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"jobs\": {}, \"dedup\": {}, \"schedules\": {}, \"transitions\": {}, \"deduped\": {}, \"dedup_checks\": {}, \"violations\": {}, \"wall_ms\": {:.2}, \"sched_per_sec\": {:.1}, \"speedup\": {:.3}, \"verdict\": \"{}\"}}{}\n",
-            c.scenario,
-            c.jobs,
-            c.dedup,
-            c.schedules,
-            c.transitions,
-            c.deduped,
-            c.dedup_checks,
-            c.violations,
-            c.wall_ms,
-            c.schedules_per_sec,
-            c.speedup,
-            c.verdict.replace('"', "'"),
-            sep,
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let unit = Record::new()
+        .str("sched_per_sec", "complete schedules per wall-clock second")
+        .str("speedup", "wall-clock vs jobs=1 of the same scenario and dedup setting");
+    let records = cells.iter().map(|c| {
+        Record::new()
+            .str("scenario", &c.scenario)
+            .num("jobs", c.jobs)
+            .num("dedup", c.dedup)
+            .num("schedules", c.schedules)
+            .num("transitions", c.transitions)
+            .num("deduped", c.deduped)
+            .num("dedup_checks", c.dedup_checks)
+            .num("violations", c.violations)
+            .fixed("wall_ms", c.wall_ms, 2)
+            .fixed("sched_per_sec", c.schedules_per_sec, 1)
+            .fixed("speedup", c.speedup, 3)
+            .str("verdict", &c.verdict)
+    });
+    bench_json("e20", Record::new().num("cores", cores).nested("unit", unit), records)
 }
 
 #[cfg(test)]

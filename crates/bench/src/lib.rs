@@ -5,8 +5,8 @@
 //! numbered claim** — Theorem 1, Lemmas 1–8, Definition 2, the failure
 //! modes motivating the work, and the assumptions — into a regenerable
 //! experiment. Each `eN_*` module computes one table; the `harness` binary
-//! prints them (`harness all`, `harness e1`, …); the Criterion benches
-//! under `benches/` measure the wall-clock cost of the same code paths.
+//! prints them (`harness all`, `harness e1`, …). Wall-clock cost per layer
+//! is the pinned `benchmark/` package's job, not this crate's.
 //!
 //! See `DESIGN.md` §5 for the experiment ↔ paper-artifact index and
 //! `EXPERIMENTS.md` for recorded outputs and their interpretation.
@@ -34,7 +34,6 @@ pub mod e5_labels;
 pub mod e6_vs_baseline;
 pub mod e7_quorum_cost;
 pub mod e8_concurrency;
-pub mod e9_threaded;
 pub mod table;
 
 pub use table::Table;

@@ -1,6 +1,7 @@
-//! Minimal aligned-column table rendering for the harness output.
+//! Minimal aligned-column table rendering for the harness output, and the
+//! one JSON record writer behind every `BENCH_eN.json`.
 
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 
 /// A titled table of string cells.
 #[derive(Clone, Debug)]
@@ -100,6 +101,62 @@ impl Table {
     }
 }
 
+/// One flat JSON object, printed on one line with keys in insertion order.
+#[derive(Clone, Debug, Default)]
+pub struct Record(Vec<(&'static str, String)>);
+
+impl Record {
+    /// An empty record.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// A field printed bare: integers, booleans, floats at full precision.
+    pub fn num(mut self, key: &'static str, value: impl Display) -> Self {
+        self.0.push((key, value.to_string()));
+        self
+    }
+
+    /// A float field with a fixed number of decimals.
+    pub fn fixed(mut self, key: &'static str, value: f64, decimals: usize) -> Self {
+        self.0.push((key, format!("{value:.decimals$}")));
+        self
+    }
+
+    /// A string field (double quotes become apostrophes, so the output
+    /// stays valid JSON without an escaper).
+    pub fn str(mut self, key: &'static str, value: impl Display) -> Self {
+        self.0.push((key, format!("\"{}\"", value.to_string().replace('"', "'"))));
+        self
+    }
+
+    /// A nested record field.
+    pub fn nested(mut self, key: &'static str, value: Record) -> Self {
+        self.0.push((key, value.line()));
+        self
+    }
+
+    fn line(&self) -> String {
+        let fields: Vec<String> = self.0.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
+        format!("{{{}}}", fields.join(", "))
+    }
+}
+
+/// The `BENCH_eN.json` document: experiment id, schema version, the
+/// fields of `head` (units, host stamp) one per line, then one line per
+/// cell.
+pub fn bench_json(experiment: &str, head: Record, cells: impl Iterator<Item = Record>) -> String {
+    let mut out = format!("{{\n  \"experiment\": \"{experiment}\",\n  \"schema\": 1,\n");
+    for (key, value) in &head.0 {
+        let _ = writeln!(out, "  \"{key}\": {value},");
+    }
+    out.push_str("  \"cells\": [\n");
+    let lines: Vec<String> = cells.map(|c| format!("    {}", c.line())).collect();
+    out.push_str(&lines.join(",\n"));
+    out.push_str(if lines.is_empty() { "  ]\n}\n" } else { "\n  ]\n}\n" });
+    out
+}
+
 /// Format a float with 1 decimal.
 pub fn f1(x: f64) -> String {
     format!("{x:.1}")
@@ -150,6 +207,22 @@ mod tests {
         assert!(csv.starts_with("a,b\n"));
         assert!(csv.contains("\"x,y\""));
         assert!(csv.contains("\"he said \"\"hi\"\"\""));
+    }
+
+    #[test]
+    fn bench_json_keeps_key_order_and_number_formats() {
+        let head = Record::new().num("cores", 2).nested("unit", Record::new().str("t", "ticks"));
+        let cells = [
+            Record::new().str("backend", "sim").num("n", 6).num("p", 1.0).fixed("ms", 1.256, 2),
+            Record::new().str("verdict", "a \"b\"").num("dedup", false),
+        ];
+        assert_eq!(
+            bench_json("e0", head, cells.into_iter()),
+            "{\n  \"experiment\": \"e0\",\n  \"schema\": 1,\n  \"cores\": 2,\n  \
+             \"unit\": {\"t\": \"ticks\"},\n  \"cells\": [\n    \
+             {\"backend\": \"sim\", \"n\": 6, \"p\": 1, \"ms\": 1.26},\n    \
+             {\"verdict\": \"a 'b'\", \"dedup\": false}\n  ]\n}\n"
+        );
     }
 
     #[test]

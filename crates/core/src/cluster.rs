@@ -143,7 +143,6 @@ pub struct ClusterBuilder<B: LabelingSystem> {
     hostile_clients: Vec<ByzReaderStrategy>,
     seed: u64,
     delay: DelayModel,
-    trace: usize,
     reader_opts: ReaderOptions,
     retry: RetryPolicy,
     backend: Backend,
@@ -163,7 +162,6 @@ impl<B: LabelingSystem> ClusterBuilder<B> {
             hostile_clients: Vec::new(),
             seed: 0,
             delay: DelayModel::uniform(1, 10),
-            trace: 0,
             reader_opts: ReaderOptions::default(),
             retry: RetryPolicy::none(),
             backend: Backend::Sim,
@@ -232,12 +230,6 @@ impl<B: LabelingSystem> ClusterBuilder<B> {
         self
     }
 
-    /// Enable the substrate's debug trace.
-    pub fn trace(mut self, capacity: usize) -> Self {
-        self.trace = capacity;
-        self
-    }
-
     /// Reader ablation switches.
     pub fn reader_options(mut self, opts: ReaderOptions) -> Self {
         self.reader_opts = opts;
@@ -267,7 +259,7 @@ impl<B: LabelingSystem> ClusterBuilder<B> {
     }
 
     fn substrate_config(&self) -> SubstrateConfig {
-        let cfg = SubstrateConfig::seeded(self.seed).with_delay(self.delay).with_trace(self.trace);
+        let cfg = SubstrateConfig::seeded(self.seed).with_delay(self.delay);
         match self.pump_timeout {
             Some(t) => cfg.with_pump_timeout(t),
             None => cfg,

@@ -27,6 +27,7 @@
 //! * [`spec`] — execution recording and the MWMR-regularity checker.
 //! * [`cluster`] — one-call assembly of a simulated register cluster plus
 //!   blocking-style operation helpers (the scenario driver).
+//! * [`soak`] — the one nemesis soak loop and its stable-window scoring.
 //!
 //! ## Quick start
 //!
@@ -54,6 +55,7 @@ pub mod messages;
 pub mod reader;
 pub mod retry;
 pub mod server;
+pub mod soak;
 pub mod spec;
 pub mod swmr;
 pub mod writer;
@@ -62,6 +64,7 @@ pub use cluster::{OpOutcome, RegisterCluster};
 pub use config::ClusterConfig;
 pub use messages::{ClientEvent, Msg, Value};
 pub use retry::RetryPolicy;
+pub use soak::{Soak, SoakReport};
 pub use spec::{HistoryRecorder, RegularityError, WindowTracker};
 
 use sbft_labels::{LabelingSystem, MwmrTimestamp};

@@ -12,13 +12,13 @@
 //!   paper's Theorem 1 proof) must be replayable.
 //! * [`threaded`] — a **real-thread runtime** where every process is an OS
 //!   thread and channels are crossbeam FIFO queues. Used for wall-clock
-//!   throughput measurements (experiment E9); per-producer channel order
+//!   throughput measurements (experiment E15); per-producer channel order
 //!   gives the required FIFO property for free.
 //!
 //! Protocols are written *sans-IO* as [`process::Automaton`] state machines
 //! and run unchanged on either substrate. The [`substrate::Substrate`]
 //! trait is the common driver surface — spawn, inject, pump outputs,
-//! metrics, trace, fault injection, crash, stop — so scenario drivers are
+//! metrics, fault injection, crash, stop — so scenario drivers are
 //! generic over the runtime and select it via [`substrate::Backend`].
 //!
 //! Fault injection lives in [`corruption`] (transient state/channel
@@ -43,7 +43,6 @@ pub mod sim;
 pub mod substrate;
 pub mod threaded;
 pub mod timer_wheel;
-pub mod trace;
 
 pub use batch::{BatchPolicy, Frame, LinkBatcher};
 pub use channel::{DelayModel, Scheduled};

@@ -21,7 +21,6 @@ use crate::channel::{ChannelMap, DelayModel, Scheduled};
 use crate::metrics::NetMetrics;
 use crate::nemesis::LinkFault;
 use crate::process::{Automaton, Ctx, ProcessId, ENV};
-use crate::trace::Trace;
 
 /// Simulator construction parameters.
 #[derive(Clone, Debug, Default)]
@@ -30,8 +29,6 @@ pub struct SimConfig {
     pub seed: u64,
     /// Message delay distribution.
     pub delay: DelayModel,
-    /// Ring-buffer capacity of the debug trace (0 disables tracing).
-    pub trace_capacity: usize,
     /// Per-link message coalescing policy (disabled by default; disabled
     /// batching reproduces the exact pre-batching event and RNG streams).
     pub batch: BatchPolicy,
@@ -46,12 +43,6 @@ impl SimConfig {
     /// Replace the delay model.
     pub fn with_delay(mut self, delay: DelayModel) -> Self {
         self.delay = delay;
-        self
-    }
-
-    /// Enable the debug trace.
-    pub fn with_trace(mut self, capacity: usize) -> Self {
-        self.trace_capacity = capacity;
         self
     }
 
@@ -155,7 +146,6 @@ pub struct Simulation<M, O> {
     channels: ChannelMap<Frame<M>>,
     rng: StdRng,
     metrics: NetMetrics,
-    trace: Trace,
     started: bool,
     halted: bool,
     batch: BatchPolicy,
@@ -182,7 +172,6 @@ where
             channels: ChannelMap::new(config.delay),
             rng: StdRng::seed_from_u64(config.seed),
             metrics: NetMetrics::default(),
-            trace: Trace::new(config.trace_capacity),
             started: false,
             halted: false,
             batch: config.batch,
@@ -212,11 +201,6 @@ where
     /// Network metrics collected so far.
     pub fn metrics(&self) -> &NetMetrics {
         &self.metrics
-    }
-
-    /// The debug trace (empty unless enabled in [`SimConfig`]).
-    pub fn trace(&self) -> &Trace {
-        &self.trace
     }
 
     /// Mutable access to a process automaton (for typed state inspection in
@@ -483,14 +467,10 @@ where
         match frame {
             Frame::One(msg) => {
                 self.metrics.record_delivery(from, to);
-                self.trace.record(self.now, from, to, || format!("{msg:?}"));
                 self.dispatch(to, move |auto, ctx| auto.on_message(from, msg, ctx))
             }
             Frame::Batch(msgs) => {
                 self.metrics.record_batch_delivery(to, msgs.len() as u64);
-                for msg in &msgs {
-                    self.trace.record(self.now, from, to, || format!("{msg:?}"));
-                }
                 self.dispatch(to, move |auto, ctx| {
                     for msg in msgs {
                         auto.on_message(from, msg, ctx);
@@ -1203,15 +1183,5 @@ mod tests {
         assert!(out.is_empty());
         assert_eq!(sim.metrics().messages_dropped, 8, "every batched message counts as dropped");
         assert!(sim.is_quiet());
-    }
-
-    #[test]
-    fn trace_records_when_enabled() {
-        let mut sim: Simulation<u32, u32> = Simulation::new(SimConfig::seeded(0).with_trace(16));
-        sim.add_process(Box::new(PingPong));
-        sim.add_process(Box::new(PingPong));
-        sim.inject(0, 2);
-        sim.run_until_quiet(100);
-        assert!(sim.trace().entries().count() > 0);
     }
 }

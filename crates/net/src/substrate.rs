@@ -24,7 +24,6 @@ use crate::nemesis::LinkFault;
 use crate::process::{Automaton, ProcessId};
 use crate::sim::{SimConfig, Simulation};
 use crate::threaded::ThreadedCluster;
-use crate::trace::Trace;
 
 /// Which runtime a driver should assemble.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -37,8 +36,8 @@ pub enum Backend {
 
 /// Substrate-independent construction parameters.
 ///
-/// The simulator consumes `seed`, `delay` and `trace_capacity`; the
-/// threaded runtime additionally maps virtual time onto the wall clock via
+/// The simulator consumes `seed`, `delay` and `batch`; the threaded
+/// runtime additionally maps virtual time onto the wall clock via
 /// `tick` (timer delays of `d` units fire after `d × tick`) and bounds its
 /// blocking behaviour with `pump_timeout` (one [`Substrate::pump`] wait)
 /// and `join_timeout` (graceful stop).
@@ -48,8 +47,6 @@ pub struct SubstrateConfig {
     pub seed: u64,
     /// Message delay distribution (simulator only; threads deliver asap).
     pub delay: DelayModel,
-    /// Debug-trace ring capacity (0 disables tracing).
-    pub trace_capacity: usize,
     /// Wall-clock length of one virtual time unit on threads.
     pub tick: Duration,
     /// Longest a single threaded `pump` blocks before reporting idle.
@@ -66,7 +63,6 @@ impl Default for SubstrateConfig {
         Self {
             seed: 0,
             delay: DelayModel::default(),
-            trace_capacity: 0,
             tick: Duration::from_micros(100),
             pump_timeout: Duration::from_millis(100),
             join_timeout: Duration::from_secs(5),
@@ -84,12 +80,6 @@ impl SubstrateConfig {
     /// Replace the delay model.
     pub fn with_delay(mut self, delay: DelayModel) -> Self {
         self.delay = delay;
-        self
-    }
-
-    /// Enable the debug trace.
-    pub fn with_trace(mut self, capacity: usize) -> Self {
-        self.trace_capacity = capacity;
         self
     }
 
@@ -116,12 +106,7 @@ impl SubstrateConfig {
 
     /// The simulator subset of this config.
     pub fn sim_config(&self) -> SimConfig {
-        SimConfig {
-            seed: self.seed,
-            delay: self.delay,
-            trace_capacity: self.trace_capacity,
-            batch: self.batch,
-        }
+        SimConfig { seed: self.seed, delay: self.delay, batch: self.batch }
     }
 }
 
@@ -259,9 +244,6 @@ pub trait Substrate<M, O> {
     /// Snapshot of the network counters.
     fn metrics_snapshot(&self) -> NetMetrics;
 
-    /// Snapshot of the debug trace (empty unless enabled).
-    fn trace_snapshot(&self) -> Trace;
-
     /// Execute a transient-fault plan: scramble the listed process states
     /// and inject `gen`-produced garbage messages on the listed channels.
     fn apply_fault(&mut self, plan: &FaultPlan, gen: &mut dyn FnMut(&mut StdRng) -> M);
@@ -387,10 +369,6 @@ where
         self.metrics().clone()
     }
 
-    fn trace_snapshot(&self) -> Trace {
-        self.trace().clone()
-    }
-
     fn apply_fault(&mut self, plan: &FaultPlan, gen: &mut dyn FnMut(&mut StdRng) -> M) {
         Simulation::apply_fault(self, plan, gen);
     }
@@ -481,10 +459,6 @@ where
 
     fn metrics_snapshot(&self) -> NetMetrics {
         delegate!(self, s => Substrate::<M, O>::metrics_snapshot(s))
-    }
-
-    fn trace_snapshot(&self) -> Trace {
-        delegate!(self, s => Substrate::<M, O>::trace_snapshot(s))
     }
 
     fn apply_fault(&mut self, plan: &FaultPlan, gen: &mut dyn FnMut(&mut StdRng) -> M) {

@@ -66,7 +66,6 @@ use crate::nemesis::LinkFault;
 use crate::process::{Automaton, Ctx, ProcessId, ENV};
 use crate::substrate::{Backend, Outputs, Pumped, Substrate, SubstrateConfig};
 use crate::timer_wheel::{TimerWheel, TimerWheelThread};
-use crate::trace::Trace;
 
 enum Ctl<M, O> {
     Msg {
@@ -439,7 +438,6 @@ struct Worker<M, O> {
     wheel: TimerWheel,
     metrics: Arc<SharedMetrics>,
     links: Arc<LinkFaults>,
-    trace: Option<Arc<Mutex<Trace>>>,
     epoch: Instant,
     tick: Duration,
     rng: StdRng,
@@ -544,13 +542,6 @@ where
                     self.metrics.events.fetch_add(1, Ordering::Relaxed);
                     self.metrics.record_batch_delivery(self.pid, msgs.len() as u64);
                     let now = self.ticks();
-                    if let Some(trace) = &self.trace {
-                        if let Ok(mut t) = trace.lock() {
-                            for msg in &msgs {
-                                t.record(now, from, self.pid, || format!("{msg:?}"));
-                            }
-                        }
-                    }
                     // One shared context for the whole frame: replies and
                     // acks produced while applying it coalesce into outgoing
                     // frames of their own (batch-in → batch-out).
@@ -568,11 +559,6 @@ where
                     self.metrics.events.fetch_add(1, Ordering::Relaxed);
                     self.metrics.record_delivery(self.pid);
                     let now = self.ticks();
-                    if let Some(trace) = &self.trace {
-                        if let Ok(mut t) = trace.lock() {
-                            t.record(now, from, self.pid, || format!("{msg:?}"));
-                        }
-                    }
                     self.dispatch(now, |auto, ctx| auto.on_message(from, msg, ctx));
                 }
             }
@@ -742,7 +728,6 @@ pub struct ThreadedCluster<M, O> {
     wheel: TimerWheelThread,
     metrics: Arc<SharedMetrics>,
     links: Arc<LinkFaults>,
-    trace: Option<Arc<Mutex<Trace>>>,
     /// Driver-side RNG for fault-plan garbage generation.
     rng: StdRng,
     epoch: Instant,
@@ -776,8 +761,6 @@ where
         let metrics = Arc::new(SharedMetrics::new(n));
         let links = Arc::new(LinkFaults::new());
         let latch = Arc::new(ExitLatch::new(n));
-        let trace = (config.trace_capacity > 0)
-            .then(|| Arc::new(Mutex::new(Trace::new(config.trace_capacity))));
         let epoch = Instant::now();
         let wheel = TimerWheel::spawn(epoch, config.tick);
 
@@ -793,7 +776,6 @@ where
                 wheel: wheel.handle(),
                 metrics: Arc::clone(&metrics),
                 links: Arc::clone(&links),
-                trace: trace.clone(),
                 epoch,
                 tick: config.tick,
                 rng: StdRng::seed_from_u64(
@@ -817,7 +799,6 @@ where
             wheel,
             metrics,
             links,
-            trace,
             rng: StdRng::seed_from_u64(config.seed ^ 0xD1B5_4A32_D192_ED03),
             epoch,
             tick: config.tick,
@@ -878,18 +859,6 @@ where
     /// Corrupt `pid`'s automaton state in-thread (transient fault).
     pub fn corrupt_process(&self, pid: ProcessId) {
         let _ = self.inboxes[pid].send(Ctl::Corrupt);
-    }
-
-    /// Restart `pid` with a fresh automaton (crash recovery): the control
-    /// message lands FIFO after everything already in `pid`'s inbox, so the
-    /// new incarnation sees only traffic sent after the restart was issued.
-    pub fn restart_process(&self, pid: ProcessId, auto: Box<dyn Automaton<M, O>>) {
-        let _ = self.inboxes[pid].send(Ctl::Restart(auto));
-    }
-
-    /// Install (`Some`) or clear (`None`) a link fault on `(from, to)`.
-    pub fn set_link_fault_on(&self, from: ProcessId, to: ProcessId, fault: Option<LinkFault>) {
-        self.links.set(from, to, fault);
     }
 
     /// Stop all threads and join them (bounded by the configured join
@@ -969,13 +938,6 @@ where
         self.metrics.snapshot()
     }
 
-    fn trace_snapshot(&self) -> Trace {
-        match &self.trace {
-            Some(t) => t.lock().map(|g| g.clone()).unwrap_or_default(),
-            None => Trace::default(),
-        }
-    }
-
     fn apply_fault(&mut self, plan: &FaultPlan, gen: &mut dyn FnMut(&mut StdRng) -> M) {
         for &pid in &plan.corrupt_processes {
             if pid < self.inboxes.len() {
@@ -997,12 +959,15 @@ where
         let _ = self.inboxes[pid].send(Ctl::Crash);
     }
 
+    /// The control message lands FIFO after everything already in `pid`'s
+    /// inbox, so the new incarnation sees only traffic sent after the
+    /// restart was issued.
     fn restart(&mut self, pid: ProcessId, auto: Box<dyn Automaton<M, O>>) {
-        self.restart_process(pid, auto);
+        let _ = self.inboxes[pid].send(Ctl::Restart(auto));
     }
 
     fn set_link_fault(&mut self, from: ProcessId, to: ProcessId, fault: Option<LinkFault>) {
-        self.set_link_fault_on(from, to, fault);
+        self.links.set(from, to, fault);
     }
 
     fn stop(&mut self) {
@@ -1150,11 +1115,11 @@ mod tests {
             }
             fn on_message(&mut self, _: ProcessId, _: Ping, _: &mut Ctx<'_, Ping, u32>) {}
         }
-        let cluster: ThreadedCluster<Ping, u32> =
+        let mut cluster: ThreadedCluster<Ping, u32> =
             ThreadedCluster::spawn(vec![Box::new(Gen(1))], 11);
         // Restart before the first incarnation's timer fires; only the
         // second incarnation's firing may surface.
-        cluster.restart_process(0, Box::new(Gen(2)));
+        cluster.restart(0, Box::new(Gen(2)));
         let got = cluster.recv_output(0, Duration::from_secs(5));
         assert_eq!(got, Some(2), "stale-incarnation timer must not fire");
         assert_eq!(cluster.try_recv_output(0), None);
@@ -1237,12 +1202,12 @@ mod tests {
                 ctx.send(from, msg);
             }
         }
-        let cluster: ThreadedCluster<Ping, u32> = ThreadedCluster::spawn_with(
+        let mut cluster: ThreadedCluster<Ping, u32> = ThreadedCluster::spawn_with(
             vec![Box::new(Fan), Box::new(Echo), Box::new(Echo)],
             &SubstrateConfig::seeded(10).with_tick(Duration::from_millis(2)),
         );
         // 500 ticks × 2 ms = a full second of delay on link 0→1 only.
-        cluster.set_link_fault_on(0, 1, Some(LinkFault::flaky(0.0, 0.0, 500)));
+        cluster.set_link_fault(0, 1, Some(LinkFault::flaky(0.0, 0.0, 500)));
         let t0 = Instant::now();
         cluster.send(0, Ping(7));
         // The 0→2 echo must come back promptly even though 0→1 is stalled:
@@ -1375,7 +1340,7 @@ mod tests {
                 }
             }
         }
-        let cluster: ThreadedCluster<Ping, Vec<u32>> = ThreadedCluster::spawn_with(
+        let mut cluster: ThreadedCluster<Ping, Vec<u32>> = ThreadedCluster::spawn_with(
             vec![Box::new(Fwd), Box::new(Collect(Vec::new()))],
             &SubstrateConfig::seeded(12).with_tick(Duration::from_micros(200)),
         );
@@ -1386,12 +1351,12 @@ mod tests {
             cluster.send(0, Ping(i));
         }
         std::thread::sleep(Duration::from_millis(20));
-        cluster.set_link_fault_on(0, 1, Some(LinkFault::flaky(0.0, 0.0, 40)));
+        cluster.set_link_fault(0, 1, Some(LinkFault::flaky(0.0, 0.0, 40)));
         for i in 10..20 {
             cluster.send(0, Ping(i));
         }
         std::thread::sleep(Duration::from_millis(2));
-        cluster.set_link_fault_on(0, 1, None);
+        cluster.set_link_fault(0, 1, None);
         for i in 20..30 {
             cluster.send(0, Ping(i));
         }

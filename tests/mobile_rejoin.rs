@@ -8,14 +8,12 @@ use sbft::net::nemesis::{CureMode, NemesisEvent, NemesisSchedule};
 use sbft::net::{Backend, CorruptionSeverity};
 use sbft::register::adversary::ByzStrategy;
 use sbft::register::cluster::RegisterCluster;
-use sbft::register::{RetryPolicy, WindowTracker};
+use sbft::register::{RetryPolicy, Soak};
 
 const MAX_ROUNDS: u64 = 400;
 
-/// One seat movement at `t = 2000` (5 → 2), amnesiac cure, then a
-/// write/read workload to the end. Returns (cluster history verdicts):
-/// windows recorded by the cure-aware tracker, the time of the cure, and
-/// the time of the first completed post-cure all-clear write.
+/// One seat movement (5 → 2, at `t = 2000` on the simulator), amnesiac cure, then the soak's
+/// write/read workload until a post-cure all-clear write has completed.
 fn run_rejoin(backend: Backend, seed: u64) {
     let byz_seat = 5usize;
     let mut c = RegisterCluster::bounded(1)
@@ -26,86 +24,72 @@ fn run_rejoin(backend: Backend, seed: u64) {
         .retry(RetryPolicy::chaos())
         .build_any();
     let total_procs = c.cfg.n + 2;
+    // On threads the movement is fired by the round bound below, never by
+    // the wall clock: a clock-fired event could land between this loop's
+    // `fire` and the round's own, after which the mid-round assertions
+    // would be looking at a window the round's write already reopened.
+    let move_at = match backend {
+        Backend::Sim => 2_000,
+        Backend::Threaded => u64::MAX,
+    };
     let schedule =
-        NemesisSchedule::scripted(vec![(2_000, NemesisEvent::MoveByz { from: byz_seat, to: 2 })]);
-    let mut runner = c
+        NemesisSchedule::scripted(vec![(move_at, NemesisEvent::MoveByz { from: byz_seat, to: 2 })]);
+    let runner = c
         .nemesis_runner(schedule, vec![byz_seat], ByzStrategy::Equivocate)
         .cure_mode(CureMode::Amnesiac { total_procs, severity: CorruptionSeverity::Heavy });
 
-    let (w, r) = (c.client(0), c.client(1));
-    let mut tracker = WindowTracker::new();
-    let mut value = 1u64;
-
-    let first = c.write_outcome(w, value);
-    assert!(first.is_ok(), "pre-movement write must complete: {first:?}");
-    tracker.write_completed(c.now(), true);
-    assert!(tracker.is_open());
+    let mut soak = Soak::new(&mut c, runner);
+    assert!(soak.tracker.is_open(), "pre-movement write must complete and open a window");
 
     let mut cure_seen = false;
     let mut converged_after_cure = false;
     let mut rounds = 0u64;
-    while rounds < MAX_ROUNDS && (!runner.done() || !converged_after_cure) {
+    while rounds < MAX_ROUNDS && (!soak.runner.done() || !converged_after_cure) {
         rounds += 1;
-        let before = c.now();
-        runner.fire_due(&mut c.sim);
-        if !cure_seen && !runner.cures.is_empty() {
-            let (at, pid) = runner.cures[0];
+        soak.fire();
+        if !cure_seen && !soak.runner.cures.is_empty() {
+            let (_, pid) = soak.runner.cures[0];
             assert_eq!(pid, byz_seat, "the vacated server is the cured one");
-            tracker.cured(pid, at.max(c.now()));
             cure_seen = true;
             // A1 exclusion: the seat moved and the nemesis already
             // reports all-clear (movement is instantaneous), but the
             // cured server is unconverged — no stable window may be open
             // until a converging write completes.
-            assert!(runner.all_clear());
-            assert!(!tracker.is_open(), "cure must close the stable window");
-            assert!(tracker.unconverged().contains(&byz_seat));
+            assert!(soak.runner.all_clear());
+            assert!(!soak.tracker.is_open(), "cure must close the stable window");
+            assert!(soak.tracker.unconverged().contains(&byz_seat));
         }
 
-        value += 1;
-        let wout = c.write_outcome(w, value);
-        if wout.is_ok() {
-            tracker.write_completed(c.now(), runner.all_clear());
-            if cure_seen && !converged_after_cure && tracker.unconverged().is_empty() {
-                converged_after_cure = true;
-                assert!(tracker.is_open(), "converging write reopens the window");
-            }
+        let (wout, _) = soak.round();
+        if wout.is_ok() && cure_seen && !converged_after_cure {
+            assert!(soak.tracker.unconverged().is_empty(), "all-clear write converges the cure");
+            converged_after_cure = true;
+            assert!(soak.tracker.is_open(), "converging write reopens the window");
         }
-        let _ = c.read_outcome(r);
 
-        // Fast-forward valve: the sim needs it when the schedule's clock
-        // outruns quiesced virtual time; the threaded backend needs the
-        // round bound instead — its wall clock always advances but may
-        // never reach the scripted time within the round budget.
-        if !runner.done() && (c.now() == before || rounds >= 50) {
-            runner.fire_next(&mut c.sim);
+        // The soak's own valve fast-forwards when the clock stalls; the
+        // threaded backend's wall clock always advances, so it gets a
+        // round bound instead.
+        if !soak.runner.done() && rounds >= 50 {
+            soak.runner.fire_next(&mut soak.cluster.sim);
         }
     }
     assert!(cure_seen, "the scripted movement never fired");
     assert!(converged_after_cure, "no post-cure write completed in {MAX_ROUNDS} rounds");
 
-    // The cured server functionally reconverged: the register still
-    // serves fresh values through the new seat configuration.
-    value += 1;
-    assert!(c.write_outcome(w, value).is_ok(), "post-cure write");
-    let got = c.read_outcome(r);
-    let read = got.ok().expect("post-cure read completes");
-    assert_eq!(read.value, value, "post-cure read returns the converged value");
-
     // Seat bookkeeping: the adversary now sits on server 2 only.
-    assert_eq!(runner.byz_seats().iter().copied().collect::<Vec<_>>(), vec![2]);
+    assert_eq!(soak.runner.byz_seats().iter().copied().collect::<Vec<_>>(), vec![2]);
 
-    // Every cure-aware stable window is regular; the cure-to-convergence
+    // The cured server functionally reconverged: the epilogue's write and
+    // read both complete and the read returns the value just written. And
+    // every cure-aware stable window is regular; the cure-to-convergence
     // gap is outside all of them by construction.
-    c.settle(200_000);
-    let windows = tracker.finish(u64::MAX);
-    assert!(windows.len() >= 2, "expected windows on both sides of the cure: {windows:?}");
-    for (start, end) in windows {
-        assert!(
-            c.recorder.check_window(&c.sys, start, end).is_ok(),
-            "stable window [{start}, {end}] must be regular"
-        );
-    }
+    let report = soak.finish();
+    assert_eq!(report.post_heal_failures, 0, "post-cure write and read must complete");
+    assert_eq!(report.lost_reads, 0, "post-cure read returns the converged value");
+    assert_eq!((report.cures, report.converged), (1, 1), "{report:?}");
+    assert!(report.windows >= 2, "expected windows on both sides of the cure: {report:?}");
+    assert_eq!(report.window_violations, 0, "every stable window must be regular");
     c.stop();
 }
 

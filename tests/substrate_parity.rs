@@ -22,7 +22,7 @@ use sbft::register::config::ClusterConfig;
 use sbft::register::messages::{ClientEvent, Msg};
 use sbft::register::reader::ReaderOptions;
 use sbft::register::server::Server;
-use sbft::register::{RetryPolicy, Ts};
+use sbft::register::{RetryPolicy, Soak, Ts};
 
 type B = BoundedLabeling;
 type M = Msg<Ts<B>>;
@@ -264,24 +264,20 @@ fn chaos_trace(seed: u64) -> (Vec<(u64, String)>, Vec<String>, u64, u64) {
     });
     let sys_g = c.sys.clone();
     let garbage = Box::new(move |rng: &mut StdRng| random_message::<B>(&sys_g, &cfg, rng));
-    let mut runner: NemesisRunner<M, E> =
+    let runner: NemesisRunner<M, E> =
         NemesisRunner::new(schedule, make_honest, None, None, garbage);
 
-    let (w, r) = (c.client(0), c.client(1));
+    let mut soak = Soak::new(&mut c, runner);
     let mut outcomes = Vec::new();
-    let mut value = 0u64;
-    while !runner.done() && value < 200 {
-        let before = c.now();
-        runner.fire_due(&mut c.sim);
-        value += 1;
-        outcomes.push(format!("{:?}", c.write_outcome(w, value)));
-        outcomes.push(format!("{:?}", c.read_outcome(r)));
-        if c.now() == before && !runner.done() {
-            runner.fire_next(&mut c.sim);
-        }
+    let mut rounds = 0;
+    while !soak.runner.done() && rounds < 200 {
+        rounds += 1;
+        let (wout, rout) = soak.round();
+        outcomes.push(format!("{wout:?}"));
+        outcomes.push(format!("{rout:?}"));
     }
-    let final_read = c.read(r).map(|ok| ok.value).unwrap_or(u64::MAX);
-    let log = runner.log.iter().map(|&(t, k)| (t, k.to_string())).collect();
+    let log = soak.runner.log.iter().map(|f| (f.at, f.kind.to_string())).collect();
+    let final_read = c.read(c.client(1)).map(|ok| ok.value).unwrap_or(u64::MAX);
     let now = c.now();
     c.stop();
     (log, outcomes, final_read, now)

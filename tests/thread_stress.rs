@@ -122,10 +122,10 @@ fn stress_link_fault_churn_conserves_messages() {
         None,
     ];
     for round in 0..200usize {
-        sub.set_link_fault_on(1, 0, faults[round % faults.len()]);
+        sub.set_link_fault(1, 0, faults[round % faults.len()]);
         sub.inject(1, 10);
     }
-    sub.set_link_fault_on(1, 0, None);
+    sub.set_link_fault(1, 0, None);
     // Drain until deliveries stop arriving (bounded by pump timeouts).
     let mut sink = 0u64;
     sub.pump_until(u64::MAX, 10, &mut |_t, _p, _o: (ProcessId, u64)| {
