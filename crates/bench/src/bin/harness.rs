@@ -10,7 +10,7 @@
 //! harness mobile         # E17 mobile-Byzantine frontier; writes BENCH_e17.json
 //! harness recover        # E18 damaged-disk crash recovery; writes BENCH_e18.json
 //! harness scale          # E19 shard × batching scale sweep; writes BENCH_e19.json
-//! harness e20            # E20 parallel exploration sweep; writes BENCH_e20.json
+//! harness e20            # E20 explorer worker-count sweep; writes BENCH_e20.json
 //! ```
 //!
 //! `load` accepts `--clients N` (default 4), `--ops N` (default 400) and
@@ -33,18 +33,22 @@
 //! count, so cells measure steady state rather than one burst), and
 //! `--quick` runs the 4-cell sim-only CI smoke instead.
 //!
-//! `explore` (alias `e16`) accepts `--quick` (smaller fork depth) and
-//! writes the found-and-shrunk Theorem 1 counterexample to
-//! `E16_counterexample.trace`; `explore --replay <file>` re-executes a
-//! trace file verbatim and exits non-zero unless the recorded violation
-//! reproduces. With `--jobs N`, `--scenario <name>`, or `--dedup` the
-//! exploration runs on the E20 work-stealing engine instead: `--jobs N`
-//! worker threads, optional state-hash dedup, and `--scenario` narrowing
-//! the sweep to one named scenario (unknown names list the valid ones).
+//! `explore` (alias `e16`) accepts `--quick` (smaller fork depth),
+//! `--jobs N` (worker threads, default 1) and `--scenario <name>` (one
+//! pruned cell of that scenario instead of the four E16 rows; unknown
+//! names list the valid ones), and writes the found-and-shrunk
+//! counterexample to `E16_counterexample.trace`; `explore --replay <file>`
+//! re-executes a trace file verbatim and exits non-zero unless the
+//! recorded violation reproduces.
 //!
-//! `e20` runs the full parallel-exploration sweep (jobs × dedup ×
-//! scenario, with the Theorem 1 rediscovery cells) and writes
-//! `BENCH_e20.json`.
+//! `e20` sweeps the same engine over jobs × scenario (with the Theorem 1
+//! rediscovery cells) and writes `BENCH_e20.json`.
+//!
+//! A flag whose value is missing or does not parse (`--jobs abc`,
+//! `--jobs 0`, `--ops x`) prints the usage line and exits 2.
+
+use std::num::NonZeroUsize;
+use std::str::FromStr;
 
 use sbft_bench::*;
 
@@ -54,6 +58,24 @@ fn write_bench(file: &str, json: &str, cells: usize) {
         Ok(()) => eprintln!("wrote {file} ({cells} cells)"),
         Err(e) => eprintln!("could not write {file}: {e}"),
     }
+}
+
+const USAGE: &str = "use all | quick | e1..e8 | e10..e20 | load | explore | mobile | recover | scale | ablations [--csv|--quick|--clients N|--ops N|--replay FILE|--jobs N|--scenario NAME]";
+
+/// The parsed value after `name`: `Ok(None)` when the flag is absent,
+/// `Err` when its value is missing or does not parse as a `T`.
+fn flag<T: FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    let value = args.get(i + 1).ok_or_else(|| format!("{name} needs a value"))?;
+    value.parse().map(Some).map_err(|_| format!("{name}: bad value {value:?}"))
+}
+
+/// Outside input was wrong: say what, print the usage line, exit 2.
+fn usage_exit(msg: &str) -> ! {
+    eprintln!("{msg}; {USAGE}");
+    std::process::exit(2);
 }
 
 fn main() {
@@ -76,12 +98,9 @@ fn main() {
         printed = true;
     };
 
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse::<u64>().ok())
-    };
+    fn parsed<T: FromStr>(args: &[String], name: &str) -> Option<T> {
+        flag(args, name).unwrap_or_else(|msg| usage_exit(&msg))
+    }
 
     // Scales: (seeds, ops) tuned so `all` finishes in a couple of minutes.
     let (seeds, ops) = if quick { (3, 5) } else { (10, 10) };
@@ -127,16 +146,14 @@ fn main() {
         emit(e14_chaos::run(if quick { 3 } else { 10 }, if quick { 1 } else { 2 }));
     }
     if want("e15") || arg == "load" {
-        let clients = flag("--clients").unwrap_or(4) as usize;
-        let ops = flag("--ops").unwrap_or(if quick { 60 } else { 400 });
+        let clients = parsed(&args, "--clients").unwrap_or(4);
+        let ops = parsed(&args, "--ops").unwrap_or(if quick { 60 } else { 400 });
         let cells = e15_load::run_cells(clients, ops, 42);
         emit(e15_load::table(&cells));
         write_bench("BENCH_e15.json", &e15_load::to_json(&cells), cells.len());
     }
     if want("e16") || arg == "explore" {
-        let replay_file =
-            args.iter().position(|a| a == "--replay").and_then(|i| args.get(i + 1)).cloned();
-        if let Some(path) = replay_file {
+        if let Some(path) = parsed::<String>(&args, "--replay") {
             // Replay mode: re-execute a counterexample trace verbatim.
             let text = match std::fs::read_to_string(&path) {
                 Ok(t) => t,
@@ -155,45 +172,23 @@ fn main() {
                     std::process::exit(1);
                 }
             }
-        } else {
-            let jobs = args
-                .iter()
-                .position(|a| a == "--jobs")
-                .and_then(|i| args.get(i + 1))
-                .and_then(|v| v.parse::<usize>().ok());
-            let scenario =
-                args.iter().position(|a| a == "--scenario").and_then(|i| args.get(i + 1)).cloned();
-            let dedup = args.iter().any(|a| a == "--dedup");
-            if jobs.is_some() || scenario.is_some() || dedup {
-                // Parallel / single-scenario exploration (E20 engine).
-                match e20_parallel::explore_cli(
-                    scenario.as_deref(),
-                    quick,
-                    jobs.unwrap_or(1),
-                    dedup,
-                ) {
-                    Ok(t) => emit(t),
-                    Err(msg) => {
-                        eprintln!("{msg}");
-                        std::process::exit(2);
-                    }
-                }
-            } else {
-                let out = e16_explore::run(quick);
-                emit(out.table);
-                if let Some(trace) = out.counterexample {
-                    match std::fs::write("E16_counterexample.trace", &trace) {
-                        Ok(()) => eprintln!("wrote E16_counterexample.trace"),
-                        Err(e) => eprintln!("could not write E16_counterexample.trace: {e}"),
-                    }
-                }
+        }
+        let jobs = parsed::<NonZeroUsize>(&args, "--jobs").map_or(1, NonZeroUsize::get);
+        let scenario = parsed::<String>(&args, "--scenario");
+        let out = e16_explore::run(quick, jobs, scenario.as_deref())
+            .unwrap_or_else(|msg| usage_exit(&msg));
+        emit(out.table);
+        if let Some(trace) = out.counterexample {
+            match std::fs::write("E16_counterexample.trace", &trace) {
+                Ok(()) => eprintln!("wrote E16_counterexample.trace"),
+                Err(e) => eprintln!("could not write E16_counterexample.trace: {e}"),
             }
         }
     }
     if want("e20") {
-        let cells = e20_parallel::run_cells(quick);
-        emit(e20_parallel::table(&cells));
-        write_bench("BENCH_e20.json", &e20_parallel::to_json(&cells), cells.len());
+        let cells = e16_explore::sweep(quick);
+        emit(e16_explore::sweep_table(&cells));
+        write_bench("BENCH_e20.json", &e16_explore::sweep_json(&cells), cells.len());
     }
     if want("e17") || arg == "mobile" {
         let cells = e17_mobile::run_cells(quick);
@@ -209,8 +204,8 @@ fn main() {
         let cells = if quick {
             e19_scale::run_quick(42)
         } else {
-            let clients = flag("--clients").unwrap_or(192) as usize;
-            let ops = flag("--ops").unwrap_or(20_000);
+            let clients = parsed(&args, "--clients").unwrap_or(192);
+            let ops = parsed(&args, "--ops").unwrap_or(20_000);
             e19_scale::run_cells(clients, ops, 42)
         };
         emit(e19_scale::table(&cells));
@@ -223,9 +218,24 @@ fn main() {
     }
 
     if !printed {
-        eprintln!(
-            "unknown experiment {arg:?}; use all | quick | e1..e8 | e10..e20 | load | explore | mobile | recover | scale | ablations [--csv|--quick|--clients N|--replay FILE|--jobs N|--scenario NAME|--dedup]"
-        );
-        std::process::exit(2);
+        usage_exit(&format!("unknown experiment {arg:?}"));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn flag_rejects_what_it_cannot_parse() {
+        let args: Vec<String> =
+            ["explore", "--jobs", "abc", "--ops", "7", "--clients"].map(String::from).to_vec();
+        assert_eq!(flag::<u64>(&args, "--ops"), Ok(Some(7)));
+        assert_eq!(flag::<u64>(&args, "--seeds"), Ok(None), "absent flag");
+        assert!(flag::<NonZeroUsize>(&args, "--jobs").is_err(), "not a number");
+        assert!(flag::<usize>(&args, "--clients").is_err(), "missing value");
+        let zero: Vec<String> = ["--jobs", "0"].map(String::from).to_vec();
+        assert!(flag::<NonZeroUsize>(&zero, "--jobs").is_err(), "zero workers");
+        assert_eq!(flag::<String>(&zero, "--jobs"), Ok(Some("0".into())));
     }
 }

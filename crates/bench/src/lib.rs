@@ -26,7 +26,6 @@ pub mod e17_mobile;
 pub mod e18_recover;
 pub mod e19_scale;
 pub mod e1_lower_bound;
-pub mod e20_parallel;
 pub mod e2_termination;
 pub mod e3_propagation;
 pub mod e4_stabilization;

@@ -214,14 +214,14 @@ mod tests {
         let head = Record::new().num("cores", 2).nested("unit", Record::new().str("t", "ticks"));
         let cells = [
             Record::new().str("backend", "sim").num("n", 6).num("p", 1.0).fixed("ms", 1.256, 2),
-            Record::new().str("verdict", "a \"b\"").num("dedup", false),
+            Record::new().str("verdict", "a \"b\"").num("prune", false),
         ];
         assert_eq!(
             bench_json("e0", head, cells.into_iter()),
             "{\n  \"experiment\": \"e0\",\n  \"schema\": 1,\n  \"cores\": 2,\n  \
              \"unit\": {\"t\": \"ticks\"},\n  \"cells\": [\n    \
              {\"backend\": \"sim\", \"n\": 6, \"p\": 1, \"ms\": 1.26},\n    \
-             {\"verdict\": \"a 'b'\", \"dedup\": false}\n  ]\n}\n"
+             {\"verdict\": \"a 'b'\", \"prune\": false}\n  ]\n}\n"
         );
     }
 

@@ -282,15 +282,6 @@ impl<B: LabelingSystem> Automaton<Msg<Ts<B>>, ClientEvent<Ts<B>>> for ScriptedSe
     fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
         Some(self)
     }
-
-    fn state_digest(&self) -> Option<u64> {
-        // Fully deterministic script, no RNG: the reply script and the
-        // consumable one-shot table are the whole behavioral state.
-        let state = format!("{:?}", (&self.read_reply, &self.ts_reply, self.mute, &self.one_shot));
-        let mut h = sbft_storage::Fnv64::new();
-        h.bytes(state.as_bytes());
-        Some(h.finish())
-    }
 }
 
 /// A random, well-typed protocol message with arbitrary (unsanitized)

@@ -442,40 +442,6 @@ impl<B: LabelingSystem> Automaton<Msg<Ts<B>>, ClientEvent<Ts<B>>> for Client<B> 
     fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
         Some(self)
     }
-
-    fn state_digest(&self) -> Option<u64> {
-        // Randomized retry backoff draws from the substrate RNG, whose
-        // cursor this automaton cannot fingerprint — refuse rather than
-        // conflate states with diverging RNG positions.
-        if self.policy.max_attempts > 1 {
-            return None;
-        }
-        // `Debug` formatting is the fingerprint: every behavior-relevant
-        // volatile field is included (sys/cfg/opts/policy are per-run
-        // constants). The diagnostics counters are included too — cheap,
-        // and equal in genuinely equivalent states.
-        let state = format!(
-            "{:?}",
-            (
-                self.writer_id,
-                &self.pool,
-                &self.recent_vals,
-                &self.phase,
-                self.attempt,
-                self.epoch,
-                (
-                    self.writes_done,
-                    self.writes_retried,
-                    self.reads_done,
-                    self.reads_aborted,
-                    self.policy_retries,
-                ),
-            )
-        );
-        let mut h = sbft_storage::Fnv64::new();
-        h.bytes(state.as_bytes());
-        Some(h.finish())
-    }
 }
 
 #[cfg(test)]

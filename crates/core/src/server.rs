@@ -27,7 +27,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use sbft_labels::{LabelingSystem, ReadLabel};
 use sbft_net::{Automaton, Ctx, ProcessId, ENV};
-use sbft_storage::{ByteReader, Cadence, Codec, DiskHandle, Fnv64, Journal};
+use sbft_storage::{ByteReader, Cadence, Codec, DiskHandle, Journal};
 
 use crate::config::ClusterConfig;
 use crate::messages::{ClientEvent, History, Msg, ValTs, Value};
@@ -291,20 +291,6 @@ impl<B: LabelingSystem> Automaton<Msg<Ts<B>>, ClientEvent<Ts<B>>> for Server<B> 
 
     fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
         Some(self)
-    }
-
-    fn state_digest(&self) -> Option<u64> {
-        // The durable codec bytes cover (value, ts, old_vals,
-        // writes_applied); running_read is the only volatile field that
-        // influences behavior (write forwarding + reply deregistration).
-        // The attached disk is excluded: its content only matters through
-        // `recover`, which no explorable event can trigger.
-        let mut h = Fnv64::new();
-        h.bytes(&self.state_bytes()).sep();
-        for (&reader, &label) in &self.running_read {
-            h.usize(reader).u64(u64::from(label));
-        }
-        Some(h.finish())
     }
 }
 

@@ -251,39 +251,6 @@ impl<B: LabelingSystem> HistoryRecorder<B> {
         self.open.clear();
     }
 
-    /// Stable fingerprint of the history under the *precedence
-    /// abstraction*, for the explorer's state-hash dedup.
-    ///
-    /// Absolute completion times are path-dependent (two interleavings of
-    /// independent events complete the same op at different virtual
-    /// times), but [`HistoryRecorder::check`] only ever consumes times
-    /// through [`OpRecord::precedes`] — `end < other.begin` — and through
-    /// window boundaries, which whole-history checks pin to `(0, MAX)`.
-    /// So `returned_at` enters the digest only as the *set of operations
-    /// this one precedes*: exactly the information any future `check` can
-    /// observe, and invariant across re-converging interleavings (every
-    /// op's `invoked_at` is fixed before exploration starts, and any
-    /// completion during exploration happens at/after every invocation).
-    /// Everything else — client, kind, invocation time, outcome, intent,
-    /// open/closed status — is hashed verbatim.
-    pub fn explore_digest(&self) -> u64 {
-        let mut h = sbft_storage::Fnv64::new();
-        for op in &self.ops {
-            h.usize(op.client).u64(op.invoked_at);
-            h.bytes(format!("{:?}|{:?}|{:?}", op.kind, op.outcome, op.intent).as_bytes());
-            h.u64(u64::from(op.returned_at.is_some()));
-            if let Some(end) = op.returned_at {
-                for (j, other) in self.ops.iter().enumerate() {
-                    if end < other.invoked_at {
-                        h.usize(j);
-                    }
-                }
-            }
-            h.sep();
-        }
-        h.finish()
-    }
-
     /// Check the full history against MWMR regularity.
     pub fn check(&self, sys: &Sys<B>) -> Result<(), Vec<RegularityError>> {
         self.check_from(sys, 0)

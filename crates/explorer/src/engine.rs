@@ -1,29 +1,26 @@
-//! Work-stealing parallel schedule exploration.
+//! The exploration engine: a work-stealing pool over self-contained
+//! branches.
 //!
-//! The sequential explorer's unit of work — a `Branch` — is already
-//! self-contained: replay by [`EventKey`] is exact, so any worker can pick
-//! a branch up, replay its prefix on a fresh [`Scenario::start`], and own
-//! the subtree. This module exploits that: `jobs` OS threads share a
-//! global injector queue (`crossbeam::deque`); each keeps a private LIFO
-//! stack for depth-first locality and exports shallow siblings — forked at
-//! schedule depth below [`ParallelConfig::split_depth`] — to the injector,
-//! where idle workers steal them. Shallow forks root the largest subtrees,
-//! so exporting only those keeps stealing coarse-grained (a steal costs a
-//! prefix replay) while still spreading work.
+//! The unit of work — a `Branch` — is self-contained: replay by
+//! [`EventKey`] is exact, so any worker can pick a branch up, replay its
+//! prefix on a fresh [`Scenario::start`], and own the subtree.
+//! [`ExplorerConfig::jobs`] OS threads share a global injector queue
+//! (`crossbeam::deque`); each keeps a private LIFO stack for depth-first
+//! locality and exports shallow siblings — forked at schedule depth below
+//! [`SPLIT_DEPTH`] — to the injector, where idle workers steal them.
+//! Shallow forks root the largest subtrees, so exporting only those keeps
+//! stealing coarse-grained (a steal costs a prefix replay) while still
+//! spreading work. One worker is the plain depth-first search.
 //!
 //! ## Determinism
 //!
-//! With pruning, the schedule tree is a *fixed object*: every node's
-//! candidate list and sleep set depend only on its path, never on
-//! traversal order. Any work partition therefore covers exactly the same
-//! schedules, so with dedup off — and when neither the schedule cap nor
-//! `stop_on_violation` cuts the sweep short — [`explore_parallel`] returns
-//! bit-identical [`ExploreStats`] and violations for every worker count,
-//! with violations sorted by `(schedule, description)` to erase completion
-//! order. State-hash dedup trades this away: which of two equal-state
-//! nodes is expanded depends on arrival order, so stats become
-//! timing-dependent while the *violation-description set* stays invariant
-//! (see `crate::dedup` and DESIGN.md §14).
+//! The schedule tree is a *fixed object*: every node's candidate list and
+//! sleep set depend only on its path, never on traversal order. Any work
+//! partition therefore covers exactly the same schedules, so — when
+//! neither the schedule cap nor `stop_on_violation` cuts the sweep short —
+//! [`explore`] returns bit-identical [`ExploreStats`] and violations for
+//! every worker count, with violations sorted by `(schedule, description)`
+//! to erase completion order (DESIGN.md §14).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -31,36 +28,18 @@ use std::sync::Mutex;
 use crossbeam::deque::{Injector, Steal};
 use sbft_net::EventKey;
 
-use crate::dedup::SeenSet;
 use crate::{
     awake_candidates, independent, replay, sibling_sleep, Branch, ExploreReport, ExploreStats,
     ExplorerConfig, ReplayOutcome, Scenario, ScenarioRun, StepResult, Violation,
 };
 
-/// Parallel exploration knobs, layered over an [`ExplorerConfig`].
-#[derive(Clone, Debug)]
-pub struct ParallelConfig {
-    /// Worker threads. `0` is treated as `1`.
-    pub jobs: usize,
-    /// Siblings forked at schedule depth `< split_depth` go to the shared
-    /// injector (stealable); deeper forks stay on the forking worker's
-    /// local stack. Shallow forks root big subtrees, so small values keep
-    /// steals coarse; `split_depth >= branch_depth` exports everything.
-    pub split_depth: usize,
-    /// Enable state-hash dedup (`crate::dedup`): skip a node when an
-    /// equal-state node at the same depth was already expanded under a
-    /// subset sleep set. Preserves the violation-description set; makes
-    /// stats timing-dependent under `jobs > 1`.
-    pub dedup: bool,
-}
+/// Siblings forked at schedule depth `< SPLIT_DEPTH` go to the shared
+/// injector (stealable); deeper forks stay on the forking worker's local
+/// stack. Shallow forks root big subtrees, so a small value keeps steals
+/// coarse. The report does not depend on it (tests sweep it).
+const SPLIT_DEPTH: usize = 3;
 
-impl Default for ParallelConfig {
-    fn default() -> Self {
-        Self { jobs: 1, split_depth: 3, dedup: false }
-    }
-}
-
-/// State shared by all workers of one [`explore_parallel`] call.
+/// State shared by all workers of one [`explore`] call.
 struct Shared<'a> {
     injector: Injector<Branch>,
     /// Branches handed to the injector whose subtrees are not yet fully
@@ -70,45 +49,56 @@ struct Shared<'a> {
     /// `outstanding == 0`.
     outstanding: AtomicUsize,
     /// Global completed-schedule count, checked against `max_schedules`
-    /// at each branch start (like the sequential explorer; under races
-    /// the cap may be overshot by at most `jobs - 1` schedules).
+    /// at each branch start (under races the cap may be overshot by at
+    /// most `jobs - 1` schedules).
     schedules: AtomicU64,
     /// Set when the schedule cap was hit.
     capped: AtomicBool,
     /// Set to abandon the remaining tree (cap hit or stop-on-violation).
     stop: AtomicBool,
-    /// The dedup seen-set, present iff [`ParallelConfig::dedup`].
-    seen: Option<SeenSet>,
     config: &'a ExplorerConfig,
     split_depth: usize,
 }
 
-/// Explore `scenario`'s schedule tree with `par.jobs` work-stealing
-/// workers. Semantics match [`crate::explore`] (same tree, same bounds);
-/// merged stats are sums (`max_depth`: max) over workers and violations
-/// are sorted by `(schedule, description)` so the report is independent
-/// of completion order.
-pub fn explore_parallel<S: Scenario + Sync>(
+/// Depth-bounded exhaustive search of the scenario's schedule tree on
+/// [`ExplorerConfig::jobs`] workers.
+///
+/// For the first [`ExplorerConfig::branch_depth`] events of a schedule the
+/// explorer forks on every enabled (non-sleeping) event; beyond the bound
+/// it follows the first candidate in sorted key order. Every transition is
+/// invariant-checked by the scenario; end-of-schedule invariants run via
+/// [`ScenarioRun::finish`]. Merged stats are sums (`max_depth`: max) over
+/// workers and violations are sorted by `(schedule, description)`, so the
+/// report is independent of completion order.
+pub fn explore<S: Scenario + Sync>(scenario: &S, config: &ExplorerConfig) -> ExploreReport {
+    explore_split(scenario, config, SPLIT_DEPTH)
+}
+
+/// [`explore`] with the export depth as a parameter, so tests can show the
+/// report does not depend on it.
+pub(crate) fn explore_split<S: Scenario + Sync>(
     scenario: &S,
     config: &ExplorerConfig,
-    par: &ParallelConfig,
+    split_depth: usize,
 ) -> ExploreReport {
-    let jobs = par.jobs.max(1);
+    let jobs = config.jobs.max(1);
     let shared = Shared {
         injector: Injector::new(),
         outstanding: AtomicUsize::new(1),
         schedules: AtomicU64::new(0),
         capped: AtomicBool::new(false),
         stop: AtomicBool::new(false),
-        seen: par.dedup.then(SeenSet::new),
         config,
-        split_depth: par.split_depth,
+        split_depth,
     };
     shared.injector.push(Branch { prefix: Vec::new(), sleep: Vec::new() });
 
     let results: Vec<(ExploreStats, Vec<Violation>)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..jobs).map(|_| s.spawn(|| worker(scenario, &shared))).collect();
-        handles.into_iter().map(|h| h.join().expect("explorer worker panicked")).collect()
+        // The calling thread is the first worker: one job spawns nothing.
+        let handles: Vec<_> = (1..jobs).map(|_| s.spawn(|| worker(scenario, &shared))).collect();
+        let mut results = vec![worker(scenario, &shared)];
+        results.extend(handles.into_iter().map(|h| h.join().expect("explorer worker panicked")));
+        results
     });
 
     let mut stats = ExploreStats::default();
@@ -118,8 +108,6 @@ pub fn explore_parallel<S: Scenario + Sync>(
         stats.pruned += ws.pruned;
         stats.transitions += ws.transitions;
         stats.max_depth = stats.max_depth.max(ws.max_depth);
-        stats.deduped += ws.deduped;
-        stats.dedup_checks += ws.dedup_checks;
         violations.extend(wv);
     }
     stats.hit_schedule_cap = shared.capped.load(Ordering::Relaxed);
@@ -180,9 +168,9 @@ fn worker<S: Scenario>(scenario: &S, sh: &Shared<'_>) -> (ExploreStats, Vec<Viol
 }
 
 /// Replay one branch's prefix and extend it to a complete schedule,
-/// forking siblings to the local stack or the injector. The body mirrors
-/// [`crate::explore`]'s loop; a completed schedule also bumps the global
-/// counter so the `max_schedules` cap is pool-wide.
+/// forking siblings to the local stack or the injector. A completed
+/// schedule also bumps the global counter so the `max_schedules` cap is
+/// pool-wide.
 fn explore_branch<S: Scenario>(
     scenario: &S,
     sh: &Shared<'_>,
@@ -226,19 +214,6 @@ fn explore_branch<S: Scenario>(
 
     let mut sleep = branch.sleep;
     loop {
-        // State-hash dedup, fork region only: deeper nodes are on a
-        // forced linear tail whose outcome dedup could only hide.
-        if schedule.len() <= config.branch_depth {
-            if let Some(seen) = &sh.seen {
-                if let Some(digest) = run.state_digest() {
-                    stats.dedup_checks += 1;
-                    if seen.subsumed_or_insert(digest, schedule.len(), &sleep) {
-                        stats.deduped += 1;
-                        return;
-                    }
-                }
-            }
-        }
         let enabled = run.enabled();
         if enabled.is_empty() {
             complete(stats, schedule.len());
@@ -310,16 +285,16 @@ fn explore_branch<S: Scenario>(
     }
 }
 
-/// Parallel 1-minimal shrink. Each round tests every single-event removal
-/// concurrently and applies the one at the **lowest** index that still
-/// violates — exactly the candidate the sequential [`crate::shrink`]'s
-/// first-hit scan would take, so the result is identical for every `jobs`
-/// value. Workers skip indexes above the best hit found so far.
-pub fn shrink_parallel<S: Scenario + Sync>(
-    scenario: &S,
-    violation: &Violation,
-    jobs: usize,
-) -> Violation {
+/// Shrink a violating schedule to a 1-minimal one: each round tests every
+/// single-event removal on `jobs` threads and applies the one at the
+/// **lowest** index that still violates (anywhere — the violation may move
+/// earlier), truncated at its violating event, so the result is identical
+/// for every `jobs` value; workers skip indexes above the best hit found so
+/// far. Terminates because length strictly decreases; the result violates
+/// on replay and no single further removal keeps it violating. `O(n²)`
+/// replays in the worst case, on schedules that are typically tens of
+/// events. `jobs` 0 is treated as 1.
+pub fn shrink<S: Scenario + Sync>(scenario: &S, violation: &Violation, jobs: usize) -> Violation {
     let jobs = jobs.max(1);
     let mut current = violation.schedule.clone();
     let mut description = violation.description.clone();

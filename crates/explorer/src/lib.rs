@@ -3,7 +3,7 @@
 //! The paper's guarantees are quantified over *every* asynchronous
 //! schedule, but the harness otherwise only samples schedules (seeded
 //! delays, nemesis scripts). This crate checks small configurations
-//! *exhaustively*: a depth-bounded DFS forks on every enabled event of the
+//! *exhaustively*: a depth-bounded search forks on every enabled event of the
 //! deterministic simulator — the FIFO head of each in-flight channel, each
 //! pending timer — and asserts the register specification after every
 //! transition.
@@ -43,11 +43,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod dedup;
-pub mod parallel;
+mod engine;
 pub mod scenario;
 
-pub use parallel::{explore_parallel, shrink_parallel, ParallelConfig};
+pub use engine::{explore, shrink};
 
 use sbft_net::{EventKey, ProcessId, ENV};
 
@@ -81,7 +80,7 @@ pub trait Scenario {
 
 /// One run of a scenario, stepped event-by-event by the explorer.
 pub trait ScenarioRun {
-    /// The currently enabled event keys (sorted, deduplicated).
+    /// The currently enabled event keys (sorted, duplicate-free).
     fn enabled(&self) -> Vec<EventKey>;
     /// Execute one enabled event and re-check the invariants.
     fn step(&mut self, key: EventKey) -> StepResult;
@@ -91,17 +90,6 @@ pub trait ScenarioRun {
     /// a quiescent network with operations still open means some op can
     /// never complete; only checkable when `!bounded`).
     fn finish(&mut self, bounded: bool) -> Option<String>;
-    /// Stable fingerprint of the complete current state, or `None` when the
-    /// state cannot be soundly summarized (e.g. hidden nondeterminism such
-    /// as pending RNG draws). Contract: within one scenario, two runs with
-    /// equal digests after schedules of equal length behave identically
-    /// under every future key sequence — same [`Self::enabled`] sets, same
-    /// [`Self::step`] results, same [`Self::finish`] verdicts. The parallel
-    /// explorer keys its state-hash dedup on this; the default `None`
-    /// disables dedup at the node (always sound, never prunes).
-    fn state_digest(&self) -> Option<u64> {
-        None
-    }
 }
 
 /// Exploration bounds and toggles.
@@ -120,6 +108,8 @@ pub struct ExplorerConfig {
     pub prune: bool,
     /// Abandon the remaining tree at the first violation.
     pub stop_on_violation: bool,
+    /// Worker threads exploring the tree. `0` is treated as `1`.
+    pub jobs: usize,
 }
 
 impl Default for ExplorerConfig {
@@ -130,6 +120,7 @@ impl Default for ExplorerConfig {
             max_schedules: 20_000,
             prune: true,
             stop_on_violation: false,
+            jobs: 1,
         }
     }
 }
@@ -149,15 +140,6 @@ pub struct ExploreStats {
     pub max_depth: usize,
     /// Whether the `max_schedules` cap cut the exploration short.
     pub hit_schedule_cap: bool,
-    /// Subtrees skipped by state-hash dedup: an equal-state node at the
-    /// same depth whose recorded sleep set is a subset of this one was
-    /// already expanded, so every future explored here would be explored
-    /// there. Always 0 in the sequential explorer and with dedup off.
-    pub deduped: u64,
-    /// Nodes where a state digest was computed and looked up in the dedup
-    /// seen-set (hit rate = `deduped / dedup_checks`). Always 0 in the
-    /// sequential explorer and with dedup off.
-    pub dedup_checks: u64,
 }
 
 /// A schedule that broke an invariant: the exact `EventKey` sequence from
@@ -175,7 +157,8 @@ pub struct Violation {
 pub struct ExploreReport {
     /// Exploration counters.
     pub stats: ExploreStats,
-    /// Violations in discovery order (empty on a clean sweep).
+    /// Violations sorted by `(schedule, description)` (empty on a clean
+    /// sweep).
     pub violations: Vec<Violation>,
 }
 
@@ -196,7 +179,7 @@ pub fn independent(a: EventKey, b: EventKey) -> bool {
     a != b && dest(a) != dest(b)
 }
 
-/// One pending DFS branch: a schedule prefix to replay plus the sleep set
+/// One pending branch: a schedule prefix to replay plus the sleep set
 /// it inherited at its fork point. Because replay by [`EventKey`] is exact,
 /// a `Branch` is fully self-contained — any worker can pick it up, replay
 /// the prefix on a fresh [`Scenario::start`], and own the subtree.
@@ -264,135 +247,6 @@ pub(crate) fn sibling_sleep(
     out
 }
 
-/// Depth-bounded exhaustive DFS over the scenario's schedule tree.
-///
-/// For the first [`ExplorerConfig::branch_depth`] events of a schedule the
-/// explorer forks on every enabled (non-sleeping) event; beyond the bound
-/// it follows the first candidate in sorted key order. Every transition is
-/// invariant-checked by the scenario; end-of-schedule invariants run via
-/// [`ScenarioRun::finish`].
-pub fn explore<S: Scenario>(scenario: &S, config: &ExplorerConfig) -> ExploreReport {
-    let mut stats = ExploreStats::default();
-    let mut violations: Vec<Violation> = Vec::new();
-    let mut stack = vec![Branch { prefix: Vec::new(), sleep: Vec::new() }];
-
-    'branches: while let Some(branch) = stack.pop() {
-        if stats.schedules >= config.max_schedules {
-            stats.hit_schedule_cap = true;
-            break;
-        }
-        let mut run = scenario.start();
-        let mut schedule: Vec<EventKey> = Vec::with_capacity(branch.prefix.len() + 16);
-
-        // Replay the prefix that led to this fork point.
-        for &key in &branch.prefix {
-            stats.transitions += 1;
-            match run.step(key) {
-                StepResult::Ok => schedule.push(key),
-                StepResult::Violation(description) => {
-                    // Possible when a *prefix* already violates but the
-                    // sibling order explored first did not; record it.
-                    schedule.push(key);
-                    stats.schedules += 1;
-                    stats.max_depth = stats.max_depth.max(schedule.len());
-                    violations.push(Violation { schedule, description });
-                    if config.stop_on_violation {
-                        break 'branches;
-                    }
-                    continue 'branches;
-                }
-                StepResult::Infeasible => {
-                    // A previously-enabled key is gone: the scenario is not
-                    // deterministic. Surface loudly instead of silently
-                    // exploring a different tree.
-                    panic!(
-                        "explorer replay diverged at step {} of {:?} — scenario::start is not deterministic",
-                        schedule.len(),
-                        branch.prefix
-                    );
-                }
-            }
-        }
-
-        // Extend to a complete schedule, forking while within the bound.
-        let mut sleep = branch.sleep;
-        loop {
-            let enabled = run.enabled();
-            if enabled.is_empty() {
-                stats.schedules += 1;
-                stats.max_depth = stats.max_depth.max(schedule.len());
-                if let Some(description) = run.finish(false) {
-                    violations.push(Violation { schedule, description });
-                    if config.stop_on_violation {
-                        break 'branches;
-                    }
-                }
-                break;
-            }
-            if schedule.len() >= config.max_steps {
-                stats.schedules += 1;
-                stats.max_depth = stats.max_depth.max(schedule.len());
-                if let Some(description) = run.finish(true) {
-                    violations.push(Violation { schedule, description });
-                    if config.stop_on_violation {
-                        break 'branches;
-                    }
-                }
-                break;
-            }
-            let candidates: Vec<EventKey> =
-                if config.prune { awake_candidates(&enabled, &sleep) } else { enabled };
-            let Some(&first) = candidates.first() else {
-                // Every enabled event sleeps: this subtree is a reordering
-                // of one already explored.
-                stats.pruned += 1;
-                break;
-            };
-            if schedule.len() < config.branch_depth {
-                // Push siblings deepest-priority-last so candidates[1] is
-                // explored next. Sibling i sleeps on everything the node
-                // already slept on plus the siblings explored before it,
-                // filtered to what stays independent of i's first move.
-                for i in (1..candidates.len()).rev() {
-                    let ci = candidates[i];
-                    let alt_sleep: Vec<EventKey> = if config.prune {
-                        sibling_sleep(&sleep, &candidates[..i], ci)
-                    } else {
-                        Vec::new()
-                    };
-                    let mut prefix = schedule.clone();
-                    prefix.push(ci);
-                    stack.push(Branch { prefix, sleep: alt_sleep });
-                }
-            }
-            if config.prune {
-                sleep.retain(|&z| independent(z, first));
-            }
-            stats.transitions += 1;
-            match run.step(first) {
-                StepResult::Ok => schedule.push(first),
-                StepResult::Violation(description) => {
-                    schedule.push(first);
-                    stats.schedules += 1;
-                    stats.max_depth = stats.max_depth.max(schedule.len());
-                    violations.push(Violation { schedule, description });
-                    if config.stop_on_violation {
-                        break 'branches;
-                    }
-                    break;
-                }
-                StepResult::Infeasible => {
-                    panic!(
-                        "enabled key {first:?} refused to step — substrate and scenario disagree"
-                    );
-                }
-            }
-        }
-    }
-
-    ExploreReport { stats, violations }
-}
-
 /// Outcome of replaying a schedule against a fresh run of a scenario.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ReplayOutcome {
@@ -431,32 +285,6 @@ pub fn replay<S: Scenario>(scenario: &S, schedule: &[EventKey]) -> ReplayOutcome
         }
     }
     ReplayOutcome::Clean { steps: schedule.len() }
-}
-
-/// Shrink a violating schedule to a 1-minimal one: repeatedly try removing
-/// each event; a candidate that still violates (anywhere — the violation
-/// may move earlier) replaces the current schedule, truncated at its
-/// violating event. Terminates because length strictly decreases; the
-/// result violates on replay and no single further removal keeps it
-/// violating. `O(n²)` replays in the worst case, on schedules that are
-/// typically tens of events.
-pub fn shrink<S: Scenario>(scenario: &S, violation: &Violation) -> Violation {
-    let mut current = violation.schedule.clone();
-    let mut description = violation.description.clone();
-    'outer: loop {
-        for i in 0..current.len() {
-            let mut candidate = current.clone();
-            candidate.remove(i);
-            if let ReplayOutcome::Violation { at, description: d } = replay(scenario, &candidate) {
-                candidate.truncate(at + 1);
-                current = candidate;
-                description = d;
-                continue 'outer;
-            }
-        }
-        break;
-    }
-    Violation { schedule: current, description }
 }
 
 /// A parsed counterexample trace file.
@@ -548,6 +376,7 @@ pub fn parse_trace(text: &str) -> Result<TraceFile, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     /// A deterministic toy system: three messages in flight to three
     /// distinct processes, plus one follow-up unlocked by the first. A
@@ -599,64 +428,130 @@ mod tests {
         fn finish(&mut self, _bounded: bool) -> Option<String> {
             (!self.pending.is_empty()).then(|| "pending left".into())
         }
-        fn state_digest(&self) -> Option<u64> {
-            // Sound for the toy: future `step`/`finish` behavior depends
-            // only on the pending multiset and on whether each watched
-            // message was delivered — never on delivery order (the order
-            // check fires, and ends the schedule, at delivery time).
-            let mut pending = self.pending.clone();
-            pending.sort_unstable();
-            let mut h = sbft_storage::Fnv64::new();
-            h.bytes(format!("{pending:?}").as_bytes()).sep();
-            h.u64(u64::from(self.delivered.contains(&chan(0, 1))));
-            h.u64(u64::from(self.delivered.contains(&chan(0, 2))));
-            Some(h.finish())
-        }
     }
 
     fn cfg(prune: bool) -> ExplorerConfig {
         ExplorerConfig { branch_depth: 16, prune, stop_on_violation: false, ..Default::default() }
     }
 
+    /// What the brute-force oracle saw: the schedule count and every
+    /// violation as `(schedule, description)`.
+    #[derive(Default)]
+    struct Brute {
+        schedules: u64,
+        violations: BTreeSet<(Vec<EventKey>, String)>,
+    }
+
+    /// The engine's independent reference: enumerate the raw schedule tree
+    /// below `path` by plain recursion — replay the path, fork on every
+    /// enabled event while the schedule is shorter than `depth`, then
+    /// follow the first enabled event to the end. No sleep sets, no stack,
+    /// no caps, and none of the engine's helpers.
+    fn brute<S: Scenario>(s: &S, depth: usize, path: &[EventKey], out: &mut Brute) {
+        let mut run = s.start();
+        let mut schedule = path.to_vec();
+        let mut verdict = None;
+        for &key in path {
+            match run.step(key) {
+                StepResult::Ok => {}
+                StepResult::Violation(d) => verdict = Some(d),
+                StepResult::Infeasible => panic!("{key:?} was enabled, then refused to step"),
+            }
+        }
+        while verdict.is_none() {
+            let enabled = run.enabled();
+            let Some(&first) = enabled.first() else {
+                verdict = run.finish(false);
+                break;
+            };
+            if schedule.len() < depth {
+                for key in enabled {
+                    brute(s, depth, &[schedule.as_slice(), &[key]].concat(), out);
+                }
+                return;
+            }
+            schedule.push(first);
+            if let StepResult::Violation(d) = run.step(first) {
+                verdict = Some(d);
+            }
+        }
+        out.schedules += 1;
+        out.violations.extend(verdict.map(|d| (schedule, d)));
+    }
+
+    fn descriptions<'a>(violations: impl IntoIterator<Item = &'a String>) -> BTreeSet<&'a str> {
+        violations.into_iter().map(String::as_str).collect()
+    }
+
+    /// Oracle checks on one scenario: the unpruned engine visits exactly
+    /// the brute-force tree, and pruning loses no violation description,
+    /// for every worker count.
+    fn check_against_brute<S: Scenario + Sync>(
+        s: &S,
+        branch_depth: usize,
+    ) -> (Brute, ExploreReport) {
+        let mut oracle = Brute::default();
+        brute(s, branch_depth, &[], &mut oracle);
+        let mut pruned = None;
+        for jobs in [1, 2, 4] {
+            let config = ExplorerConfig { branch_depth, jobs, ..cfg(false) };
+            let raw = explore(s, &config);
+            assert_eq!(raw.stats.schedules, oracle.schedules, "{} jobs={jobs}", s.name());
+            assert_eq!(raw.stats.pruned, 0);
+            let found: BTreeSet<_> = raw
+                .violations
+                .iter()
+                .map(|v| (v.schedule.clone(), v.description.clone()))
+                .collect();
+            assert_eq!(found.len(), raw.violations.len(), "a schedule was explored twice");
+            assert_eq!(found, oracle.violations, "{} jobs={jobs}", s.name());
+
+            let rep = explore(s, &ExplorerConfig { prune: true, ..config });
+            assert!(rep.stats.schedules <= oracle.schedules);
+            assert_eq!(
+                descriptions(rep.violations.iter().map(|v| &v.description)),
+                descriptions(oracle.violations.iter().map(|(_, d)| d)),
+                "{} jobs={jobs}: pruning changed the violation-description set",
+                s.name()
+            );
+            pruned = Some(rep);
+        }
+        (oracle, pruned.expect("three runs"))
+    }
+
     #[test]
-    fn unpruned_exploration_counts_the_full_tree() {
-        let report = explore(&Toy, &cfg(false));
+    fn toy_tree_matches_the_brute_force_oracle() {
+        let (oracle, pruned) = check_against_brute(&Toy, 16);
         // Orders of {1,2,3,then 1→3}: schedules that deliver 2 first stop
-        // immediately (violation), so the tree is smaller than 4!; the
-        // exact count just needs to be stable and every 2-before-1 order
-        // must be caught.
-        assert!(report.stats.schedules > 4, "{:?}", report.stats);
-        assert!(!report.violations.is_empty());
-        assert!(report.violations.iter().all(|v| v.description == "2 before 1"));
-        // Deterministic: same config, same result.
-        let again = explore(&Toy, &cfg(false));
-        assert_eq!(report.stats, again.stats);
-        assert_eq!(report.violations, again.violations);
-    }
-
-    #[test]
-    fn pruning_preserves_the_violation_set_shape() {
-        let full = explore(&Toy, &cfg(false));
-        let pruned = explore(&Toy, &cfg(true));
-        assert!(pruned.stats.schedules < full.stats.schedules, "sleep sets must prune");
+        // immediately (violation), so the tree is smaller than 4!.
+        assert!(oracle.schedules > 4 && !oracle.violations.is_empty());
+        assert!(oracle.violations.iter().all(|(_, d)| d == "2 before 1"));
+        assert!(pruned.stats.schedules < oracle.schedules, "sleep sets must prune");
         assert!(pruned.stats.pruned > 0);
-        // Every distinct violation description survives pruning.
-        assert!(!pruned.violations.is_empty());
-        assert!(pruned.violations.iter().all(|v| v.description == "2 before 1"));
     }
 
     #[test]
-    fn shrink_reaches_the_minimal_counterexample() {
+    fn concurrent_wr_n6_tree_matches_the_brute_force_oracle() {
+        let s = scenario::RegisterScenario::concurrent_write_read();
+        let (oracle, pruned) = check_against_brute(&s, 3);
+        assert!(oracle.violations.is_empty(), "concurrent-wr-n6 is clean");
+        assert!(pruned.stats.schedules < oracle.schedules, "sleep sets must prune");
+    }
+
+    #[test]
+    fn shrink_reaches_the_minimal_counterexample_for_every_worker_count() {
         let report = explore(&Toy, &cfg(true));
         let v = report.violations.first().expect("toy violates");
-        let min = shrink(&Toy, v);
-        // Minimal: deliver (0,2) alone.
-        assert_eq!(min.schedule, vec![chan(0, 2)]);
-        assert_eq!(min.description, "2 before 1");
-        assert_eq!(
-            replay(&Toy, &min.schedule),
-            ReplayOutcome::Violation { at: 0, description: "2 before 1".into() }
-        );
+        for jobs in [1, 2, 4] {
+            let min = shrink(&Toy, v, jobs);
+            // Minimal: deliver (0,2) alone.
+            assert_eq!(min.schedule, vec![chan(0, 2)], "jobs={jobs}");
+            assert_eq!(min.description, "2 before 1");
+            assert_eq!(
+                replay(&Toy, &min.schedule),
+                ReplayOutcome::Violation { at: 0, description: "2 before 1".into() }
+            );
+        }
     }
 
     #[test]
@@ -709,58 +604,19 @@ mod tests {
         assert_eq!(got, reference);
     }
 
-    /// Sort a violation list the way [`explore_parallel`] does, for
-    /// comparing against sequential discovery order.
-    fn sorted(mut v: Vec<Violation>) -> Vec<Violation> {
-        v.sort_by(|a, b| {
-            a.schedule.cmp(&b.schedule).then_with(|| a.description.cmp(&b.description))
-        });
-        v
-    }
-
     #[test]
-    fn parallel_matches_sequential_for_every_worker_count() {
+    fn report_is_identical_for_every_worker_count_and_split_depth() {
         for prune in [false, true] {
-            let seq = explore(&Toy, &cfg(prune));
+            let base = explore(&Toy, &cfg(prune));
             for jobs in [1, 2, 4] {
                 for split_depth in [0, 2, 16] {
-                    let par = ParallelConfig { jobs, split_depth, dedup: false };
-                    let rep = explore_parallel(&Toy, &cfg(prune), &par);
-                    assert_eq!(
-                        rep.stats, seq.stats,
-                        "jobs={jobs} split={split_depth} prune={prune}"
-                    );
-                    assert_eq!(rep.violations, sorted(seq.violations.clone()));
+                    let config = ExplorerConfig { jobs, ..cfg(prune) };
+                    let rep = engine::explore_split(&Toy, &config, split_depth);
+                    let at = format!("jobs={jobs} split={split_depth} prune={prune}");
+                    assert_eq!(rep.stats, base.stats, "{at}");
+                    assert_eq!(rep.violations, base.violations, "{at}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn dedup_skips_subtrees_but_keeps_every_violation_description() {
-        use std::collections::BTreeSet;
-        let base = explore(&Toy, &cfg(true));
-        let par = ParallelConfig { jobs: 2, split_depth: 2, dedup: true };
-        let rep = explore_parallel(&Toy, &cfg(true), &par);
-        assert!(rep.stats.dedup_checks > 0, "toy digests are Some, so nodes must be checked");
-        // Every branch a deduped sweep explores, the full sweep explores
-        // too (dedup only returns early), so counts can only shrink.
-        assert!(rep.stats.schedules <= base.stats.schedules);
-        assert!(rep.stats.transitions <= base.stats.transitions);
-        let full: BTreeSet<&str> = base.violations.iter().map(|v| v.description.as_str()).collect();
-        let deduped: BTreeSet<&str> =
-            rep.violations.iter().map(|v| v.description.as_str()).collect();
-        assert_eq!(full, deduped, "dedup must preserve the violation-description set");
-    }
-
-    #[test]
-    fn parallel_shrink_matches_sequential_shrink() {
-        let report = explore(&Toy, &cfg(true));
-        let v = report.violations.first().expect("toy violates");
-        let seq = shrink(&Toy, v);
-        for jobs in [1, 2, 4] {
-            let par = shrink_parallel(&Toy, v, jobs);
-            assert_eq!(par, seq, "jobs={jobs}");
         }
     }
 

@@ -168,18 +168,6 @@ impl ScenarioRun for RegisterRun {
         (open > 0)
             .then(|| format!("termination: {open} operation(s) still open at network quiescence"))
     }
-
-    fn state_digest(&self) -> Option<u64> {
-        // Everything the future depends on: the simulator world (automata
-        // states, in-flight messages in FIFO order, live timers, crash
-        // flags — `None` for anything with hidden randomness) plus the
-        // recorder's view of the history, abstracted to what the
-        // whole-window regularity checker can distinguish.
-        let sim = self.cluster.sim.state_digest()?;
-        let mut h = sbft_storage::Fnv64::new();
-        h.u64(sim).sep().u64(self.cluster.recorder.explore_digest());
-        Some(h.finish())
-    }
 }
 
 /// Honest-cluster setup: settle `write(1)`, then leave `write(7) ∥ read`
@@ -306,10 +294,7 @@ fn crash_recover(seed: u64) -> RegisterRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        explore, explore_parallel, replay, shrink, shrink_parallel, ExplorerConfig, ParallelConfig,
-        ReplayOutcome,
-    };
+    use crate::{explore, replay, shrink, ExplorerConfig, ReplayOutcome};
 
     #[test]
     fn scenario_lookup_by_name() {
@@ -343,36 +328,49 @@ mod tests {
         assert_eq!(run.finish(false), None, "both ops must have completed");
     }
 
+    /// The n=5 Theorem 1 counterexample is rediscovered, shrinks to a
+    /// schedule that still violates, and replays — on one worker and on two.
     #[test]
     fn theorem1_n5_has_a_violating_schedule_and_it_shrinks() {
         let s = RegisterScenario::theorem1(5);
-        let config =
-            ExplorerConfig { branch_depth: 12, stop_on_violation: true, ..Default::default() };
-        let report = explore(&s, &config);
-        let v = report.violations.first().expect("Theorem 1 counterexample must be rediscovered");
-        assert!(v.description.contains("UnknownValue"), "{}", v.description);
-        let min = shrink(&s, v);
-        assert!(min.schedule.len() <= v.schedule.len());
-        match replay(&s, &min.schedule) {
-            ReplayOutcome::Violation { at, description } => {
-                assert_eq!(at, min.schedule.len() - 1);
-                assert_eq!(description, min.description);
+        for jobs in [1, 2] {
+            let config = ExplorerConfig {
+                branch_depth: 12,
+                stop_on_violation: true,
+                jobs,
+                ..Default::default()
+            };
+            let report = explore(&s, &config);
+            let v =
+                report.violations.first().expect("Theorem 1 counterexample must be rediscovered");
+            assert!(v.description.contains("UnknownValue"), "{}", v.description);
+            let min = shrink(&s, v, jobs);
+            assert!(min.schedule.len() <= v.schedule.len());
+            match replay(&s, &min.schedule) {
+                ReplayOutcome::Violation { at, description } => {
+                    assert_eq!(at, min.schedule.len() - 1);
+                    assert_eq!(description, min.description);
+                }
+                other => panic!("shrunk schedule must still violate, got {other:?}"),
             }
-            other => panic!("shrunk schedule must still violate, got {other:?}"),
         }
     }
 
-    /// Satellite 5: same config + bound ⇒ identical schedule count and
-    /// violation set across independent explorations, and each recorded
-    /// violation replays to the same verdict (the `--replay` path).
+    /// Same config + bound ⇒ identical schedule count and violation set
+    /// across independent explorations and across 1, 2 and 4 workers, and
+    /// each recorded violation replays to the same verdict (the `--replay`
+    /// path).
     #[test]
-    fn exploration_is_deterministic_across_runs_and_replay() {
+    fn exploration_is_deterministic_across_runs_workers_and_replay() {
         let clean = RegisterScenario::concurrent_write_read();
         let config = ExplorerConfig { branch_depth: 3, max_schedules: 300, ..Default::default() };
-        let a = explore(&clean, &config);
-        let b = explore(&clean, &config);
-        assert_eq!(a.stats, b.stats);
-        assert_eq!(a.violations, b.violations);
+        let base = explore(&clean, &config);
+        assert!(!base.stats.hit_schedule_cap && base.violations.is_empty());
+        for jobs in [1, 2, 4] {
+            let rep = explore(&clean, &ExplorerConfig { jobs, ..config.clone() });
+            assert_eq!(rep.stats, base.stats, "jobs={jobs}");
+            assert_eq!(rep.violations, base.violations, "jobs={jobs}");
+        }
 
         let dirty = RegisterScenario::theorem1(5);
         let config = ExplorerConfig {
@@ -435,22 +433,17 @@ mod tests {
         assert_eq!(run.finish(false), None);
     }
 
-    /// The new scenarios complete their default schedules cleanly and —
-    /// being honest, unit-delay, single-attempt setups — expose a state
-    /// digest at every node, so dedup actually engages on them.
     #[test]
-    fn mwmr_and_crash_recover_default_schedules_are_clean_and_digestible() {
+    fn mwmr_and_crash_recover_default_schedules_are_clean() {
         for s in [RegisterScenario::mwmr_two_writers(), RegisterScenario::crash_recover()] {
             let mut run = s.start();
             assert!(!run.enabled().is_empty(), "{}: setup leaves ops in flight", s.name());
-            assert!(run.state_digest().is_some(), "{}: initial state must digest", s.name());
             let mut steps = 0;
             while let Some(&key) = run.enabled().first() {
                 match run.step(key) {
                     StepResult::Ok => steps += 1,
                     other => panic!("{}: default schedule must be clean, got {other:?}", s.name()),
                 }
-                assert!(run.state_digest().is_some(), "{}: digest at step {steps}", s.name());
                 assert!(steps < 10_000, "runaway schedule");
             }
             assert_eq!(run.finish(false), None, "{}: all ops must complete", s.name());
@@ -477,80 +470,5 @@ mod tests {
             srv1.writes_applied
         );
         assert_ne!(v0, srv1.value, "stale server must hold an older value");
-    }
-
-    /// Tentpole determinism: with dedup off, the parallel explorer returns
-    /// bit-identical stats and violations for jobs 1, 2, and 4 — and they
-    /// match the sequential sweep (violations modulo the parallel sort) —
-    /// on both a clean scenario and the violating one.
-    #[test]
-    fn parallel_exploration_is_deterministic_across_worker_counts() {
-        let clean = RegisterScenario::concurrent_write_read();
-        let config = ExplorerConfig { branch_depth: 3, max_schedules: 300, ..Default::default() };
-        let seq = explore(&clean, &config);
-        for jobs in [1, 2, 4] {
-            let par = ParallelConfig { jobs, split_depth: 2, dedup: false };
-            let a = explore_parallel(&clean, &config, &par);
-            let b = explore_parallel(&clean, &config, &par);
-            assert_eq!(a.stats, seq.stats, "jobs={jobs} vs sequential");
-            assert_eq!(a.stats, b.stats, "jobs={jobs} repeated run");
-            assert_eq!(a.violations, b.violations, "jobs={jobs} repeated run");
-            assert!(a.violations.is_empty());
-        }
-    }
-
-    /// Tentpole end-to-end: the n=5 Theorem 1 counterexample is
-    /// rediscovered by the parallel explorer (with and without dedup),
-    /// shrinks in parallel to the sequential minimum, and replays.
-    #[test]
-    fn theorem1_n5_counterexample_survives_parallel_and_dedup() {
-        let s = RegisterScenario::theorem1(5);
-        let config =
-            ExplorerConfig { branch_depth: 12, stop_on_violation: true, ..Default::default() };
-        for dedup in [false, true] {
-            let par = ParallelConfig { jobs: 2, split_depth: 2, dedup };
-            let report = explore_parallel(&s, &config, &par);
-            let v = report.violations.first().expect("counterexample rediscovered");
-            assert!(v.description.contains("UnknownValue"), "{}", v.description);
-            let min = shrink_parallel(&s, v, 2);
-            assert!(min.schedule.len() <= v.schedule.len());
-            match replay(&s, &min.schedule) {
-                ReplayOutcome::Violation { at, description } => {
-                    assert_eq!(at, min.schedule.len() - 1);
-                    assert_eq!(description, min.description);
-                }
-                other => panic!("shrunk schedule must still violate, got {other:?}"),
-            }
-        }
-    }
-
-    /// Dedup soundness on the real counterexample scenario: every
-    /// violation description an un-deduped sweep finds, a deduped sweep of
-    /// the same bounds also finds. (Schedules may differ — dedup reroutes
-    /// coverage through equal-state representatives — but no failure mode
-    /// may vanish.)
-    #[test]
-    fn dedup_preserves_violation_descriptions_on_theorem1_n5() {
-        use std::collections::BTreeSet;
-        let s = RegisterScenario::theorem1(5);
-        let config = ExplorerConfig {
-            branch_depth: 10,
-            max_schedules: 2_000,
-            stop_on_violation: false,
-            ..Default::default()
-        };
-        let base = ParallelConfig { jobs: 2, split_depth: 2, dedup: false };
-        let full = explore_parallel(&s, &config, &base);
-        let deduped =
-            explore_parallel(&s, &config, &ParallelConfig { dedup: true, ..base.clone() });
-        // The coverage argument needs complete sweeps: a capped sweep
-        // explores a traversal-order-dependent subset.
-        assert!(!full.stats.hit_schedule_cap, "bounds must fit the cap: {:?}", full.stats);
-        assert!(deduped.stats.dedup_checks > 0, "digests must be available");
-        let full_set: BTreeSet<&str> =
-            full.violations.iter().map(|v| v.description.as_str()).collect();
-        let deduped_set: BTreeSet<&str> =
-            deduped.violations.iter().map(|v| v.description.as_str()).collect();
-        assert_eq!(full_set, deduped_set, "dedup must not lose any violation description");
     }
 }

@@ -224,19 +224,6 @@ impl<M> ChannelMap<M> {
     pub fn held_count(&self, from: ProcessId, to: ProcessId) -> usize {
         self.states.get(&(from, to)).map(|s| s.held.len()).unwrap_or(0)
     }
-
-    /// Whether any channel is currently paused or buffering held messages —
-    /// state that lives outside the event queue, which the explorer's
-    /// state digest refuses to fingerprint.
-    pub fn any_paused_or_held(&self) -> bool {
-        self.states.values().any(|s| s.paused || !s.held.is_empty())
-    }
-
-    /// Whether any channel carries an active link fault. Faulty channels
-    /// consume RNG per send, making the RNG cursor hidden state.
-    pub fn any_faulted(&self) -> bool {
-        self.states.values().any(|s| s.fault.is_some())
-    }
 }
 
 #[cfg(test)]

@@ -120,19 +120,9 @@ pub trait Automaton<M, O>: Send {
         None
     }
 
-    /// Optional stable fingerprint of the automaton's *complete* local
-    /// state, used by the explorer's state-hash deduplication: two explored
-    /// prefixes whose simulations digest equal are guaranteed to generate
-    /// identical subtrees, so the second is not re-expanded. Requirements
-    /// for an override: the digest must cover every field that can
-    /// influence any future transition or output (missing one makes dedup
-    /// *unsound* — inequivalent states would be conflated), and must not
-    /// cover incidental values two equivalent states may disagree on
-    /// (wall-clock-like fields; that is merely a missed dedup). Automata
-    /// whose behavior depends on an RNG stream must return `None` — the
-    /// RNG position is substrate state the automaton cannot see. The
-    /// default `None` disables dedup for any simulation containing this
-    /// process.
+    // Unused: kept only because the frozen `benchmark/src/trace.rs:464`
+    // forwards it; it goes with the `[benchmark]` unfreeze (ROADMAP item 3).
+    #[doc(hidden)]
     fn state_digest(&self) -> Option<u64> {
         None
     }
@@ -154,9 +144,6 @@ impl<M, O> Automaton<M, O> for Box<dyn Automaton<M, O>> {
     }
     fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
         (**self).as_any_mut()
-    }
-    fn state_digest(&self) -> Option<u64> {
-        (**self).state_digest()
     }
 }
 

@@ -646,82 +646,6 @@ where
         }
     }
 
-    /// Stable fingerprint of the complete explorable simulator state, or
-    /// `None` when some state component cannot be soundly fingerprinted —
-    /// the explorer's dedup layer treats `None` as "never dedup here".
-    ///
-    /// Covered: every automaton's [`Automaton::state_digest`] (in pid
-    /// order), crash flags, incarnations, and the pending event queue in
-    /// *canonical* form — deliveries grouped per directed channel in FIFO
-    /// order and timers as `(pid, id)` multisets, with scheduled times and
-    /// sequence numbers excluded. Times are excluded deliberately: the
-    /// explorer realizes interleavings by key, not by time, automata never
-    /// read the clock, and two interleavings of independent events converge
-    /// to states that differ *only* in times — precisely the states dedup
-    /// exists to merge.
-    ///
-    /// Returns `None` when hidden state could make equal digests behave
-    /// differently: a non-constant delay model or any faulted channel (the
-    /// RNG cursor becomes state), paused or held channels (messages outside
-    /// the queue), enabled batching, or any automaton that cannot digest
-    /// itself.
-    pub fn state_digest(&self) -> Option<u64> {
-        let delay = self.channels.delay_model();
-        if self.halted
-            || delay.min != delay.max
-            || self.batch.enabled()
-            || !self.batcher.is_empty()
-            || self.channels.any_paused_or_held()
-            || self.channels.any_faulted()
-        {
-            return None;
-        }
-        let mut h = sbft_storage::Fnv64::new();
-        for (pid, proc_) in self.procs.iter().enumerate() {
-            h.usize(pid).u64(proc_.state_digest()?).sep();
-        }
-        for (pid, &c) in self.crashed.iter().enumerate() {
-            if c {
-                h.usize(pid);
-            }
-        }
-        h.sep();
-        for &i in &self.incarnation {
-            h.u64(i);
-        }
-        h.sep();
-        let mut delivers: Vec<(ProcessId, ProcessId, u64, u64, &Frame<M>)> = Vec::new();
-        let mut timers: Vec<(ProcessId, u64)> = Vec::new();
-        for q in self.queue.iter() {
-            match &q.kind {
-                EventKind::Deliver { from, to, frame } => {
-                    if !self.crashed[*to] {
-                        delivers.push((*from, *to, q.time, q.seq, frame));
-                    }
-                }
-                EventKind::Timer { pid, id, incarnation } => {
-                    if !self.crashed[*pid] && *incarnation == self.incarnation[*pid] {
-                        timers.push((*pid, *id));
-                    }
-                }
-                EventKind::Flush => return None,
-            }
-        }
-        // Sorting by (from, to, time, seq) lists each channel's in-flight
-        // messages contiguously in FIFO order; the hash then absorbs only
-        // the order-invariant part (channel identity + payload).
-        delivers.sort_unstable_by_key(|&(from, to, time, seq, _)| (from, to, time, seq));
-        for (from, to, _, _, frame) in delivers {
-            h.usize(from).usize(to).bytes(format!("{frame:?}").as_bytes()).sep();
-        }
-        h.sep();
-        timers.sort_unstable();
-        for (pid, id) in timers {
-            h.usize(pid).u64(id);
-        }
-        Some(h.finish())
-    }
-
     /// Run until the queue drains or `max_events` were processed; returns
     /// all outputs as `(time, pid, output)` triples.
     pub fn run_until_quiet(&mut self, max_events: u64) -> Vec<(u64, ProcessId, O)> {

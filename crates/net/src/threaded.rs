@@ -1,9 +1,9 @@
 //! Real-thread runtime: one OS thread per process, crossbeam FIFO channels,
 //! event-driven end to end — no polling loop anywhere.
 //!
-//! This substrate exists for experiment E9/E15 (wall-clock throughput of
-//! the register under real threads) and to demonstrate that the sans-IO
-//! automata are substrate-independent. Each process owns an unbounded
+//! This substrate exists for the wall-clock measurements (E15's threaded
+//! cells, the `kv-threaded-readheavy` benchmark workload) and to
+//! demonstrate that the sans-IO automata are substrate-independent. Each process owns an unbounded
 //! crossbeam channel as its inbox; since a crossbeam channel delivers any
 //! single producer's messages in send order, the per-pair FIFO property the
 //! protocol relies on holds. There is no determinism — correctness
@@ -850,7 +850,7 @@ where
     }
 
     /// Send a command and wait for the next output from the same process —
-    /// the blocking client-operation shape used by examples and E9.
+    /// the blocking client-operation shape.
     pub fn invoke_and_wait(&self, pid: ProcessId, msg: M, timeout: Duration) -> Option<O> {
         self.send(pid, msg);
         self.recv_output(pid, timeout)

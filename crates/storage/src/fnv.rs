@@ -1,13 +1,9 @@
 //! FNV-1a 64-bit hashing with region separators.
 //!
-//! One tiny streaming hasher shared by everything in the workspace that
-//! needs a stable, dependency-free digest: [`crate::disk::SimDisk`]'s
-//! content digest and the explorer's state-hash deduplication (which
-//! fingerprints server/client/recorder state to stop re-expanding
-//! re-converging interleavings). FNV-1a is not cryptographic — collisions
-//! merely cost a missed dedup or a spurious one bounded by 2⁻⁶⁴ per pair —
-//! but it is fast, has no setup cost, and its output is identical across
-//! platforms, which the deterministic explorer requires.
+//! The tiny streaming hasher behind [`crate::disk::SimDisk`]'s content
+//! digest. FNV-1a is not cryptographic, but it is fast, has no setup cost,
+//! and its output is identical across platforms, which the cross-substrate
+//! disk-parity tests require.
 
 /// Streaming FNV-1a 64-bit hasher.
 ///
@@ -35,16 +31,6 @@ impl Fnv64 {
             self.0 = self.0.wrapping_mul(PRIME);
         }
         self
-    }
-
-    /// Absorb a `u64` (little-endian).
-    pub fn u64(&mut self, v: u64) -> &mut Self {
-        self.bytes(&v.to_le_bytes())
-    }
-
-    /// Absorb a `usize` as `u64`.
-    pub fn usize(&mut self, v: usize) -> &mut Self {
-        self.u64(v as u64)
     }
 
     /// Absorb a region separator: `region_a.sep().region_b` never collides
@@ -87,19 +73,5 @@ mod tests {
         let mut b = Fnv64::new();
         b.bytes(b"a").sep().bytes(b"bc");
         assert_ne!(a.finish(), b.finish());
-    }
-
-    #[test]
-    fn integer_helpers_match_their_byte_encodings() {
-        let mut a = Fnv64::new();
-        a.u64(0x0102_0304_0506_0708);
-        let mut b = Fnv64::new();
-        b.bytes(&0x0102_0304_0506_0708u64.to_le_bytes());
-        assert_eq!(a.finish(), b.finish());
-        let mut c = Fnv64::new();
-        c.usize(7);
-        let mut d = Fnv64::new();
-        d.u64(7);
-        assert_eq!(c.finish(), d.finish());
     }
 }
