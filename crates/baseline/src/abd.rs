@@ -9,15 +9,12 @@
 
 use std::collections::BTreeMap;
 
+use sbft_core::config::ClusterConfig;
 use sbft_core::messages::{ClientEvent, Msg, ValTs, Value};
-use sbft_core::spec::{HistoryRecorder, OpKind, RegularityError};
 use sbft_labels::{LabelingSystem, MwmrLabeling, UnboundedLabeling, WriterId};
-use sbft_net::{Automaton, Ctx, DelayModel, ProcessId, SimConfig, Simulation, ENV};
+use sbft_net::{Automaton, Ctx, ProcessId, ENV};
 
-use crate::{USys, UTs};
-
-type BMsg = Msg<UTs>;
-type BEvent = ClientEvent<UTs>;
+use crate::{BEvent, BMsg, BaselineCluster, USys, UTs};
 
 /// An ABD server: adopt-if-greater, reply to reads.
 pub struct AbdServer {
@@ -61,6 +58,10 @@ impl Automaton<BMsg, BEvent> for AbdServer {
             ),
             _ => {}
         }
+    }
+
+    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
+        Some(self)
     }
 }
 
@@ -167,102 +168,13 @@ impl Automaton<BMsg, BEvent> for AbdClient {
     }
 }
 
-/// An assembled ABD cluster.
-pub struct AbdCluster {
-    /// Underlying simulation.
-    pub sim: Simulation<BMsg, BEvent>,
-    /// Server count (`2f + 1`).
-    pub n: usize,
-    n_clients: usize,
-    /// History for the shared regularity checker.
-    pub recorder: HistoryRecorder<UnboundedLabeling>,
-    sys: USys,
-    /// Max events per blocking op.
-    pub op_budget: u64,
-}
-
-impl AbdCluster {
-    /// `n = 2f + 1` servers, `clients` clients.
-    pub fn new(f: usize, clients: usize, seed: u64) -> Self {
-        let n = 2 * f + 1;
-        let mut sim: Simulation<BMsg, BEvent> = Simulation::new(SimConfig {
-            seed,
-            delay: DelayModel::uniform(1, 10),
-            ..SimConfig::default()
-        });
-        for _ in 0..n {
-            sim.add_process(Box::new(AbdServer::new()));
-        }
-        for c in 0..clients {
-            sim.add_process(Box::new(AbdClient::new(n, (n + c) as u32)));
-        }
-        Self {
-            sim,
-            n,
-            n_clients: clients,
-            recorder: HistoryRecorder::new(),
-            sys: MwmrLabeling::new(UnboundedLabeling),
-            op_budget: 200_000,
-        }
-    }
-
-    /// Pid of client `i`.
-    pub fn client(&self, i: usize) -> ProcessId {
-        assert!(i < self.n_clients);
-        self.n + i
-    }
-
-    fn await_client(&mut self, client: ProcessId) -> Option<BEvent> {
-        let mut budget = self.op_budget;
-        while budget > 0 {
-            let ev = self.sim.step()?;
-            budget -= 1;
-            let (time, pid) = (ev.time, ev.pid);
-            for out in ev.outputs {
-                self.recorder.complete(pid, time, &out);
-                if pid == client {
-                    return Some(out);
-                }
-            }
-        }
-        None
-    }
-
-    /// Blocking write.
-    pub fn write(&mut self, client: ProcessId, value: Value) -> Option<UTs> {
-        self.recorder.begin(client, OpKind::Write, self.sim.now() + 1);
-        self.sim.inject(client, Msg::InvokeWrite { value });
-        match self.await_client(client)? {
-            ClientEvent::WriteDone { ts, .. } => Some(ts),
-            _ => None,
-        }
-    }
-
-    /// Blocking read.
-    pub fn read(&mut self, client: ProcessId) -> Option<(Value, UTs)> {
-        self.recorder.begin(client, OpKind::Read, self.sim.now() + 1);
-        self.sim.inject(client, Msg::InvokeRead);
-        match self.await_client(client)? {
-            ClientEvent::ReadDone { value, ts, .. } => Some((value, ts)),
-            _ => None,
-        }
-    }
-
-    /// Check the recorded history.
-    pub fn check_history(&self) -> Result<(), Vec<RegularityError>> {
-        self.recorder.check(&self.sys)
-    }
-
-    /// Messages sent so far (E7 cost accounting).
-    pub fn messages_sent(&self) -> u64 {
-        self.sim.metrics().messages_sent
-    }
-
-    /// Crash server `idx` (crash-fault tolerance demo).
-    pub fn crash_server(&mut self, idx: usize) {
-        assert!(idx < self.n);
-        self.sim.crash(idx);
-    }
+/// `n = 2f + 1` servers, `clients` clients. Zero Byzantine seats is what
+/// crash-only means, so the config's `f` is 0 and `crash_budget` only
+/// sizes the group.
+pub fn cluster(crash_budget: usize, clients: usize, seed: u64) -> BaselineCluster {
+    let cfg = ClusterConfig::with_n(2 * crash_budget + 1, 0);
+    let server = |_| Box::new(AbdServer::new()) as _;
+    crate::assemble(cfg, clients, seed, server, |id| Box::new(AbdClient::new(cfg.n, id)))
 }
 
 #[cfg(test)]
@@ -271,35 +183,32 @@ mod tests {
 
     #[test]
     fn clean_roundtrip() {
-        let mut c = AbdCluster::new(1, 2, 1);
+        let mut c = cluster(1, 2, 1);
         let w = c.client(0);
         c.write(w, 9).unwrap();
-        let (v, _) = c.read(c.client(1)).unwrap();
-        assert_eq!(v, 9);
+        assert_eq!(c.read(c.client(1)).unwrap().value, 9);
         assert!(c.check_history().is_ok());
     }
 
     #[test]
     fn survives_f_crashes() {
-        let mut c = AbdCluster::new(1, 2, 2);
+        let mut c = cluster(1, 2, 2);
         let w = c.client(0);
         c.write(w, 1).unwrap();
-        c.crash_server(0);
+        c.sim.crash(0);
         c.write(w, 2).unwrap();
-        let (v, _) = c.read(c.client(1)).unwrap();
-        assert_eq!(v, 2);
+        assert_eq!(c.read(c.client(1)).unwrap().value, 2);
         assert!(c.check_history().is_ok());
     }
 
     #[test]
     fn sequential_writes_read_latest() {
-        let mut c = AbdCluster::new(2, 2, 3);
+        let mut c = cluster(2, 2, 3);
         let w = c.client(0);
         for v in 1..=6 {
             c.write(w, v).unwrap();
         }
-        let (v, _) = c.read(c.client(1)).unwrap();
-        assert_eq!(v, 6);
+        assert_eq!(c.read(c.client(1)).unwrap().value, 6);
         assert!(c.check_history().is_ok());
     }
 
@@ -307,15 +216,16 @@ mod tests {
     fn no_byzantine_defence_by_design() {
         // Poison one server's state: ABD reads trust the max timestamp, so
         // a single bad server breaks the register — the contrast E7 draws.
-        let mut c = AbdCluster::new(1, 2, 4);
+        let mut c = cluster(1, 2, 4);
         let w = c.client(0);
         c.write(w, 1).unwrap();
-        if let Some(any) = c.sim.process_mut(0).as_any_mut() {
-            let _ = any; // AbdServer does not expose as_any_mut: use crash instead
-        }
-        // (State poisoning is exercised through the KLMW baseline, which
-        // exposes its server state; ABD only demonstrates crash handling.)
-        let (v, _) = c.read(c.client(1)).unwrap();
-        assert_eq!(v, 1);
+        let any = c.sim.process_mut(0).as_any_mut().expect("AbdServer exposes its state");
+        let srv = any.downcast_mut::<AbdServer>().unwrap();
+        (srv.value, srv.ts) = (666, UTs::new(u64::MAX, u32::MAX));
+        // One crash (within budget) puts the poisoned server in every
+        // majority.
+        c.sim.crash(1);
+        assert_eq!(c.read(c.client(1)).unwrap().value, 666, "the lone liar wins the read");
+        assert!(c.check_history().is_err(), "a never-written value is a violation");
     }
 }

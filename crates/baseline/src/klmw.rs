@@ -30,17 +30,12 @@ use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
 use rand::Rng;
+use sbft_core::config::ClusterConfig;
 use sbft_core::messages::{ClientEvent, Msg, ValTs, Value};
-use sbft_core::spec::{HistoryRecorder, OpKind, RegularityError};
 use sbft_labels::{LabelingSystem, MwmrLabeling, UnboundedLabeling, WriterId};
-use sbft_net::{Automaton, Ctx, DelayModel, ProcessId, SimConfig, Simulation, ENV};
+use sbft_net::{Automaton, Ctx, ProcessId, ENV};
 
-use crate::{USys, UTs};
-
-/// Message/event aliases for the baseline (shared with `sbft-core`).
-pub type BMsg = Msg<UTs>;
-/// Client events with unbounded timestamps.
-pub type BEvent = ClientEvent<UTs>;
+use crate::{BEvent, BMsg, BaselineCluster, USys, UTs};
 
 /// A KLMW server: adopt-if-greater, ACK always.
 pub struct KlmwServer {
@@ -275,134 +270,37 @@ impl Automaton<BMsg, BEvent> for KlmwClient {
     }
 }
 
-/// Why a baseline blocking operation failed.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum BaselineError {
-    /// The simulation drained or the budget ran out with the op pending —
-    /// for KLMW under timestamp poisoning, the expected terminal state.
-    Stuck,
+/// `n = 3f + 1` servers (the last `byz` of them echo-Byzantine) and
+/// `clients` clients.
+pub fn cluster(f: usize, clients: usize, byz: usize, seed: u64) -> BaselineCluster {
+    let cfg = ClusterConfig::with_n(3 * f + 1, f);
+    assert!(byz <= f);
+    let server = |s| -> crate::BProc {
+        if s >= cfg.n - byz {
+            Box::new(KlmwEcho { pair: None })
+        } else {
+            Box::new(KlmwServer::new())
+        }
+    };
+    crate::assemble(cfg, clients, seed, server, |id| Box::new(KlmwClient::new(cfg.n, f, id)))
 }
 
-/// An assembled KLMW cluster on the simulator.
-pub struct KlmwCluster {
-    /// Underlying simulation.
-    pub sim: Simulation<BMsg, BEvent>,
-    /// Server count (`3f + 1`).
-    pub n: usize,
-    /// Byzantine budget.
-    pub f: usize,
-    n_clients: usize,
-    /// History for the shared regularity checker.
-    pub recorder: HistoryRecorder<UnboundedLabeling>,
-    sys: USys,
-    /// Max events per blocking op.
-    pub op_budget: u64,
-}
-
-impl KlmwCluster {
-    /// Build `n = 3f + 1` servers (last `byz` of them echo-Byzantine) and
-    /// `clients` clients.
-    pub fn new(f: usize, clients: usize, byz: usize, seed: u64) -> Self {
-        let n = 3 * f + 1;
-        assert!(byz <= f);
-        let mut sim: Simulation<BMsg, BEvent> = Simulation::new(SimConfig {
-            seed,
-            delay: DelayModel::uniform(1, 10),
-            ..SimConfig::default()
-        });
-        for s in 0..n {
-            if s >= n - byz {
-                sim.add_process(Box::new(KlmwEcho { pair: None }));
-            } else {
-                sim.add_process(Box::new(KlmwServer::new()));
+/// Poison server `idx`'s timestamp to the near-maximal pair `(value,
+/// u64::MAX − 1)` — the transient fault of E6 — and optionally make the
+/// Byzantine echo servers collude on the same pair.
+pub fn poison(c: &mut BaselineCluster, idx: usize, value: Value, collude: bool) {
+    let pair = (value, UTs::new(u64::MAX - 1, u32::MAX));
+    let server = c.sim.process_mut(idx).as_any_mut();
+    if let Some(srv) = server.and_then(|any| any.downcast_mut::<KlmwServer>()) {
+        (srv.value, srv.ts) = pair.clone();
+    }
+    if collude {
+        for s in 0..c.cfg.n {
+            let server = c.sim.process_mut(s).as_any_mut();
+            if let Some(echo) = server.and_then(|any| any.downcast_mut::<KlmwEcho>()) {
+                echo.pair = Some(pair.clone());
             }
         }
-        for c in 0..clients {
-            sim.add_process(Box::new(KlmwClient::new(n, f, (n + c) as u32)));
-        }
-        Self {
-            sim,
-            n,
-            f,
-            n_clients: clients,
-            recorder: HistoryRecorder::new(),
-            sys: MwmrLabeling::new(UnboundedLabeling),
-            op_budget: 200_000,
-        }
-    }
-
-    /// Pid of client `i`.
-    pub fn client(&self, i: usize) -> ProcessId {
-        assert!(i < self.n_clients);
-        self.n + i
-    }
-
-    fn await_client(&mut self, client: ProcessId) -> Result<BEvent, BaselineError> {
-        let mut budget = self.op_budget;
-        while budget > 0 {
-            let Some(ev) = self.sim.step() else { return Err(BaselineError::Stuck) };
-            budget -= 1;
-            let (time, pid) = (ev.time, ev.pid);
-            for out in ev.outputs {
-                self.recorder.complete(pid, time, &out);
-                if pid == client {
-                    return Ok(out);
-                }
-            }
-        }
-        Err(BaselineError::Stuck)
-    }
-
-    /// Blocking write.
-    pub fn write(&mut self, client: ProcessId, value: Value) -> Result<UTs, BaselineError> {
-        self.recorder.begin(client, OpKind::Write, self.sim.now() + 1);
-        self.sim.inject(client, Msg::InvokeWrite { value });
-        match self.await_client(client)? {
-            ClientEvent::WriteDone { ts, .. } => Ok(ts),
-            _ => Err(BaselineError::Stuck),
-        }
-    }
-
-    /// Blocking read.
-    pub fn read(&mut self, client: ProcessId) -> Result<(Value, UTs), BaselineError> {
-        self.recorder.begin(client, OpKind::Read, self.sim.now() + 1);
-        self.sim.inject(client, Msg::InvokeRead);
-        match self.await_client(client)? {
-            ClientEvent::ReadDone { value, ts, .. } => Ok((value, ts)),
-            _ => Err(BaselineError::Stuck),
-        }
-    }
-
-    /// Poison server `idx`'s timestamp to the near-maximal pair `(value,
-    /// u64::MAX − 1)` — the transient fault of E6 — and optionally make the
-    /// Byzantine echo servers collude on the same pair.
-    pub fn poison(&mut self, idx: usize, value: Value, collude: bool) {
-        let pair = (value, UTs::new(u64::MAX - 1, u32::MAX));
-        if let Some(any) = self.sim.process_mut(idx).as_any_mut() {
-            if let Some(srv) = any.downcast_mut::<KlmwServer>() {
-                srv.value = pair.0;
-                srv.ts = pair.1.clone();
-            }
-        }
-        if collude {
-            for s in 0..self.n {
-                if let Some(any) = self.sim.process_mut(s).as_any_mut() {
-                    if let Some(echo) = any.downcast_mut::<KlmwEcho>() {
-                        echo.pair = Some(pair.clone());
-                    }
-                }
-            }
-        }
-    }
-
-    /// Check the recorded history against MWMR regularity.
-    pub fn check_history(&self) -> Result<(), Vec<RegularityError>> {
-        self.recorder.check(&self.sys)
-    }
-
-    /// Messages sent so far (for E7 cost accounting).
-    pub fn messages_sent(&self) -> u64 {
-        self.sim.metrics().messages_sent
     }
 }
 
@@ -412,43 +310,40 @@ mod tests {
 
     #[test]
     fn clean_roundtrip_works() {
-        let mut c = KlmwCluster::new(1, 2, 0, 1);
+        let mut c = cluster(1, 2, 0, 1);
         let w = c.client(0);
         c.write(w, 5).unwrap();
-        let (v, _) = c.read(c.client(1)).unwrap();
-        assert_eq!(v, 5);
+        assert_eq!(c.read(c.client(1)).unwrap().value, 5);
         assert!(c.check_history().is_ok());
     }
 
     #[test]
     fn tolerates_silent_byzantine_fault_free_state() {
         // One echo server with no script = effectively silent Byzantine.
-        let mut c = KlmwCluster::new(1, 2, 1, 2);
+        let mut c = cluster(1, 2, 1, 2);
         let w = c.client(0);
         c.write(w, 5).unwrap();
-        let (v, _) = c.read(c.client(1)).unwrap();
-        assert_eq!(v, 5);
+        assert_eq!(c.read(c.client(1)).unwrap().value, 5);
         assert!(c.check_history().is_ok());
     }
 
     #[test]
     fn sequential_writes_read_latest() {
-        let mut c = KlmwCluster::new(1, 2, 0, 3);
+        let mut c = cluster(1, 2, 0, 3);
         let w = c.client(0);
         for v in 1..=8 {
             c.write(w, v).unwrap();
         }
-        let (v, _) = c.read(c.client(1)).unwrap();
-        assert_eq!(v, 8);
+        assert_eq!(c.read(c.client(1)).unwrap().value, 8);
         assert!(c.check_history().is_ok());
     }
 
     #[test]
     fn poisoned_timestamp_locks_out_writes() {
-        let mut c = KlmwCluster::new(1, 2, 0, 4);
+        let mut c = cluster(1, 2, 0, 4);
         let w = c.client(0);
         c.write(w, 1).unwrap();
-        c.poison(0, 666, false);
+        poison(&mut c, 0, 666, false);
         // Phase 1 may or may not include the poisoned server; with
         // saturating max+1 the write cannot be adopted by it, and when its
         // ts wins phase 1, no server adopts => some write eventually
@@ -471,11 +366,11 @@ mod tests {
 
     #[test]
     fn poison_saturates_timestamps_and_freezes_the_register() {
-        let mut c = KlmwCluster::new(1, 2, 1, 5);
+        let mut c = cluster(1, 2, 1, 5);
         let w = c.client(0);
         c.write(w, 1).unwrap();
         // Transient fault on one correct server + Byzantine collusion.
-        c.poison(0, 666, true);
+        poison(&mut c, 0, 666, true);
         // The next write's phase 1 sees the near-maximal timestamp and
         // saturates `max + 1`; the one after that computes the *same*
         // saturated timestamp, so no server adopts it — yet every server
@@ -485,7 +380,7 @@ mod tests {
         // Reads return the frozen value 2 forever: value 3 is lost and
         // the history shows permanent stale-read violations.
         for _ in 0..5 {
-            let (v, _) = c.read(c.client(1)).unwrap();
+            let v = c.read(c.client(1)).unwrap().value;
             assert_ne!(v, 3, "the post-saturation write must be lost");
         }
         assert!(c.check_history().is_err(), "history must show violations");

@@ -20,9 +20,11 @@
 //!   with the weakest semantics in Lamport's hierarchy, completing the
 //!   related-work line-up (safe → regular → atomic).
 //!
-//! Both reuse the wire message enum of `sbft-core` (with
-//! `MwmrTimestamp<u64>` timestamps) and the same history recorder, so the
-//! regularity checker applies unchanged.
+//! All three reuse the wire message enum of `sbft-core` (with
+//! `MwmrTimestamp<u64>` timestamps), so they run under the same cluster
+//! driver — [`BaselineCluster`] is `sbft-core`'s `Cluster` over the plain
+//! envelope — and the same regularity checker applies unchanged. Each
+//! module's `cluster(..)` lists its automata and hands them to that driver.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,14 +33,47 @@ pub mod abd;
 pub mod klmw;
 pub mod mr_safe;
 
-pub use abd::AbdCluster;
-pub use klmw::KlmwCluster;
-pub use mr_safe::MrCluster;
-
-use sbft_labels::{MwmrTimestamp, UnboundedLabeling};
+use sbft_core::cluster::{BuilderCore, Cluster, Plain};
+use sbft_core::config::{ClusterConfig, ShardRouter};
+use sbft_core::messages::{ClientEvent, Msg};
+use sbft_labels::{MwmrTimestamp, UnboundedLabeling, WriterId};
+use sbft_net::{Automaton, BatchPolicy, ProcessId, Simulation};
 
 /// Timestamps used by both baselines: unbounded integers + writer id.
 pub type UTs = MwmrTimestamp<u64>;
 
 /// The MWMR labeling system over unbounded timestamps.
 pub type USys = sbft_labels::MwmrLabeling<UnboundedLabeling>;
+
+/// The register's wire messages over unbounded timestamps.
+pub type BMsg = Msg<UTs>;
+/// Client events over unbounded timestamps.
+pub type BEvent = ClientEvent<UTs>;
+
+/// A baseline cluster on the simulator: the one cluster driver, hosting
+/// this crate's automata. Crash a server with `sim.crash(idx)`; the
+/// driver's nemesis factories rebuild *stabilizing* servers, so
+/// `nemesis_runner` has no meaning here.
+pub type BaselineCluster = Cluster<Plain<UnboundedLabeling>>;
+
+type BProc = Box<dyn Automaton<BMsg, BEvent>>;
+
+/// Hand `cfg.n` servers (by pid), then `clients` clients (by writer id), to
+/// the driver.
+fn assemble(
+    cfg: ClusterConfig,
+    clients: usize,
+    seed: u64,
+    server: impl Fn(ProcessId) -> BProc,
+    client: impl Fn(WriterId) -> BProc,
+) -> BaselineCluster {
+    let mut core = BuilderCore::new(cfg, UnboundedLabeling);
+    core.clients = clients;
+    core.seed = seed;
+    let procs = (0..cfg.n)
+        .map(server)
+        .chain((0..clients).map(|c| client(cfg.client_pid(c) as WriterId)))
+        .collect();
+    let layout = ShardRouter::new(cfg, 1);
+    core.assemble(layout, BatchPolicy::disabled(), None, procs, Simulation::from_procs)
+}

@@ -22,15 +22,13 @@
 
 use std::collections::BTreeMap;
 
+use sbft_core::config::ClusterConfig;
 use sbft_core::messages::{ClientEvent, Msg, ValTs, Value};
 use sbft_core::spec::{HistoryRecorder, OpKind, OpOutcome};
 use sbft_labels::{LabelingSystem, MwmrLabeling, UnboundedLabeling};
-use sbft_net::{Automaton, Ctx, DelayModel, ProcessId, SimConfig, Simulation, ENV};
+use sbft_net::{Automaton, Ctx, ProcessId, ENV};
 
-use crate::{USys, UTs};
-
-type BMsg = Msg<UTs>;
-type BEvent = ClientEvent<UTs>;
+use crate::{BEvent, BMsg, BaselineCluster, USys, UTs};
 
 /// A safe-register server: adopt-if-greater, ACK always, reply to reads.
 pub struct MrServer {
@@ -174,84 +172,13 @@ impl Automaton<BMsg, BEvent> for MrClient {
     }
 }
 
-/// An assembled safe-register cluster.
-pub struct MrCluster {
-    /// Underlying simulation.
-    pub sim: Simulation<BMsg, BEvent>,
-    /// Server count (`5f`).
-    pub n: usize,
-    n_clients: usize,
-    /// History, checked with [`check_safety`].
-    pub recorder: HistoryRecorder<UnboundedLabeling>,
-    /// Max events per blocking op.
-    pub op_budget: u64,
-}
-
-impl MrCluster {
-    /// `n = 5f` servers (the paper's Section V figure), `clients` clients
-    /// (client 0 is the distinguished writer).
-    pub fn new(f: usize, clients: usize, seed: u64) -> Self {
-        let n = 5 * f;
-        let mut sim: Simulation<BMsg, BEvent> = Simulation::new(SimConfig {
-            seed,
-            delay: DelayModel::uniform(1, 10),
-            ..SimConfig::default()
-        });
-        for _ in 0..n {
-            sim.add_process(Box::new(MrServer::new()));
-        }
-        for c in 0..clients {
-            sim.add_process(Box::new(MrClient::new(n, f, (n + c) as u32)));
-        }
-        Self { sim, n, n_clients: clients, recorder: HistoryRecorder::new(), op_budget: 200_000 }
-    }
-
-    /// Pid of client `i`.
-    pub fn client(&self, i: usize) -> ProcessId {
-        assert!(i < self.n_clients);
-        self.n + i
-    }
-
-    fn await_client(&mut self, client: ProcessId) -> Option<BEvent> {
-        let mut budget = self.op_budget;
-        while budget > 0 {
-            let ev = self.sim.step()?;
-            budget -= 1;
-            let (time, pid) = (ev.time, ev.pid);
-            for out in ev.outputs {
-                self.recorder.complete(pid, time, &out);
-                if pid == client {
-                    return Some(out);
-                }
-            }
-        }
-        None
-    }
-
-    /// Blocking write (client 0 is the writer).
-    pub fn write(&mut self, client: ProcessId, value: Value) -> Option<UTs> {
-        self.recorder.begin_with_intent(client, OpKind::Write, self.sim.now() + 1, Some(value));
-        self.sim.inject(client, Msg::InvokeWrite { value });
-        match self.await_client(client)? {
-            ClientEvent::WriteDone { ts, .. } => Some(ts),
-            _ => None,
-        }
-    }
-
-    /// Blocking read.
-    pub fn read(&mut self, client: ProcessId) -> Option<(Value, UTs)> {
-        self.recorder.begin(client, OpKind::Read, self.sim.now() + 1);
-        self.sim.inject(client, Msg::InvokeRead);
-        match self.await_client(client)? {
-            ClientEvent::ReadDone { value, ts, .. } => Some((value, ts)),
-            _ => None,
-        }
-    }
-
-    /// Messages sent so far (E7 cost accounting).
-    pub fn messages_sent(&self) -> u64 {
-        self.sim.metrics().messages_sent
-    }
+/// `n = 5f` servers (the paper's Section V figure), `clients` clients
+/// (client 0 is the distinguished writer). Check its history with
+/// [`check_safety`].
+pub fn cluster(f: usize, clients: usize, seed: u64) -> BaselineCluster {
+    let cfg = ClusterConfig::with_n(5 * f, f);
+    let server = |_| Box::new(MrServer::new()) as _;
+    crate::assemble(cfg, clients, seed, server, |id| Box::new(MrClient::new(cfg.n, f, id)))
 }
 
 /// The **safe**-register condition: every read that overlaps *no* write
@@ -298,30 +225,28 @@ mod tests {
 
     #[test]
     fn clean_roundtrip_is_safe() {
-        let mut c = MrCluster::new(1, 2, 1);
+        let mut c = cluster(1, 2, 1);
         let w = c.client(0);
         for v in 1..=6 {
             c.write(w, v).unwrap();
-            let (got, _) = c.read(c.client(1)).unwrap();
-            assert_eq!(got, v);
+            assert_eq!(c.read(c.client(1)).unwrap().value, v);
         }
-        assert!(check_safety(&c.recorder).is_ok());
+        assert!(check_safety(c.history(())).is_ok());
     }
 
     #[test]
     fn survives_f_silent_servers() {
-        let mut c = MrCluster::new(1, 2, 2);
+        let mut c = cluster(1, 2, 2);
         c.sim.crash(0); // one unresponsive server
         let w = c.client(0);
         c.write(w, 9).unwrap();
-        let (got, _) = c.read(c.client(1)).unwrap();
-        assert_eq!(got, 9);
-        assert!(check_safety(&c.recorder).is_ok());
+        assert_eq!(c.read(c.client(1)).unwrap().value, 9);
+        assert!(check_safety(c.history(())).is_ok());
     }
 
     #[test]
     fn safety_checker_flags_quiet_interval_mismatch() {
-        let mut rec: HistoryRecorder<UnboundedLabeling> = HistoryRecorder::new();
+        let mut rec: HistoryRecorder<UnboundedLabeling> = HistoryRecorder::default();
         let sys: USys = MwmrLabeling::new(UnboundedLabeling);
         rec.begin_with_intent(10, OpKind::Write, 0, Some(5));
         rec.complete(10, 10, &ClientEvent::WriteDone { value: 5, ts: sys.genesis() });
@@ -336,7 +261,7 @@ mod tests {
 
     #[test]
     fn safety_checker_permits_anything_under_concurrency() {
-        let mut rec: HistoryRecorder<UnboundedLabeling> = HistoryRecorder::new();
+        let mut rec: HistoryRecorder<UnboundedLabeling> = HistoryRecorder::default();
         let sys: USys = MwmrLabeling::new(UnboundedLabeling);
         rec.begin_with_intent(10, OpKind::Write, 0, Some(5)); // never completes
         rec.begin(11, OpKind::Read, 20);

@@ -16,7 +16,7 @@
 //! * `ablate_history` — covered inside E8 (depth sweep); referenced here
 //!   for the experiment index.
 
-use sbft_core::cluster::{OpError, RegisterCluster};
+use sbft_core::cluster::{Op, OpError, RegisterCluster};
 use sbft_core::reader::ReaderOptions;
 use sbft_wtsg::SelectionPolicy;
 
@@ -102,7 +102,7 @@ pub fn ablate_flush(seeds: u64) -> Table {
             // boundaries.
             for i in 0..10u64 {
                 let writer = if i % 2 == 0 { w1 } else { w2 };
-                c.invoke_write(writer, 10 + i);
+                c.invoke(writer, (), Op::Write(10 + i));
                 let before = c.metrics().messages_sent;
                 match c.read(r) {
                     Ok(_) => reads += 1,

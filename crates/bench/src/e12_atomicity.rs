@@ -21,7 +21,7 @@
 //! propagates `(v2, ts2)` to `n − f` servers before returning, so `r2`
 //! finds `v2` at quorum strength everywhere.
 
-use sbft_core::cluster::RegisterCluster;
+use sbft_core::cluster::{Op, RegisterCluster};
 use sbft_core::reader::ReaderOptions;
 
 use crate::table::{f1, Table};
@@ -58,7 +58,7 @@ pub fn scripted_run(write_back: bool, seed: u64) -> E12Run {
 
     // w2 begins writing v2 = 2 and crashes immediately; its WRITE reached
     // servers 0,1,2 only (applied manually — the crash model).
-    c.invoke_write(w2, 2);
+    c.invoke(w2, (), Op::Write(2));
     c.sim.crash(w2);
     c.settle(50_000); // drain whatever the crashed client had sent
     let ts2 = c.sys.next_for(w2 as u32, std::slice::from_ref(&ts1));
@@ -87,7 +87,7 @@ pub fn scripted_run(write_back: bool, seed: u64) -> E12Run {
     E12Run {
         r1: got1.value,
         r2: got2.value,
-        inversions: c.recorder.new_old_inversions().len(),
+        inversions: c.history(()).new_old_inversions().len(),
         regular_ok: c.check_history().is_ok(),
     }
 }

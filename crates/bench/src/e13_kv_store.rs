@@ -32,7 +32,7 @@ pub fn run_cell(keys: u64, seed: u64) -> E13Cell {
     let mut ops = 0u64;
     for key in 0..keys {
         store.put(a, key, 100 + key).expect("put");
-        assert_eq!(store.get(b, key).expect("get"), 100 + key);
+        assert_eq!(store.get(b, key).expect("get").value, 100 + key);
         ops += 2;
     }
     let msgs_clean = store.sim.metrics().messages_sent;
@@ -47,7 +47,7 @@ pub fn run_cell(keys: u64, seed: u64) -> E13Cell {
     }
     let stable = store.now();
     for key in 0..keys {
-        if store.get(b, key) == Ok(200 + key) {
+        if store.get(b, key).is_ok_and(|got| got.value == 200 + key) {
             recovered += 1;
             ops += 1;
         }

@@ -91,7 +91,7 @@ fn run_seed(backend: Backend, seed: u64, strat: ByzStrategy) -> SoakReport {
     let runner = c
         .nemesis_runner(schedule, vec![byz_seat], strat)
         .cure_mode(CureMode::Amnesiac { total_procs, severity: CorruptionSeverity::Light });
-    let report = Soak::new(&mut c, runner).run();
+    let report = Soak::new(&mut c, (), runner).run();
     c.stop();
     report
 }

@@ -50,7 +50,7 @@ const KV_KEYSPACE: u64 = 8;
 const PUMP_BUDGET_PER_OP: u64 = 200_000;
 
 /// Consecutive idle pumps (threaded backend) before declaring the run done.
-const MAX_IDLE_PUMPS: u32 = 50;
+const IDLE_PUMPS_ENDING_RUN: u32 = 50;
 
 /// Arrival pacing of the load generator.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -266,7 +266,7 @@ pub(crate) fn drive<M, O, S: Substrate<M, O>>(
                     Pumped::Quiescent => break, // wedged: report what completed
                     Pumped::Idle => {
                         idle += 1;
-                        if idle >= MAX_IDLE_PUMPS {
+                        if idle >= IDLE_PUMPS_ENDING_RUN {
                             break;
                         }
                     }
@@ -311,7 +311,7 @@ pub(crate) fn drive<M, O, S: Substrate<M, O>>(
                         // is in and nothing completes.
                         if d.issued >= total_ops {
                             idle += 1;
-                            if idle >= MAX_IDLE_PUMPS {
+                            if idle >= IDLE_PUMPS_ENDING_RUN {
                                 break;
                             }
                         }

@@ -105,7 +105,7 @@ fn run_seed(spec: &E17Spec, seed: u64, strat: ByzStrategy) -> SoakReport {
     let runner = c
         .nemesis_runner(schedule, seats, strat)
         .cure_mode(CureMode::Amnesiac { total_procs, severity: CorruptionSeverity::Heavy });
-    let report = Soak::new(&mut c, runner).run();
+    let report = Soak::new(&mut c, (), runner).run();
     c.stop();
     report
 }

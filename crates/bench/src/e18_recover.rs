@@ -127,7 +127,7 @@ fn run_seed(spec: &E18Spec, seed: u64, strat: ByzStrategy) -> SoakReport {
         .build_any();
     let byz_seats: Vec<usize> = (spec.n - spec.f..spec.n).collect();
     let runner = c.nemesis_runner(crash_schedule(spec, seed), byz_seats, strat);
-    let report = Soak::new(&mut c, runner).run();
+    let report = Soak::new(&mut c, (), runner).run();
     c.stop();
     report
 }

@@ -86,8 +86,8 @@ pub fn run_cell_on(
             }
         }
         c.settle(100_000);
-        wlat += mean_latency(c.recorder.ops(), OpKind::Write);
-        rlat += mean_latency(c.recorder.ops(), OpKind::Read);
+        wlat += mean_latency(c.history(()).ops(), OpKind::Write);
+        rlat += mean_latency(c.history(()).ops(), OpKind::Read);
         msgs += c.metrics().messages_sent as f64 / (2.0 * ops_per_seed as f64);
         cells += 1.0;
     }

@@ -52,7 +52,7 @@ pub fn run_cell(f: usize, ops: u64, seed: u64) -> E5Cell {
     }
     let mut distinct: BTreeSet<String> = BTreeSet::new();
     let mut writes = 0usize;
-    for op in c.recorder.ops() {
+    for op in c.history(()).ops() {
         if let Some(OpOutcome::Wrote { ts, .. }) = &op.outcome {
             distinct.insert(format!("{ts:?}"));
             writes += 1;

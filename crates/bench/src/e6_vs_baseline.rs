@@ -18,10 +18,9 @@
 //! "Recovered" = all post-fault writes complete **and** the final read
 //! returns the last written value.
 
-use sbft_baseline::klmw::KlmwCluster;
+use sbft_baseline::klmw;
 use sbft_core::cluster::RegisterCluster;
-use sbft_core::server::Server;
-use sbft_labels::{MwmrTimestamp, UnboundedLabeling};
+use sbft_labels::{LabelingSystem, MwmrTimestamp};
 use sbft_net::CorruptionSeverity;
 
 use crate::table::{pct, Table};
@@ -41,20 +40,27 @@ pub struct E6Cell {
     pub recovered: usize,
 }
 
-/// Bounded (the paper's protocol): adversarial corruption of one server.
-pub fn run_bounded(seeds: u64, writes: u64) -> E6Cell {
+/// One protocol's row: per seed, `build` a cluster, complete a pre-fault
+/// write, `poison` it, then attempt `writes` writes and a final read.
+fn run_protocol<B: LabelingSystem>(
+    protocol: &str,
+    seeds: u64,
+    writes: u64,
+    build: impl Fn(u64) -> RegisterCluster<B>,
+    poison: impl Fn(&mut RegisterCluster<B>),
+) -> E6Cell {
     let mut cell = E6Cell {
-        protocol: "bounded 5f+1 (this paper)".into(),
+        protocol: protocol.into(),
         seeds: seeds as usize,
         writes_attempted: 0,
         writes_completed: 0,
         recovered: 0,
     };
     for seed in 0..seeds {
-        let mut c = RegisterCluster::bounded(1).clients(2).seed(seed).build();
+        let mut c = build(seed);
         let (w, r) = (c.client(0), c.client(1));
         c.write(w, 1).expect("pre-fault write");
-        c.corrupt_servers(&[0], CorruptionSeverity::Adversarial);
+        poison(&mut c);
         let mut all_ok = true;
         let mut last = 1;
         for i in 0..writes {
@@ -66,96 +72,58 @@ pub fn run_bounded(seeds: u64, writes: u64) -> E6Cell {
                 all_ok = false;
             }
         }
-        if all_ok {
-            if let Ok(got) = c.read(r) {
-                if got.value == last {
-                    cell.recovered += 1;
-                }
-            }
+        if all_ok && c.read(r).is_ok_and(|got| got.value == last) {
+            cell.recovered += 1;
         }
     }
     cell
+}
+
+/// Bounded (the paper's protocol): adversarial corruption of one server.
+pub fn run_bounded(seeds: u64, writes: u64) -> E6Cell {
+    run_protocol(
+        "bounded 5f+1 (this paper)",
+        seeds,
+        writes,
+        |seed| RegisterCluster::bounded(1).clients(2).seed(seed).build(),
+        |c| c.corrupt_servers(&[0], CorruptionSeverity::Adversarial),
+    )
 }
 
 /// The same protocol over unbounded `u64` labels, with the worst-case
 /// poison (`u64::MAX`) planted on one correct server.
 pub fn run_unbounded(seeds: u64, writes: u64) -> E6Cell {
-    let mut cell = E6Cell {
-        protocol: "unbounded labels (ablation)".into(),
-        seeds: seeds as usize,
-        writes_attempted: 0,
-        writes_completed: 0,
-        recovered: 0,
-    };
-    for seed in 0..seeds {
-        let mut c = RegisterCluster::unbounded(1).clients(2).seed(seed).build();
-        // Fail fast when the saturated timestamp wedges a write.
-        c.op_budget = 50_000;
-        let (w, r) = (c.client(0), c.client(1));
-        c.write(w, 1).expect("pre-fault write");
-        {
-            let srv: &mut Server<UnboundedLabeling> = c.server_state(0).expect("honest server");
+    run_protocol(
+        "unbounded labels (ablation)",
+        seeds,
+        writes,
+        |seed| {
+            let mut c = RegisterCluster::unbounded(1).clients(2).seed(seed).build();
+            // Fail fast when the saturated timestamp wedges a write.
+            c.op_budget = 50_000;
+            c
+        },
+        |c| {
+            let srv = c.server_state(0).expect("honest server");
             srv.value = 999;
             srv.ts = MwmrTimestamp::new(u64::MAX, u32::MAX);
-        }
-        let mut all_ok = true;
-        let mut last = 1;
-        for i in 0..writes {
-            cell.writes_attempted += 1;
-            if c.write(w, 2 + i).is_ok() {
-                cell.writes_completed += 1;
-                last = 2 + i;
-            } else {
-                all_ok = false;
-            }
-        }
-        if all_ok {
-            if let Ok(got) = c.read(r) {
-                if got.value == last {
-                    cell.recovered += 1;
-                }
-            }
-        }
-    }
-    cell
+        },
+    )
 }
 
 /// KLMW 3f+1 with the near-maximal poison and a colluding echo.
 pub fn run_klmw(seeds: u64, writes: u64) -> E6Cell {
-    let mut cell = E6Cell {
-        protocol: "KLMW 3f+1 unbounded".into(),
-        seeds: seeds as usize,
-        writes_attempted: 0,
-        writes_completed: 0,
-        recovered: 0,
-    };
-    for seed in 0..seeds {
-        let mut c = KlmwCluster::new(1, 2, 1, seed);
-        c.op_budget = 50_000;
-        let w = c.client(0);
-        let r = c.client(1);
-        c.write(w, 1).expect("pre-fault write");
-        c.poison(0, 999, true);
-        let mut all_ok = true;
-        let mut last = 1;
-        for i in 0..writes {
-            cell.writes_attempted += 1;
-            if c.write(w, 2 + i).is_ok() {
-                cell.writes_completed += 1;
-                last = 2 + i;
-            } else {
-                all_ok = false;
-            }
-        }
-        if all_ok {
-            if let Ok((v, _)) = c.read(r) {
-                if v == last {
-                    cell.recovered += 1;
-                }
-            }
-        }
-    }
-    cell
+    run_protocol(
+        "KLMW 3f+1 unbounded",
+        seeds,
+        writes,
+        |seed| {
+            let mut c = klmw::cluster(1, 2, 1, seed);
+            c.op_budget = 50_000;
+            c
+        },
+        |c| klmw::poison(c, 0, 999, true),
+    )
 }
 
 /// The E6 table.
@@ -198,5 +166,16 @@ mod tests {
     fn klmw_never_recovers() {
         let c = run_klmw(4, 3);
         assert_eq!(c.recovered, 0, "{c:?}");
+    }
+
+    /// Pin: the `harness e6 --quick` table. The simulator is
+    /// deterministic, so any drift here is a behaviour change.
+    #[test]
+    fn quick_table_is_pinned() {
+        let want = "protocol,seeds,writes done,recovered runs,recovery rate\n\
+                    bounded 5f+1 (this paper),3,9/9,3,100%\n\
+                    unbounded labels (ablation),3,3/9,0,0%\n\
+                    KLMW 3f+1 unbounded,3,9/9,0,0%\n";
+        assert_eq!(run(3, 3).to_csv(), want);
     }
 }

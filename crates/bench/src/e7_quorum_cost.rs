@@ -8,11 +8,10 @@
 //! costs roughly `(5f+1)/(3f+1)` × KLMW and `(5f+1)/(2f+1)` × ABD, plus
 //! the FLUSH round on reads.
 
-use sbft_baseline::abd::AbdCluster;
-use sbft_baseline::klmw::KlmwCluster;
-use sbft_baseline::mr_safe::MrCluster;
+use sbft_baseline::{abd, klmw, mr_safe};
 use sbft_core::cluster::RegisterCluster;
 use sbft_core::spec::OpKind;
+use sbft_labels::LabelingSystem;
 
 use crate::table::{f1, Table};
 
@@ -33,9 +32,7 @@ pub struct E7Cell {
     pub read_latency: f64,
 }
 
-fn latencies<B: sbft_labels::LabelingSystem>(
-    rec: &sbft_core::spec::HistoryRecorder<B>,
-) -> (f64, f64) {
+fn latencies<B: LabelingSystem>(rec: &sbft_core::spec::HistoryRecorder<B>) -> (f64, f64) {
     let mut w = (0u64, 0u64);
     let mut r = (0u64, 0u64);
     for op in rec.ops() {
@@ -53,17 +50,21 @@ fn latencies<B: sbft_labels::LabelingSystem>(
     )
 }
 
-/// Ours, fault-free, `ops` write+read pairs.
-pub fn run_ours(f: usize, ops: u64, seed: u64) -> E7Cell {
-    let mut c = RegisterCluster::bounded(f).clients(2).seed(seed).build();
+/// `ops` fault-free write+read pairs on `c`, whatever protocol it hosts.
+fn measure<B: LabelingSystem>(
+    protocol: &str,
+    f: usize,
+    ops: u64,
+    mut c: RegisterCluster<B>,
+) -> E7Cell {
     let (w, r) = (c.client(0), c.client(1));
     for i in 0..ops {
         c.write(w, i + 1).expect("write");
         c.read(r).expect("read");
     }
-    let (wl, rl) = latencies(&c.recorder);
+    let (wl, rl) = latencies(c.history(()));
     E7Cell {
-        protocol: "bounded 5f+1 (this paper)".into(),
+        protocol: protocol.into(),
         f,
         n: c.cfg.n,
         msgs_per_op: c.metrics().messages_sent as f64 / (2.0 * ops as f64),
@@ -72,61 +73,25 @@ pub fn run_ours(f: usize, ops: u64, seed: u64) -> E7Cell {
     }
 }
 
+/// Ours, fault-free, `ops` write+read pairs.
+pub fn run_ours(f: usize, ops: u64, seed: u64) -> E7Cell {
+    let c = RegisterCluster::bounded(f).clients(2).seed(seed).build();
+    measure("bounded 5f+1 (this paper)", f, ops, c)
+}
+
 /// KLMW, fault-free.
 pub fn run_klmw(f: usize, ops: u64, seed: u64) -> E7Cell {
-    let mut c = KlmwCluster::new(f, 2, 0, seed);
-    let (w, r) = (c.client(0), c.client(1));
-    for i in 0..ops {
-        c.write(w, i + 1).expect("write");
-        c.read(r).expect("read");
-    }
-    let (wl, rl) = latencies(&c.recorder);
-    E7Cell {
-        protocol: "KLMW 3f+1".into(),
-        f,
-        n: c.n,
-        msgs_per_op: c.messages_sent() as f64 / (2.0 * ops as f64),
-        write_latency: wl,
-        read_latency: rl,
-    }
+    measure("KLMW 3f+1", f, ops, klmw::cluster(f, 2, 0, seed))
 }
 
 /// Malkhi–Reiter safe register, fault-free (single-phase each way).
 pub fn run_mr(f: usize, ops: u64, seed: u64) -> E7Cell {
-    let mut c = MrCluster::new(f, 2, seed);
-    let (w, r) = (c.client(0), c.client(1));
-    for i in 0..ops {
-        c.write(w, i + 1).expect("write");
-        c.read(r).expect("read");
-    }
-    let (wl, rl) = latencies(&c.recorder);
-    E7Cell {
-        protocol: "Malkhi-Reiter safe 5f".into(),
-        f,
-        n: c.n,
-        msgs_per_op: c.messages_sent() as f64 / (2.0 * ops as f64),
-        write_latency: wl,
-        read_latency: rl,
-    }
+    measure("Malkhi-Reiter safe 5f", f, ops, mr_safe::cluster(f, 2, seed))
 }
 
 /// ABD, fault-free (crash budget `f`).
 pub fn run_abd(f: usize, ops: u64, seed: u64) -> E7Cell {
-    let mut c = AbdCluster::new(f, 2, seed);
-    let (w, r) = (c.client(0), c.client(1));
-    for i in 0..ops {
-        c.write(w, i + 1).expect("write");
-        c.read(r).expect("read");
-    }
-    let (wl, rl) = latencies(&c.recorder);
-    E7Cell {
-        protocol: "ABD 2f+1 (crash-only)".into(),
-        f,
-        n: c.n,
-        msgs_per_op: c.messages_sent() as f64 / (2.0 * ops as f64),
-        write_latency: wl,
-        read_latency: rl,
-    }
+    measure("ABD 2f+1 (crash-only)", f, ops, abd::cluster(f, 2, seed))
 }
 
 /// The E7 table.
@@ -190,5 +155,25 @@ mod tests {
         let mr = run_mr(1, 5, 4);
         let klmw = run_klmw(1, 5, 4);
         assert!(mr.write_latency < klmw.write_latency, "{mr:?} vs {klmw:?}");
+    }
+
+    /// Pin: the `harness e7 --quick` table. The simulator is
+    /// deterministic, so any drift here is a behaviour change.
+    #[test]
+    fn quick_table_is_pinned() {
+        let want = "protocol,f,n,msgs/op,write lat,read lat\n\
+                    bounded 5f+1 (this paper),1,6,28.0,30.6,31.0\n\
+                    KLMW 3f+1,1,4,15.0,28.6,17.8\n\
+                    Malkhi-Reiter safe 5f,1,5,11.0,16.2,19.2\n\
+                    ABD 2f+1 (crash-only),1,3,10.0,26.2,15.8\n\
+                    bounded 5f+1 (this paper),2,11,50.5,32.8,31.4\n\
+                    KLMW 3f+1,2,7,25.5,27.2,16.2\n\
+                    Malkhi-Reiter safe 5f,2,10,21.0,16.4,17.4\n\
+                    ABD 2f+1 (crash-only),2,5,16.0,27.8,13.6\n\
+                    bounded 5f+1 (this paper),3,16,73.0,31.6,31.2\n\
+                    KLMW 3f+1,3,10,36.0,26.6,18.6\n\
+                    Malkhi-Reiter safe 5f,3,15,31.0,18.2,17.4\n\
+                    ABD 2f+1 (crash-only),3,7,21.9,27.6,14.6\n";
+        assert_eq!(run(5).to_csv(), want);
     }
 }

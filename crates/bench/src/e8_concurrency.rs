@@ -12,7 +12,7 @@
 //! abort rate, and regularity violations. With the paper's settings
 //! (history ≥ churn, union on) violations must be zero.
 
-use sbft_core::cluster::{ClusterBuilder, RegisterCluster};
+use sbft_core::cluster::{ClusterBuilder, Op, RegisterCluster};
 use sbft_core::config::ClusterConfig;
 use sbft_core::messages::ClientEvent;
 use sbft_core::reader::ReaderOptions;
@@ -69,12 +69,12 @@ pub fn run_cell(
         for (wi, slot) in left.iter_mut().enumerate() {
             if *slot > 0 {
                 next_val += 1;
-                c.invoke_write(c.client(wi), next_val);
+                c.invoke(c.client(wi), (), Op::Write(next_val));
                 *slot -= 1;
             }
         }
         let mut reader_done = false;
-        c.invoke_read(reader);
+        c.invoke(reader, (), Op::Read);
 
         let mut budget = 5_000_000u64;
         while (left.iter().any(|&l| l > 0) || !reader_done) && budget > 0 {
@@ -82,13 +82,13 @@ pub fn run_cell(
             budget -= 1;
             let (time, pid) = (ev.time, ev.pid);
             for out in ev.outputs {
-                c.recorder.complete(pid, time, &out);
+                c.observe_event(time, pid, &out);
                 #[allow(clippy::needless_range_loop)]
                 // wi is matched against pid, not just an index
                 for wi in 0..writers {
                     if pid == c.client(wi) && out.is_write_end() && left[wi] > 0 {
                         next_val += 1;
-                        c.invoke_write(c.client(wi), next_val);
+                        c.invoke(c.client(wi), (), Op::Write(next_val));
                         left[wi] -= 1;
                         break;
                     }
@@ -107,7 +107,7 @@ pub fn run_cell(
                     if left.iter().all(|&l| l == 0) {
                         reader_done = true;
                     } else {
-                        c.invoke_read(reader);
+                        c.invoke(reader, (), Op::Read);
                     }
                 }
             }

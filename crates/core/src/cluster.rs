@@ -1,12 +1,15 @@
-//! One-call assembly of a register cluster, with blocking-style operation
-//! helpers and integrated history recording — the scenario driver shared by
-//! tests, examples, benches and the experiment harness.
+//! The one cluster driver: a set of automata assembled on a substrate, with
+//! blocking-style operation helpers, per-key history recording, transient
+//! faults and nemesis wiring — shared by tests, examples, benches and the
+//! experiment harness, for every protocol in the tree.
 //!
-//! The driver is generic over the [`Substrate`] hosting the automata: the
-//! default is the deterministic [`Simulation`] (all correctness work), and
-//! the same scenarios run on the [`ThreadedCluster`] via
-//! [`ClusterBuilder::build_threaded`], or on a runtime-chosen backend via
-//! [`ClusterBuilder::backend`] + [`ClusterBuilder::build_any`].
+//! [`Cluster`] is generic over the [`Substrate`] `S` hosting the automata —
+//! the deterministic [`Simulation`] by default, a runtime-chosen backend via
+//! [`ClusterBuilder::backend`] + [`ClusterBuilder::build_any`] — and over
+//! the [`Envelope`] `W`, how an operation is addressed on the wire.
+//! [`Plain`] (`Key = ()`, bare [`Msg`] / [`ClientEvent`]) is the register,
+//! [`RegisterCluster`], and the baselines of `sbft-baseline`, which speak
+//! the same wire types; `sbft-kv` supplies the keyed envelope of the store.
 //!
 //! ```
 //! use sbft_core::cluster::RegisterCluster;
@@ -19,20 +22,26 @@
 //! ```
 
 use std::collections::BTreeMap;
+use std::fmt::Debug;
+use std::marker::PhantomData;
+use std::time::Duration;
 
+use rand::rngs::StdRng;
 use sbft_labels::{BoundedLabeling, LabelingSystem, MwmrLabeling, UnboundedLabeling};
 use sbft_net::corruption::FaultPlan;
 use sbft_net::nemesis::{AutomatonFactory, NemesisRunner, NemesisSchedule};
-use sbft_net::substrate::{AnySubstrate, Backend, Substrate, SubstrateConfig};
-use sbft_net::{
-    Automaton, CorruptionSeverity, DelayModel, NetMetrics, ProcessId, Simulation, ThreadedCluster,
-};
-use sbft_storage::DiskSet;
+// `Backend` and `DelayModel` are public here because the builder setters
+// of `builder_core_setters!` name them from other crates.
+pub use sbft_net::substrate::Backend;
+use sbft_net::substrate::{AnySubstrate, Substrate, SubstrateConfig};
+pub use sbft_net::DelayModel;
+use sbft_net::{Automaton, BatchPolicy, CorruptionSeverity, NetMetrics, ProcessId, Simulation};
+use sbft_storage::{DiskHandle, DiskSet};
 
 use crate::adversary::{random_message, ByzServer, ByzStrategy, ScriptedServer};
 use crate::byzclient::{ByzClient, ByzReaderStrategy};
 use crate::client::Client;
-use crate::config::ClusterConfig;
+use crate::config::{ClusterConfig, ShardRouter};
 use crate::messages::{ClientEvent, Msg, Value};
 use crate::reader::ReaderOptions;
 use crate::retry::RetryPolicy;
@@ -42,13 +51,11 @@ use crate::{Sys, Ts};
 
 /// The simulator substrate type for a labeling system `B`.
 pub type SimSubstrate<B> = Simulation<Msg<Ts<B>>, ClientEvent<Ts<B>>>;
-/// The threaded substrate type for a labeling system `B`.
-pub type ThreadedSubstrate<B> = ThreadedCluster<Msg<Ts<B>>, ClientEvent<Ts<B>>>;
 /// The runtime-chosen substrate type for a labeling system `B`.
 pub type AnyRegisterSubstrate<B> = AnySubstrate<Msg<Ts<B>>, ClientEvent<Ts<B>>>;
 
-/// Boxed automata in pid order, ready to hand to a substrate.
-type RegisterProcs<B> = Vec<Box<dyn Automaton<Msg<Ts<B>>, ClientEvent<Ts<B>>>>>;
+/// One automaton of an envelope `W`, boxed for a substrate.
+pub type Proc<W> = Box<dyn Automaton<<W as Envelope>::Msg, <W as Envelope>::Out>>;
 
 /// Consecutive idle pumps (threaded runtime) before an operation is
 /// declared stuck. With the default pump timeout this bounds a blocking
@@ -60,7 +67,7 @@ const MAX_IDLE_PUMPS: u32 = 50;
 pub enum OpError {
     /// The read returned `abort` (servers in a transitory phase).
     Aborted,
-    /// The event budget ran out or the simulation went quiet before the
+    /// The event budget ran out or the substrate went quiet before the
     /// operation completed.
     Stuck,
 }
@@ -124,7 +131,8 @@ pub struct ReadOk<B: LabelingSystem> {
     pub via_union: bool,
 }
 
-/// An operation request for [`RegisterCluster::run_concurrent`].
+/// An operation request for [`Cluster::invoke`] and
+/// [`Cluster::run_concurrent`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Op {
     /// `write(value)`.
@@ -133,36 +141,131 @@ pub enum Op {
     Read,
 }
 
-/// Builder for a [`RegisterCluster`].
-pub struct ClusterBuilder<B: LabelingSystem> {
-    cfg: ClusterConfig,
-    base: B,
-    n_clients: usize,
-    byz: BTreeMap<usize, ByzStrategy>,
-    scripted: Vec<usize>,
-    hostile_clients: Vec<ByzReaderStrategy>,
-    seed: u64,
-    delay: DelayModel,
-    reader_opts: ReaderOptions,
-    retry: RetryPolicy,
-    backend: Backend,
-    pump_timeout: Option<std::time::Duration>,
-    durable: bool,
+/// How an operation is addressed on the wire — the one decision the
+/// driver leaves open. An envelope names the key an operation targets,
+/// wraps register messages under it, opens client outputs back into
+/// `(key, event)`, and supplies what the nemesis needs to rebuild a
+/// server: garbage for corrupted channels and the honest server
+/// automaton, fresh or recovered from its disk.
+pub trait Envelope: Sized + 'static {
+    /// The base labeling system the registers run on.
+    type Base: LabelingSystem;
+    /// What names one register: `()` for a lone register, a key for a store.
+    type Key: Copy + Ord + Debug;
+    /// The wire message type.
+    type Msg: Clone + Debug + Send + 'static;
+    /// The client output type.
+    type Out: Clone + Debug + Send + 'static;
+    /// The builder [`Cluster::bounded`] and friends start.
+    type Builder: From<BuilderCore<Self::Base>>;
+
+    /// Address `msg` to the register named `key`.
+    fn wrap(key: Self::Key, msg: Msg<Ts<Self::Base>>) -> Self::Msg;
+
+    /// The register an output belongs to, and the event itself.
+    fn open(out: &Self::Out) -> (Self::Key, &ClientEvent<Ts<Self::Base>>);
+
+    /// One garbage message for a corrupted channel.
+    fn garbage(sys: &Sys<Self::Base>, cfg: &ClusterConfig, rng: &mut StdRng) -> Self::Msg;
+
+    /// The honest server for seat `pid`: rebuilt from whatever `disk` holds,
+    /// or fresh (restart with state loss) without one.
+    fn honest_server(
+        sys: &Sys<Self::Base>,
+        layout: &ShardRouter,
+        pid: ProcessId,
+        disk: Option<DiskHandle>,
+    ) -> Proc<Self>;
+
+    /// A Byzantine server following `strat`, for seats the nemesis hands to
+    /// the adversary; `None` when no adversary speaks this envelope.
+    fn byzantine_server(
+        _sys: &Sys<Self::Base>,
+        _cfg: ClusterConfig,
+        _strat: ByzStrategy,
+    ) -> Option<Proc<Self>> {
+        None
+    }
 }
 
-impl<B: LabelingSystem> ClusterBuilder<B> {
+/// The envelope of a lone register: no key, bare [`Msg`] / [`ClientEvent`].
+pub struct Plain<B>(PhantomData<B>);
+
+impl<B: LabelingSystem> Envelope for Plain<B> {
+    type Base = B;
+    type Key = ();
+    type Msg = Msg<Ts<B>>;
+    type Out = ClientEvent<Ts<B>>;
+    type Builder = ClusterBuilder<B>;
+
+    fn wrap(_key: (), msg: Msg<Ts<B>>) -> Msg<Ts<B>> {
+        msg
+    }
+
+    fn open(out: &ClientEvent<Ts<B>>) -> ((), &ClientEvent<Ts<B>>) {
+        ((), out)
+    }
+
+    fn garbage(sys: &Sys<B>, cfg: &ClusterConfig, rng: &mut StdRng) -> Msg<Ts<B>> {
+        random_message::<B>(sys, cfg, rng)
+    }
+
+    fn honest_server(
+        sys: &Sys<B>,
+        layout: &ShardRouter,
+        _pid: ProcessId,
+        disk: Option<DiskHandle>,
+    ) -> Proc<Self> {
+        Box::new(match disk {
+            Some(disk) => Server::recover(sys.clone(), layout.cfg(), disk),
+            None => Server::new(sys.clone(), layout.cfg()),
+        })
+    }
+
+    fn byzantine_server(
+        sys: &Sys<B>,
+        cfg: ClusterConfig,
+        strat: ByzStrategy,
+    ) -> Option<Proc<Self>> {
+        Some(Box::new(ByzServer::new(sys.clone(), cfg, strat)))
+    }
+}
+
+/// What every cluster builder holds, once: sizing, labeling system, client
+/// count and the substrate parameters. Builders embed it as their `core`
+/// field and get its setters from [`crate::builder_core_setters!`]; a cluster whose
+/// automata the caller lists by hand (the baselines) fills the fields and
+/// calls [`BuilderCore::assemble`] directly.
+pub struct BuilderCore<B: LabelingSystem> {
+    /// Per-group cluster arithmetic.
+    pub cfg: ClusterConfig,
+    /// The base labeling system.
+    pub base: B,
+    /// Number of correct clients (default 2).
+    pub clients: usize,
+    /// Substrate seed (default 0).
+    pub seed: u64,
+    /// Message delay model (default uniform 1..=10; simulator only).
+    pub delay: DelayModel,
+    /// Retry policy of every correct client (default [`RetryPolicy::none`]).
+    pub retry: RetryPolicy,
+    /// Runtime `build_any` assembles on (default [`Backend::Sim`]).
+    pub backend: Backend,
+    /// Threaded pump timeout override.
+    pub pump_timeout: Option<Duration>,
+    /// Whether honest servers get a simulated disk.
+    pub durable: bool,
+}
+
+impl<B: LabelingSystem> BuilderCore<B> {
     /// Start from a config and base labeling system.
     pub fn new(cfg: ClusterConfig, base: B) -> Self {
         Self {
             cfg,
             base,
-            n_clients: 2,
-            byz: BTreeMap::new(),
-            scripted: Vec::new(),
-            hostile_clients: Vec::new(),
+            clients: 2,
             seed: 0,
             delay: DelayModel::uniform(1, 10),
-            reader_opts: ReaderOptions::default(),
             retry: RetryPolicy::none(),
             backend: Backend::Sim,
             pump_timeout: None,
@@ -170,34 +273,141 @@ impl<B: LabelingSystem> ClusterBuilder<B> {
         }
     }
 
-    /// Give every honest server a simulated disk: applied writes persist,
-    /// and the cluster can reboot crashed servers *from their own
-    /// (possibly damaged) storage* via
-    /// [`sbft_net::NemesisEvent::CrashRecover`] — see
-    /// [`RegisterCluster::disks`]. Disk seeds derive from the cluster
-    /// seed, so identical builds produce byte-identical disks on either
-    /// backend.
-    pub fn durable(mut self) -> Self {
-        self.durable = true;
-        self
+    /// The MWMR labeling system over `base`.
+    pub fn sys(&self) -> Sys<B> {
+        MwmrLabeling::new(self.base.clone())
     }
 
-    /// Number of clients to attach (default 2).
-    pub fn clients(mut self, n: usize) -> Self {
-        self.n_clients = n.max(1);
-        self
+    /// One simulated disk per server of `layout` when the cluster is
+    /// durable. Disk seeds derive from the cluster seed, so identical
+    /// builds produce byte-identical disks on either backend.
+    pub fn disks(&self, layout: &ShardRouter) -> Option<DiskSet> {
+        self.durable.then(|| DiskSet::sim(layout.total_servers(), self.seed ^ 0xD15C_D15C))
     }
+
+    /// Hand `procs` (in pid order: `layout`'s servers, then `clients`
+    /// correct clients, then anything else) to `spawn` and wrap the
+    /// substrate it returns in the driver.
+    pub fn assemble<W: Envelope<Base = B>, S>(
+        self,
+        layout: ShardRouter,
+        batch: BatchPolicy,
+        disks: Option<DiskSet>,
+        procs: Vec<Proc<W>>,
+        spawn: impl FnOnce(Vec<Proc<W>>, &SubstrateConfig) -> S,
+    ) -> Cluster<W, S> {
+        let mut config =
+            SubstrateConfig::seeded(self.seed).with_delay(self.delay).with_batching(batch);
+        config.pump_timeout = self.pump_timeout.unwrap_or(config.pump_timeout);
+        Cluster {
+            sim: spawn(procs, &config),
+            cfg: self.cfg,
+            sys: self.sys(),
+            router: layout,
+            n_clients: self.clients,
+            recorders: BTreeMap::new(),
+            op_budget: 400_000,
+            disks,
+        }
+    }
+}
+
+/// The setters every cluster builder shares, written once. Expand inside
+/// the `impl` block of a builder whose `core` field is a [`BuilderCore`].
+#[macro_export]
+macro_rules! builder_core_setters {
+    () => {
+        /// Give every honest server a simulated disk (the cluster's `disks`):
+        /// applied writes persist, and `NemesisEvent::CrashRecover` reboots a
+        /// crashed server *from its own, possibly damaged, storage*.
+        pub fn durable(mut self) -> Self {
+            self.core.durable = true;
+            self
+        }
+
+        /// Number of clients to attach (default 2).
+        pub fn clients(mut self, n: usize) -> Self {
+            self.core.clients = n.max(1);
+            self
+        }
+
+        /// Substrate seed.
+        pub fn seed(mut self, seed: u64) -> Self {
+            self.core.seed = seed;
+            self
+        }
+
+        /// Message delay model (default uniform 1..=10; simulator only).
+        pub fn delay(mut self, delay: $crate::cluster::DelayModel) -> Self {
+            self.core.delay = delay;
+            self
+        }
+
+        /// Retry/timeout/backoff policy for every correct client (default
+        /// `RetryPolicy::none()`: single attempts).
+        pub fn retry(mut self, policy: $crate::RetryPolicy) -> Self {
+            self.core.retry = policy;
+            self
+        }
+
+        /// Select the runtime `build_any` assembles on (default
+        /// `Backend::Sim`).
+        pub fn backend(mut self, backend: $crate::cluster::Backend) -> Self {
+            self.core.backend = backend;
+            self
+        }
+
+        /// Longest one threaded `pump` blocks before reporting idle
+        /// (threaded runtime only; default 100 ms). Open-loop drivers that
+        /// pace arrivals between pumps want this close to the arrival
+        /// interval.
+        pub fn pump_timeout(mut self, timeout: std::time::Duration) -> Self {
+            self.core.pump_timeout = Some(timeout);
+            self
+        }
+    };
+}
+
+/// Builder for a [`RegisterCluster`].
+pub struct ClusterBuilder<B: LabelingSystem> {
+    core: BuilderCore<B>,
+    byz: BTreeMap<usize, ByzStrategy>,
+    scripted: Vec<usize>,
+    hostile_clients: Vec<ByzReaderStrategy>,
+    reader_opts: ReaderOptions,
+}
+
+impl<B: LabelingSystem> From<BuilderCore<B>> for ClusterBuilder<B> {
+    fn from(core: BuilderCore<B>) -> Self {
+        Self {
+            core,
+            byz: BTreeMap::new(),
+            scripted: Vec::new(),
+            hostile_clients: Vec::new(),
+            reader_opts: ReaderOptions::default(),
+        }
+    }
+}
+
+impl<B: LabelingSystem> ClusterBuilder<B> {
+    /// Start from a config and base labeling system.
+    pub fn new(cfg: ClusterConfig, base: B) -> Self {
+        BuilderCore::new(cfg, base).into()
+    }
+
+    builder_core_setters!();
 
     /// Make server `idx` Byzantine with the given strategy.
     pub fn byzantine(mut self, idx: usize, strategy: ByzStrategy) -> Self {
-        assert!(idx < self.cfg.n);
+        assert!(idx < self.core.cfg.n);
         self.byz.insert(idx, strategy);
         self
     }
 
     /// Make the *last* `f` servers Byzantine with one strategy.
     pub fn byzantine_tail(mut self, strategy: ByzStrategy) -> Self {
-        for idx in self.cfg.n - self.cfg.f..self.cfg.n {
+        let cfg = self.core.cfg;
+        for idx in cfg.n - cfg.f..cfg.n {
             self.byz.insert(idx, strategy);
         }
         self
@@ -205,28 +415,15 @@ impl<B: LabelingSystem> ClusterBuilder<B> {
 
     /// Make server `idx` a fully scripted (driver-controlled) adversary.
     pub fn scripted(mut self, idx: usize) -> Self {
-        assert!(idx < self.cfg.n);
+        assert!(idx < self.core.cfg.n);
         self.scripted.push(idx);
         self
     }
 
-    /// Attach a Byzantine (hostile) client after the correct clients. Its
-    /// pid is reported by [`RegisterCluster::hostile_client`]; kick it
-    /// with [`RegisterCluster::kick_hostile`] to emit traffic volleys.
+    /// Attach a Byzantine (hostile) client after the correct clients; kick
+    /// it with [`Cluster::kick_hostile`] to emit traffic volleys.
     pub fn hostile_client(mut self, strategy: ByzReaderStrategy) -> Self {
         self.hostile_clients.push(strategy);
-        self
-    }
-
-    /// Simulation seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Message delay model (default uniform 1..=10; simulator only).
-    pub fn delay(mut self, delay: DelayModel) -> Self {
-        self.delay = delay;
         self
     }
 
@@ -236,191 +433,122 @@ impl<B: LabelingSystem> ClusterBuilder<B> {
         self
     }
 
-    /// Retry/timeout/backoff policy for every correct client (default
-    /// [`RetryPolicy::none`]: single attempts, the historical behaviour).
-    pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = policy;
-        self
-    }
-
-    /// Select the runtime used by [`ClusterBuilder::build_any`]
-    /// (default [`Backend::Sim`]).
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Longest one threaded `pump` blocks before reporting idle (threaded
-    /// runtime only; default 100 ms). Open-loop drivers that pace arrivals
-    /// between pumps want this close to the arrival interval.
-    pub fn pump_timeout(mut self, timeout: std::time::Duration) -> Self {
-        self.pump_timeout = Some(timeout);
-        self
-    }
-
-    fn substrate_config(&self) -> SubstrateConfig {
-        let cfg = SubstrateConfig::seeded(self.seed).with_delay(self.delay);
-        match self.pump_timeout {
-            Some(t) => cfg.with_pump_timeout(t),
-            None => cfg,
-        }
-    }
-
-    /// The automata, in pid order, plus the hostile clients' pids and the
-    /// per-server disks (when the cluster is durable).
-    fn procs(&self) -> (RegisterProcs<B>, Vec<ProcessId>, Option<DiskSet>) {
-        let sys: Sys<B> = MwmrLabeling::new(self.base.clone());
-        let disks = self.durable.then(|| DiskSet::sim(self.cfg.n, self.seed ^ 0xD15C_D15C));
-        let mut procs: RegisterProcs<B> = Vec::new();
-        for s in 0..self.cfg.n {
+    /// The automata in pid order: servers, correct clients, hostile clients.
+    fn procs(&self, disks: Option<&DiskSet>) -> Vec<Proc<Plain<B>>> {
+        let (sys, cfg) = (self.core.sys(), self.core.cfg);
+        let mut procs: Vec<Proc<Plain<B>>> = Vec::new();
+        for s in 0..cfg.n {
             if self.scripted.contains(&s) {
                 procs.push(Box::new(ScriptedServer::<B>::new(sys.clone())));
             } else if let Some(&strategy) = self.byz.get(&s) {
                 // Adversaries don't persist: their seat's disk stays empty
                 // (or stale), which is itself a realistic recovery input.
-                procs.push(Box::new(ByzServer::new(sys.clone(), self.cfg, strategy)));
+                procs.push(Box::new(ByzServer::new(sys.clone(), cfg, strategy)));
             } else {
-                let mut server = Server::new(sys.clone(), self.cfg);
-                if let Some(disks) = &disks {
-                    server = server.with_disk(disks.get(s));
-                }
-                procs.push(Box::new(server));
+                let server = Server::new(sys.clone(), cfg);
+                procs.push(match disks {
+                    Some(disks) => Box::new(server.with_disk(disks.get(s))),
+                    None => Box::new(server),
+                });
             }
         }
-        for c in 0..self.n_clients {
-            let pid = self.cfg.client_pid(c);
+        for c in 0..self.core.clients {
             procs.push(Box::new(Client::with_retry(
                 sys.clone(),
-                self.cfg,
-                pid as u32,
+                cfg,
+                cfg.client_pid(c) as u32,
                 self.reader_opts,
-                self.retry,
+                self.core.retry,
             )));
         }
-        let mut hostile_pids = Vec::new();
         for strategy in &self.hostile_clients {
-            hostile_pids.push(procs.len());
-            procs.push(Box::new(ByzClient::new(sys.clone(), self.cfg, *strategy)));
+            procs.push(Box::new(ByzClient::new(sys.clone(), cfg, *strategy)));
         }
-        (procs, hostile_pids, disks)
+        procs
     }
 
     fn assemble<S>(
         self,
-        sim: S,
-        hostile_pids: Vec<ProcessId>,
-        disks: Option<DiskSet>,
+        spawn: impl FnOnce(Vec<Proc<Plain<B>>>, &SubstrateConfig) -> S,
     ) -> RegisterCluster<B, S> {
-        RegisterCluster {
-            sim,
-            cfg: self.cfg,
-            sys: MwmrLabeling::new(self.base.clone()),
-            n_clients: self.n_clients,
-            hostile_pids,
-            recorder: HistoryRecorder::new(),
-            op_budget: 400_000,
-            disks,
-        }
+        let layout = ShardRouter::new(self.core.cfg, 1);
+        let disks = self.core.disks(&layout);
+        let procs = self.procs(disks.as_ref());
+        self.core.assemble(layout, BatchPolicy::disabled(), disks, procs, spawn)
     }
 
     /// Assemble the cluster on the deterministic simulator.
     pub fn build(self) -> RegisterCluster<B> {
-        let (procs, hostile_pids, disks) = self.procs();
-        let sim = Simulation::from_procs(procs, &self.substrate_config());
-        self.assemble(sim, hostile_pids, disks)
-    }
-
-    /// Assemble the cluster on the threaded runtime.
-    pub fn build_threaded(self) -> RegisterCluster<B, ThreadedSubstrate<B>> {
-        let (procs, hostile_pids, disks) = self.procs();
-        let sub = ThreadedCluster::spawn_with(procs, &self.substrate_config());
-        self.assemble(sub, hostile_pids, disks)
+        self.assemble(Simulation::from_procs)
     }
 
     /// Assemble the cluster on the backend chosen with
     /// [`ClusterBuilder::backend`].
     pub fn build_any(self) -> RegisterCluster<B, AnyRegisterSubstrate<B>> {
-        let (procs, hostile_pids, disks) = self.procs();
-        let sub = AnySubstrate::spawn(self.backend, procs, &self.substrate_config());
-        self.assemble(sub, hostile_pids, disks)
+        let backend = self.core.backend;
+        self.assemble(|procs, config| AnySubstrate::spawn(backend, procs, config))
     }
 }
 
-/// A register cluster (servers + clients + recorder) on a substrate `S` —
-/// the simulator by default.
-pub struct RegisterCluster<B: LabelingSystem, S = SimSubstrate<B>> {
+/// A cluster (servers + clients + per-key recorders) speaking envelope `W`
+/// on a substrate `S` — the simulator by default.
+pub struct Cluster<W: Envelope, S = Simulation<<W as Envelope>::Msg, <W as Envelope>::Out>> {
     /// The underlying substrate (exposed for schedule steering when `S` is
     /// the simulator).
     pub sim: S,
-    /// Cluster arithmetic.
+    /// Per-group cluster arithmetic.
     pub cfg: ClusterConfig,
     /// The MWMR labeling system in use.
-    pub sys: Sys<B>,
+    pub sys: Sys<W::Base>,
+    /// The process layout, and key → shard placement.
+    pub router: ShardRouter,
     n_clients: usize,
-    hostile_pids: Vec<ProcessId>,
-    /// Operation history (public so experiments can inspect records).
-    pub recorder: HistoryRecorder<B>,
+    /// One operation history per register (public so experiments can
+    /// inspect records); an entry appears with the key's first operation.
+    pub recorders: BTreeMap<W::Key, HistoryRecorder<W::Base>>,
     /// Max substrate events per blocking operation.
     pub op_budget: u64,
-    /// Per-server stable storage, when built with
-    /// [`ClusterBuilder::durable`]. The driver holds these handles
-    /// alongside the servers (works on both backends), so it can damage a
-    /// crashed server's disk and rebuild the automaton from it — and
-    /// parity tests can compare disk digests across substrates.
+    /// Per-server stable storage, when built durable. The driver holds
+    /// these handles alongside the servers (works on both backends), so the
+    /// nemesis can damage a crashed server's disk and rebuild the automaton
+    /// from it — and parity tests can compare disk digests across
+    /// substrates.
     pub disks: Option<DiskSet>,
 }
 
-impl RegisterCluster<BoundedLabeling> {
+/// A register cluster: the driver over the [`Plain`] envelope.
+pub type RegisterCluster<B, S = SimSubstrate<B>> = Cluster<Plain<B>, S>;
+
+impl<W: Envelope<Base = BoundedLabeling>> Cluster<W> {
     /// Builder for the paper's protocol: bounded labels, `n = 5f + 1`.
-    pub fn bounded(f: usize) -> ClusterBuilder<BoundedLabeling> {
-        let cfg = ClusterConfig::stabilizing(f);
-        ClusterBuilder::new(cfg, BoundedLabeling::new(cfg.label_k()))
+    pub fn bounded(f: usize) -> W::Builder {
+        Self::bounded_with_n(5 * f + 1, f)
     }
 
     /// Builder with explicit `n` (e.g. `n = 5f` for the lower bound).
-    pub fn bounded_with_n(n: usize, f: usize) -> ClusterBuilder<BoundedLabeling> {
+    pub fn bounded_with_n(n: usize, f: usize) -> W::Builder {
         let cfg = ClusterConfig::with_n(n, f);
-        ClusterBuilder::new(cfg, BoundedLabeling::new(cfg.label_k()))
+        BuilderCore::new(cfg, BoundedLabeling::new(cfg.label_k())).into()
     }
 }
 
-impl RegisterCluster<UnboundedLabeling> {
+impl<W: Envelope<Base = UnboundedLabeling>> Cluster<W> {
     /// Builder for the same protocol over unbounded timestamps (used by
     /// E6 to isolate the effect of boundedness).
-    pub fn unbounded(f: usize) -> ClusterBuilder<UnboundedLabeling> {
-        let cfg = ClusterConfig::stabilizing(f);
-        ClusterBuilder::new(cfg, UnboundedLabeling)
+    pub fn unbounded(f: usize) -> W::Builder {
+        BuilderCore::new(ClusterConfig::stabilizing(f), UnboundedLabeling).into()
     }
 }
 
-impl<B, S> RegisterCluster<B, S>
+impl<W, S> Cluster<W, S>
 where
-    B: LabelingSystem,
-    S: Substrate<Msg<Ts<B>>, ClientEvent<Ts<B>>>,
+    W: Envelope,
+    S: Substrate<W::Msg, W::Out>,
 {
-    /// Pid of the `i`-th client.
+    /// Pid of the `i`-th client (clients sit after every server).
     pub fn client(&self, i: usize) -> ProcessId {
         assert!(i < self.n_clients, "client {i} not attached");
-        self.cfg.client_pid(i)
-    }
-
-    /// Number of attached clients.
-    pub fn client_count(&self) -> usize {
-        self.n_clients
-    }
-
-    /// Pid of the `i`-th hostile (Byzantine) client.
-    pub fn hostile_client(&self, i: usize) -> ProcessId {
-        self.hostile_pids[i]
-    }
-
-    /// Kick every hostile client once (each kick triggers a volley of
-    /// hostile traffic; server replies re-trigger throttled volleys).
-    pub fn kick_hostile(&mut self) {
-        for i in 0..self.hostile_pids.len() {
-            let pid = self.hostile_pids[i];
-            self.sim.inject(pid, Msg::InvokeRead);
-        }
+        self.router.client_pid(i)
     }
 
     /// Which backend the cluster runs on.
@@ -453,47 +581,64 @@ where
         }
     }
 
-    /// Non-blocking: start a write on `client`.
-    pub fn invoke_write(&mut self, client: ProcessId, value: Value) {
-        self.recorder.begin_with_intent(client, OpKind::Write, self.invoke_time(), Some(value));
-        self.sim.inject(client, Msg::InvokeWrite { value });
+    /// The history of the register named `key`.
+    pub fn history(&mut self, key: W::Key) -> &mut HistoryRecorder<W::Base> {
+        self.recorders.entry(key).or_default()
     }
 
-    /// Non-blocking: start a read on `client` (timing as for writes).
-    pub fn invoke_read(&mut self, client: ProcessId) {
-        self.recorder.begin(client, OpKind::Read, self.invoke_time());
-        self.sim.inject(client, Msg::InvokeRead);
+    /// Non-blocking: start `op` on `client` against the register `key`.
+    pub fn invoke(&mut self, client: ProcessId, key: W::Key, op: Op) {
+        let now = self.invoke_time();
+        let (kind, intent, msg) = match op {
+            Op::Write(value) => (OpKind::Write, Some(value), Msg::InvokeWrite { value }),
+            Op::Read => (OpKind::Read, None, Msg::InvokeRead),
+        };
+        self.history(key).begin_with_intent(client, kind, now, intent);
+        self.sim.inject(client, W::wrap(key, msg));
     }
 
-    /// Pump the substrate until `client` emits a terminal event (recording
-    /// every event from every client along the way).
-    pub fn await_client(&mut self, client: ProcessId) -> Result<ClientEvent<Ts<B>>, OpError> {
-        let recorder = &mut self.recorder;
-        self.sim
-            .pump_until(self.op_budget, MAX_IDLE_PUMPS, &mut |time, pid, out| {
-                recorder.complete(pid, time, &out);
-                (pid == client).then_some(out)
-            })
-            .ok_or(OpError::Stuck)
+    /// Pump the substrate, recording every event of every client into its
+    /// register's history, until `visit` returns `Some`.
+    fn pump_recording<R>(
+        &mut self,
+        max_events: u64,
+        max_idle: u32,
+        mut visit: impl FnMut(ProcessId, &ClientEvent<Ts<W::Base>>) -> Option<R>,
+    ) -> Option<R> {
+        let recorders = &mut self.recorders;
+        self.sim.pump_until(max_events, max_idle, &mut |time, pid, out| {
+            let (key, ev) = W::open(&out);
+            recorders.entry(key).or_default().complete(pid, time, ev);
+            visit(pid, ev)
+        })
     }
 
-    /// Blocking write: returns the installed timestamp.
-    pub fn write(&mut self, client: ProcessId, value: Value) -> Result<Ts<B>, OpError> {
-        self.invoke_write(client, value);
-        match self.await_client(client)? {
-            ClientEvent::WriteDone { ts, .. } => Ok(ts),
-            ClientEvent::WriteFailed { .. } => Err(OpError::Stuck),
-            other => unreachable!("write terminated by non-write event {other:?}"),
-        }
+    /// Pump the substrate until `client` emits a terminal event.
+    pub fn await_client(&mut self, client: ProcessId) -> Result<ClientEvent<Ts<W::Base>>, OpError> {
+        self.pump_recording(self.op_budget, MAX_IDLE_PUMPS, |pid, ev| {
+            (pid == client).then(|| ev.clone())
+        })
+        .ok_or(OpError::Stuck)
     }
 
-    /// Blocking read.
-    pub fn read(&mut self, client: ProcessId) -> Result<ReadOk<B>, OpError> {
-        self.invoke_read(client);
+    /// Blocking write to `key`: returns the installed timestamp.
+    pub fn put(
+        &mut self,
+        client: ProcessId,
+        key: W::Key,
+        value: Value,
+    ) -> Result<Ts<W::Base>, OpError> {
+        self.put_outcome(client, key, value).ok().ok_or(OpError::Stuck)
+    }
+
+    /// Blocking read of `key`.
+    pub fn get(&mut self, client: ProcessId, key: W::Key) -> Result<ReadOk<W::Base>, OpError> {
+        self.invoke(client, key, Op::Read);
         match self.await_client(client)? {
             ClientEvent::ReadDone { value, ts, via_union } => Ok(ReadOk { value, ts, via_union }),
-            ClientEvent::ReadAborted => Err(OpError::Aborted),
-            ClientEvent::ReadFailed { timed_out: false, .. } => Err(OpError::Aborted),
+            ClientEvent::ReadAborted | ClientEvent::ReadFailed { timed_out: false, .. } => {
+                Err(OpError::Aborted)
+            }
             ClientEvent::ReadFailed { timed_out: true, .. } => Err(OpError::Stuck),
             other => unreachable!("read terminated by non-read event {other:?}"),
         }
@@ -501,8 +646,13 @@ where
 
     /// Blocking write under the retry policy, reporting the typed outcome
     /// instead of an error — the chaos-experiment surface.
-    pub fn write_outcome(&mut self, client: ProcessId, value: Value) -> OpOutcome<Ts<B>> {
-        self.invoke_write(client, value);
+    pub fn put_outcome(
+        &mut self,
+        client: ProcessId,
+        key: W::Key,
+        value: Value,
+    ) -> OpOutcome<Ts<W::Base>> {
+        self.invoke(client, key, Op::Write(value));
         match self.await_client(client) {
             Ok(ClientEvent::WriteDone { ts, .. }) => OpOutcome::Ok(ts),
             Ok(ClientEvent::WriteFailed { timed_out, attempts, .. }) => {
@@ -514,8 +664,8 @@ where
     }
 
     /// Blocking read under the retry policy, reporting the typed outcome.
-    pub fn read_outcome(&mut self, client: ProcessId) -> OpOutcome<ReadOk<B>> {
-        self.invoke_read(client);
+    pub fn get_outcome(&mut self, client: ProcessId, key: W::Key) -> OpOutcome<ReadOk<W::Base>> {
+        self.invoke(client, key, Op::Read);
         match self.await_client(client) {
             Ok(ClientEvent::ReadDone { value, ts, via_union }) => {
                 OpOutcome::Ok(ReadOk { value, ts, via_union })
@@ -532,22 +682,20 @@ where
     /// Launch several operations concurrently (one per distinct client
     /// index) and run until each has terminated (or the budget runs out).
     /// Returns the terminal event per client index, in input order.
-    pub fn run_concurrent(&mut self, ops: &[(usize, Op)]) -> Vec<Option<ClientEvent<Ts<B>>>> {
+    pub fn run_concurrent(
+        &mut self,
+        ops: &[(usize, W::Key, Op)],
+    ) -> Vec<Option<ClientEvent<Ts<W::Base>>>> {
         let mut pending: BTreeMap<ProcessId, usize> = BTreeMap::new();
-        for (slot, &(ci, op)) in ops.iter().enumerate() {
+        for (slot, &(ci, key, op)) in ops.iter().enumerate() {
             let pid = self.client(ci);
             assert!(pending.insert(pid, slot).is_none(), "one concurrent op per client");
-            match op {
-                Op::Write(v) => self.invoke_write(pid, v),
-                Op::Read => self.invoke_read(pid),
-            }
+            self.invoke(pid, key, op);
         }
-        let mut results: Vec<Option<ClientEvent<Ts<B>>>> = vec![None; ops.len()];
-        let recorder = &mut self.recorder;
-        self.sim.pump_until(self.op_budget, MAX_IDLE_PUMPS, &mut |time, pid, out| {
-            recorder.complete(pid, time, &out);
+        let mut results = vec![None; ops.len()];
+        self.pump_recording(self.op_budget, MAX_IDLE_PUMPS, |pid, ev| {
             if let Some(slot) = pending.remove(&pid) {
-                results[slot] = Some(out);
+                results[slot] = Some(ev.clone());
             }
             pending.is_empty().then_some(())
         });
@@ -556,32 +704,25 @@ where
 
     /// Let in-flight background traffic (late replies, forwards) drain.
     pub fn settle(&mut self, max_events: u64) {
-        let recorder = &mut self.recorder;
-        self.sim.pump_until(max_events, 1, &mut |time, pid, out| {
-            recorder.complete(pid, time, &out);
-            None::<()>
-        });
+        self.pump_recording(max_events, 1, |_, _| None::<()>);
     }
 
     /// Transient fault: corrupt the local state of **all** servers and
     /// clients and load garbage messages on every server-adjacent channel.
     pub fn corrupt_everything(&mut self, severity: CorruptionSeverity) {
-        let total = self.cfg.n + self.n_clients;
-        let plan = FaultPlan::total(total, severity);
-        self.apply_plan(&plan);
+        let total = self.router.total_servers() + self.n_clients;
+        self.apply_plan(&FaultPlan::total(total, severity));
     }
 
     /// Transient fault hitting only the listed servers.
     pub fn corrupt_servers(&mut self, victims: &[usize], severity: CorruptionSeverity) {
-        let plan = FaultPlan::targeting(victims, self.cfg.n + self.n_clients, severity);
-        self.apply_plan(&plan);
+        let total = self.router.total_servers() + self.n_clients;
+        self.apply_plan(&FaultPlan::targeting(victims, total, severity));
     }
 
     fn apply_plan(&mut self, plan: &FaultPlan) {
-        let sys = self.sys.clone();
-        let cfg = self.cfg;
-        let mut gen = move |rng: &mut rand::rngs::StdRng| random_message::<B>(&sys, &cfg, rng);
-        self.sim.apply_fault(plan, &mut gen);
+        let (sys, cfg) = (&self.sys, &self.cfg);
+        self.sim.apply_fault(plan, &mut |rng| W::garbage(sys, cfg, rng));
     }
 
     /// Tear down the substrate (joins worker threads on the threaded
@@ -590,35 +731,39 @@ where
         self.sim.stop();
     }
 
-    /// Check the whole recorded history against MWMR regularity.
+    /// Check one register's history against MWMR regularity.
+    pub fn check_key(&self, key: W::Key) -> Result<(), Vec<RegularityError>> {
+        self.recorders.get(&key).map_or(Ok(()), |rec| rec.check(&self.sys))
+    }
+
+    /// Check every register's whole history; `Err` carries every
+    /// violation of every key.
     pub fn check_history(&self) -> Result<(), Vec<RegularityError>> {
-        self.recorder.check(&self.sys)
+        collect(self.recorders.values().map(|rec| rec.check(&self.sys)))
     }
 
     /// Check only the suffix from `t` (pseudo-stabilization verdict).
     pub fn check_history_from(&self, t: u64) -> Result<(), Vec<RegularityError>> {
-        self.recorder.check_from(&self.sys, t)
+        collect(self.recorders.values().map(|rec| rec.check_from(&self.sys, t)))
     }
 
-    /// Record one externally-observed client event into the history — the
+    /// Record one externally-observed client output into the history — the
     /// spec hook for drivers that step the substrate *themselves* (the
     /// schedule explorer) instead of going through the pump helpers above.
-    /// Returns the closed op's index when `ev` was terminal for an open op,
+    /// Returns the closed op's index when `out` was terminal for an open op,
     /// so callers can re-check regularity exactly when the history grew.
-    pub fn observe_event(
-        &mut self,
-        time: u64,
-        pid: ProcessId,
-        ev: &ClientEvent<Ts<B>>,
-    ) -> Option<usize> {
-        self.recorder.complete(pid, time, ev)
+    pub fn observe_event(&mut self, time: u64, pid: ProcessId, out: &W::Out) -> Option<usize> {
+        let (key, ev) = W::open(out);
+        self.history(key).complete(pid, time, ev)
     }
 
     /// Build a [`NemesisRunner`] wired to this cluster: honest restarts
-    /// spawn fresh [`Server`]s, Byzantine seats spawn [`ByzServer`]s with
-    /// `strat`, and corruption garbage is drawn from the cluster's
-    /// labeling system. `byz_seats` is the initial seat set — it must
-    /// match the seats the cluster was *built* with (e.g.
+    /// spawn the envelope's fresh server, Byzantine seats its adversary
+    /// following `strat`, corruption garbage is drawn from the cluster's
+    /// labeling system, and — on a durable cluster — `CrashRecover`
+    /// damages the server's own disk and reboots it from whatever
+    /// survives. `byz_seats` is the initial seat set — it must match the
+    /// seats the cluster was *built* with (e.g.
     /// [`ClusterBuilder::byzantine_tail`]), since the runner only tracks
     /// movement from there. The one place seat bookkeeping is defined,
     /// shared by the chaos soak, the mobile frontier, and tests.
@@ -627,31 +772,26 @@ where
         schedule: NemesisSchedule,
         byz_seats: Vec<ProcessId>,
         strat: ByzStrategy,
-    ) -> NemesisRunner<Msg<Ts<B>>, ClientEvent<Ts<B>>> {
-        let cfg = self.cfg;
-        let sys_h = self.sys.clone();
-        let make_honest: AutomatonFactory<Msg<Ts<B>>, ClientEvent<Ts<B>>> = Box::new(move |_pid| {
-            Box::new(Server::new(sys_h.clone(), cfg)) as Box<dyn Automaton<_, _>>
+    ) -> NemesisRunner<W::Msg, W::Out> {
+        let (cfg, layout) = (self.cfg, self.router);
+        let sys = self.sys.clone();
+        let make_honest: AutomatonFactory<W::Msg, W::Out> =
+            Box::new(move |pid| W::honest_server(&sys, &layout, pid, None));
+        let sys = self.sys.clone();
+        let make_byz: AutomatonFactory<W::Msg, W::Out> = Box::new(move |_pid| {
+            W::byzantine_server(&sys, cfg, strat).expect("no adversary speaks this envelope")
         });
-        let sys_b = self.sys.clone();
-        let make_byz: AutomatonFactory<Msg<Ts<B>>, ClientEvent<Ts<B>>> = Box::new(move |_pid| {
-            Box::new(ByzServer::new(sys_b.clone(), cfg, strat)) as Box<dyn Automaton<_, _>>
-        });
-        let sys_g = self.sys.clone();
-        let garbage =
-            Box::new(move |rng: &mut rand::rngs::StdRng| random_message::<B>(&sys_g, &cfg, rng));
+        let sys = self.sys.clone();
+        let garbage = Box::new(move |rng: &mut StdRng| W::garbage(&sys, &cfg, rng));
         let runner =
             NemesisRunner::new_multi(schedule, make_honest, Some(make_byz), byz_seats, garbage);
         match &self.disks {
             Some(disks) => {
-                // Durable cluster: CrashRecover damages the server's own
-                // disk and reboots it from whatever survives.
-                let disks = disks.clone();
-                let sys_r = self.sys.clone();
+                let (disks, sys) = (disks.clone(), self.sys.clone());
                 runner.recovery(Box::new(move |pid, fault| {
                     let disk = disks.get(pid);
                     disk.crash(fault);
-                    Box::new(Server::recover(sys_r.clone(), cfg, disk)) as Box<dyn Automaton<_, _>>
+                    W::honest_server(&sys, &layout, pid, Some(disk))
                 }))
             }
             None => runner,
@@ -659,9 +799,43 @@ where
     }
 }
 
+/// Fold per-register verdicts into one, keeping every violation.
+fn collect(
+    verdicts: impl Iterator<Item = Result<(), Vec<RegularityError>>>,
+) -> Result<(), Vec<RegularityError>> {
+    let errs: Vec<RegularityError> = verdicts.filter_map(Result::err).flatten().collect();
+    errs.is_empty().then_some(()).ok_or(errs)
+}
+
+/// The register's own spelling of the keyed operations: its one key is `()`.
+impl<B, S> Cluster<Plain<B>, S>
+where
+    B: LabelingSystem,
+    S: Substrate<Msg<Ts<B>>, ClientEvent<Ts<B>>>,
+{
+    /// Kick every hostile client — they sit after the correct ones — once
+    /// (each kick triggers a volley of hostile traffic; server replies
+    /// re-trigger throttled volleys).
+    pub fn kick_hostile(&mut self) {
+        for pid in self.router.client_pid(self.n_clients)..self.sim.process_count() {
+            self.sim.inject(pid, Msg::InvokeRead);
+        }
+    }
+
+    /// Blocking write: returns the installed timestamp.
+    pub fn write(&mut self, client: ProcessId, value: Value) -> Result<Ts<B>, OpError> {
+        self.put(client, (), value)
+    }
+
+    /// Blocking read.
+    pub fn read(&mut self, client: ProcessId) -> Result<ReadOk<B>, OpError> {
+        self.get(client, ())
+    }
+}
+
 /// Simulator-only surface: typed state inspection requires in-process
 /// access to the automata, which threads cannot share.
-impl<B: LabelingSystem> RegisterCluster<B, SimSubstrate<B>> {
+impl<B: LabelingSystem> RegisterCluster<B> {
     /// Typed access to an honest server's state (None for adversaries).
     pub fn server_state(&mut self, idx: usize) -> Option<&mut Server<B>> {
         self.sim.process_mut(idx).as_any_mut()?.downcast_mut::<Server<B>>()
@@ -751,7 +925,7 @@ mod tests {
         let mut c = RegisterCluster::bounded(1).clients(3).seed(5).build();
         let w = c.client(0);
         c.write(w, 1).unwrap();
-        let evs = c.run_concurrent(&[(0, Op::Write(2)), (1, Op::Read), (2, Op::Read)]);
+        let evs = c.run_concurrent(&[(0, (), Op::Write(2)), (1, (), Op::Read), (2, (), Op::Read)]);
         assert!(evs.iter().all(|e| e.is_some()), "all ops must terminate");
         c.settle(50_000);
         assert!(c.check_history().is_ok());
@@ -796,7 +970,8 @@ mod tests {
 
     #[test]
     fn threaded_backend_runs_the_same_scenario() {
-        let mut c = RegisterCluster::bounded(1).clients(2).seed(21).build_threaded();
+        let mut c =
+            RegisterCluster::bounded(1).clients(2).seed(21).backend(Backend::Threaded).build_any();
         assert_eq!(c.backend(), Backend::Threaded);
         let (w, r) = (c.client(0), c.client(1));
         for v in 1..=5 {
@@ -833,7 +1008,7 @@ mod tests {
         // the deadline fires, and both attempts burn out.
         c.sim.crash(0);
         c.sim.crash(1);
-        let out = c.write_outcome(w, 2);
+        let out = c.put_outcome(w, (), 2);
         assert_eq!(out, OpOutcome::Exhausted { attempts: 2 }, "{out:?}");
         // The failed write is permanently concurrent, never a violation.
         assert!(c.check_history().is_ok());
@@ -850,15 +1025,15 @@ mod tests {
             c.sim.set_link_fault(w, s, Some(LinkFault::cut()));
             c.sim.set_link_fault(s, w, Some(LinkFault::cut()));
         }
-        let out = c.write_outcome(w, 2);
+        let out = c.put_outcome(w, (), 2);
         assert!(!out.is_ok(), "{out:?}");
         for s in [0usize, 1] {
             c.sim.set_link_fault(w, s, None);
             c.sim.set_link_fault(s, w, None);
         }
-        let out = c.write_outcome(w, 3);
+        let out = c.put_outcome(w, (), 3);
         assert!(out.is_ok(), "post-heal write must complete: {out:?}");
-        let r = c.read_outcome(c.client(1));
+        let r = c.get_outcome(c.client(1), ());
         assert!(r.is_ok(), "{r:?}");
         c.settle(50_000);
         assert!(c.check_history().is_ok());
@@ -894,28 +1069,47 @@ mod tests {
 
     #[test]
     fn durable_cluster_byte_identical_across_backends() {
-        let digests = |threaded: bool| {
-            let b = RegisterCluster::bounded(1).seed(41).durable();
-            let mut c = if threaded {
-                b.backend(Backend::Threaded).build_any()
-            } else {
-                b.backend(Backend::Sim).build_any()
+        use std::time::{Duration, Instant};
+        let digests = |backend: Backend| {
+            let mut c = RegisterCluster::bounded(1)
+                .seed(41)
+                .durable()
+                .backend(backend)
+                .pump_timeout(Duration::from_millis(5))
+                .build_any();
+            let (w, disks) = (c.client(0), c.disks.clone().unwrap());
+            let persisted = |pid| {
+                let st = disks.get(pid).stats();
+                st.appends + st.snapshots
             };
-            let w = c.client(0);
+            let deadline = Instant::now() + Duration::from_secs(60);
             for v in 1..=9 {
                 c.write(w, v).unwrap();
+                // A write completes on a quorum of acks, and on threads a
+                // quiet output channel says nothing about a slow server's
+                // inbox. The next write's label is computed from the
+                // timestamps its first n − f repliers hold, so a server still
+                // one write behind changes the bytes every disk gets: wait
+                // until all of them hold this write (each applied write is
+                // exactly one append or one snapshot).
+                while (0..c.cfg.n).any(|pid| persisted(pid) < v) {
+                    assert!(Instant::now() < deadline, "{backend:?}: write {v} never landed");
+                    c.settle(200_000);
+                }
             }
-            c.settle(200_000);
-            let d = c.disks.clone().unwrap().digests();
             c.stop();
-            d
+            disks.digests()
         };
-        assert_eq!(digests(false), digests(true), "same writes, same bytes on disk");
+        assert_eq!(
+            digests(Backend::Sim),
+            digests(Backend::Threaded),
+            "same writes, same bytes on disk"
+        );
     }
 
     #[test]
     fn threaded_backend_recovers_from_corruption() {
-        let mut c = RegisterCluster::bounded(1).seed(23).build_threaded();
+        let mut c = RegisterCluster::bounded(1).seed(23).backend(Backend::Threaded).build_any();
         let w = c.client(0);
         c.write(w, 1).unwrap();
         c.corrupt_everything(CorruptionSeverity::Heavy);

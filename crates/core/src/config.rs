@@ -1,4 +1,4 @@
-//! Cluster sizing and quorum arithmetic.
+//! Cluster sizing, quorum arithmetic and the process layout.
 //!
 //! The paper's bounds, all expressed in terms of the Byzantine budget `f`:
 //!
@@ -104,6 +104,85 @@ impl ClusterConfig {
     }
 }
 
+/// The process layout every cluster has: `shards` independent groups of
+/// `cfg.n` servers (shard `s` at pids `[s·n, (s+1)·n)`), clients after all
+/// servers — plus the stateless key → shard placement of a keyed store. A
+/// register or baseline cluster is the one-shard layout, where global and
+/// local pids coincide.
+#[derive(Clone, Copy, Debug)]
+pub struct ShardRouter {
+    cfg: ClusterConfig,
+    shards: usize,
+}
+
+impl ShardRouter {
+    /// A router over `shards` groups of `cfg.n` servers each (clamped to
+    /// at least one shard).
+    pub fn new(cfg: ClusterConfig, shards: usize) -> Self {
+        Self { cfg, shards: shards.max(1) }
+    }
+
+    /// The per-group cluster arithmetic.
+    pub fn cfg(&self) -> ClusterConfig {
+        self.cfg
+    }
+
+    /// Number of shards.
+    pub fn shards(&self) -> usize {
+        self.shards
+    }
+
+    /// The shard hosting `key`: Fibonacci multiplicative hash so adjacent
+    /// keys spread across shards instead of striping.
+    pub fn shard_of(&self, key: u64) -> usize {
+        ((key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) % self.shards
+    }
+
+    /// Total servers across all shards.
+    pub fn total_servers(&self) -> usize {
+        self.shards * self.cfg.n
+    }
+
+    /// Global pid of client `i` (clients sit after every shard's servers).
+    pub fn client_pid(&self, i: usize) -> ProcessId {
+        self.total_servers() + i
+    }
+
+    /// Global pids of `shard`'s server group.
+    pub fn server_pids(&self, shard: usize) -> std::ops::Range<ProcessId> {
+        shard * self.cfg.n..(shard + 1) * self.cfg.n
+    }
+
+    /// Which shard a global server pid belongs to.
+    pub fn shard_of_server(&self, pid: ProcessId) -> usize {
+        debug_assert!(pid < self.total_servers());
+        pid / self.cfg.n
+    }
+
+    /// Translate a global pid into `shard`'s local pid space: that shard's
+    /// servers map to `0..n`, clients to `n..`; servers of *other* shards
+    /// have no local identity and yield `None`.
+    pub fn to_local(&self, shard: usize, global: ProcessId) -> Option<ProcessId> {
+        let servers = self.total_servers();
+        if global >= servers {
+            Some(self.cfg.n + (global - servers))
+        } else if self.server_pids(shard).contains(&global) {
+            Some(global - shard * self.cfg.n)
+        } else {
+            None
+        }
+    }
+
+    /// Translate `shard`'s local pid back into the global space.
+    pub fn to_global(&self, shard: usize, local: ProcessId) -> ProcessId {
+        if local < self.cfg.n {
+            shard * self.cfg.n + local
+        } else {
+            self.total_servers() + (local - self.cfg.n)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,5 +242,53 @@ mod tests {
         let c = ClusterConfig::stabilizing(1).history(3).labels(8);
         assert_eq!(c.history_depth, 3);
         assert_eq!(c.read_labels, 8);
+    }
+
+    fn router(shards: usize) -> ShardRouter {
+        ShardRouter::new(ClusterConfig::stabilizing(1), shards)
+    }
+
+    #[test]
+    fn placement_arithmetic_round_trips() {
+        let r = router(4); // n = 6, servers 0..24, clients 24..
+        assert_eq!(r.total_servers(), 24);
+        assert_eq!(r.client_pid(0), 24);
+        assert_eq!(r.server_pids(2), 12..18);
+        for g in 0..24 {
+            let s = r.shard_of_server(g);
+            let l = r.to_local(s, g).unwrap();
+            assert!(l < 6);
+            assert_eq!(r.to_global(s, l), g);
+        }
+        // Clients translate in every shard's local space.
+        for shard in 0..4 {
+            assert_eq!(r.to_local(shard, 25), Some(7));
+            assert_eq!(r.to_global(shard, 7), 25);
+        }
+        // A foreign shard's server has no local identity.
+        assert_eq!(r.to_local(0, 12), None);
+    }
+
+    #[test]
+    fn keys_spread_over_all_shards() {
+        let r = router(4);
+        let mut seen = [false; 4];
+        for key in 0..64u64 {
+            let s = r.shard_of(key);
+            assert!(s < 4);
+            seen[s] = true;
+        }
+        assert!(seen.iter().all(|&b| b), "{seen:?}");
+    }
+
+    #[test]
+    fn single_shard_matches_unsharded_layout() {
+        let r = router(1);
+        let cfg = ClusterConfig::stabilizing(1);
+        assert_eq!(r.total_servers(), cfg.n);
+        assert_eq!(r.client_pid(3), cfg.client_pid(3));
+        for key in 0..32u64 {
+            assert_eq!(r.shard_of(key), 0);
+        }
     }
 }

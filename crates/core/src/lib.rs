@@ -10,7 +10,8 @@
 //! ## Layout
 //!
 //! * [`config`] — cluster arithmetic: `n`, `f`, the `n−f` quorum, the
-//!   `2f+1` witness threshold, the `3f+1` propagation bound.
+//!   `2f+1` witness threshold, the `3f+1` propagation bound; and the
+//!   process layout every cluster has.
 //! * [`messages`] — the wire protocol (Figures 1–3): `GET_TS`, `WRITE`,
 //!   `ACK`/`NACK`, `READ`, `REPLY`, `COMPLETE_READ`, `FLUSH`, `FLUSH_ACK`.
 //! * [`server`] — the server automaton: register copy, bounded `old_vals`
@@ -25,8 +26,9 @@
 //! * [`swmr`] — the typed single-writer facade of the §IV-B protocol
 //!   (unique writer capability enforced at the type level).
 //! * [`spec`] — execution recording and the MWMR-regularity checker.
-//! * [`cluster`] — one-call assembly of a simulated register cluster plus
-//!   blocking-style operation helpers (the scenario driver).
+//! * [`cluster`] — the one cluster driver: one-call assembly on either
+//!   substrate plus blocking-style operation helpers, generic over how an
+//!   operation is addressed on the wire (register, keyed store, baselines).
 //! * [`soak`] — the one nemesis soak loop and its stable-window scoring.
 //!
 //! ## Quick start

@@ -24,12 +24,10 @@
 
 use std::collections::BTreeMap;
 
-use sbft_labels::LabelingSystem;
 use sbft_net::nemesis::NemesisRunner;
 use sbft_net::{ProcessId, Substrate};
 
-use crate::cluster::{OpOutcome, ReadOk, RegisterCluster};
-use crate::messages::{ClientEvent, Msg};
+use crate::cluster::{Cluster, Envelope, OpOutcome, ReadOk};
 use crate::spec::WindowTracker;
 use crate::Ts;
 
@@ -149,16 +147,18 @@ impl SoakReport {
 /// The outcomes of one round's write and read.
 pub type RoundOutcome<B> = (OpOutcome<Ts<B>>, OpOutcome<ReadOk<B>>);
 
-/// A running soak: client 0 writes increasing values, client 1 reads,
-/// `runner` injects faults, `tracker` keeps the stable windows.
-pub struct Soak<'a, B: LabelingSystem, S> {
+/// A running soak on one register of the cluster: client 0 writes
+/// increasing values to `key`, client 1 reads it, `runner` injects faults,
+/// `tracker` keeps the stable windows.
+pub struct Soak<'a, W: Envelope, S> {
     /// The cluster under test.
-    pub cluster: &'a mut RegisterCluster<B, S>,
+    pub cluster: &'a mut Cluster<W, S>,
     /// The fault schedule being fired.
-    pub runner: NemesisRunner<Msg<Ts<B>>, ClientEvent<Ts<B>>>,
+    pub runner: NemesisRunner<W::Msg, W::Out>,
     /// Stable-window bookkeeping, current as of the last [`Soak::fire`].
     pub tracker: WindowTracker,
     report: SoakReport,
+    key: W::Key,
     writer: ProcessId,
     reader: ProcessId,
     value: u64,
@@ -172,16 +172,18 @@ pub struct Soak<'a, B: LabelingSystem, S> {
     unconverged: Vec<(u64, u64)>,
 }
 
-impl<'a, B, S> Soak<'a, B, S>
+impl<'a, W, S> Soak<'a, W, S>
 where
-    B: LabelingSystem,
-    S: Substrate<Msg<Ts<B>>, ClientEvent<Ts<B>>>,
+    W: Envelope,
+    S: Substrate<W::Msg, W::Out>,
 {
-    /// Start a soak: seeds the register (and the first stable window) with
-    /// one write before any fault fires. The cluster needs two clients.
+    /// Start a soak on the register `key`: seeds it (and the first stable
+    /// window) with one write before any fault fires. The cluster needs two
+    /// clients.
     pub fn new(
-        cluster: &'a mut RegisterCluster<B, S>,
-        runner: NemesisRunner<Msg<Ts<B>>, ClientEvent<Ts<B>>>,
+        cluster: &'a mut Cluster<W, S>,
+        key: W::Key,
+        runner: NemesisRunner<W::Msg, W::Out>,
     ) -> Self {
         let (writer, reader) = (cluster.client(0), cluster.client(1));
         let mut soak = Self {
@@ -189,6 +191,7 @@ where
             runner,
             tracker: WindowTracker::new(),
             report: SoakReport::default(),
+            key,
             writer,
             reader,
             value: 0,
@@ -222,7 +225,7 @@ where
     }
 
     /// One round: fire, write, read, and the fast-forward valve.
-    pub fn round(&mut self) -> RoundOutcome<B> {
+    pub fn round(&mut self) -> RoundOutcome<W::Base> {
         let before = self.cluster.now();
         self.fire();
         let out = self.write_read();
@@ -245,16 +248,18 @@ where
         for fired in self.runner.log.iter().filter(|f| f.disturbance) {
             *report.disturbances.entry(fired.kind).or_insert(0) += 1;
         }
-        if let Err(errs) = self.cluster.check_history() {
+        if let Err(errs) = self.cluster.check_key(self.key) {
             report.full_violations = errs.len();
         }
+        // The seed write of `new` created this register's history.
+        let (sys, history) = (&self.cluster.sys, &self.cluster.recorders[&self.key]);
         for (start, end) in self.tracker.finish(u64::MAX) {
             report.windows += 1;
-            if let Err(errs) = self.cluster.recorder.check_window(&self.cluster.sys, start, end) {
+            if let Err(errs) = history.check_window(sys, start, end) {
                 report.window_violations += errs.len();
             }
         }
-        report.inversions = self.cluster.recorder.new_old_inversions().len();
+        report.inversions = history.new_old_inversions().len();
         report
     }
 
@@ -278,9 +283,9 @@ where
         self.cures_seen = self.runner.cures.len();
     }
 
-    fn write(&mut self) -> OpOutcome<Ts<B>> {
+    fn write(&mut self) -> OpOutcome<Ts<W::Base>> {
         self.value += 1;
-        let out = self.cluster.write_outcome(self.writer, self.value);
+        let out = self.cluster.put_outcome(self.writer, self.key, self.value);
         self.report.tally(&out, true);
         self.ops += 1;
         if out.is_ok() {
@@ -300,8 +305,8 @@ where
         out
     }
 
-    fn read(&mut self) -> OpOutcome<ReadOk<B>> {
-        let out = self.cluster.read_outcome(self.reader);
+    fn read(&mut self) -> OpOutcome<ReadOk<W::Base>> {
+        let out = self.cluster.get_outcome(self.reader, self.key);
         self.report.tally(&out, false);
         self.ops += 1;
         if let OpOutcome::Ok(ok) = &out {
@@ -316,7 +321,7 @@ where
 
     /// One write, then one read. An all-clear counts as healed at the end
     /// of the first such pair that completes in full.
-    fn write_read(&mut self) -> RoundOutcome<B> {
+    fn write_read(&mut self) -> RoundOutcome<W::Base> {
         let out = (self.write(), self.read());
         if out.0.is_ok() && out.1.is_ok() && self.runner.all_clear() {
             let now = self.cluster.now();
@@ -345,6 +350,7 @@ mod tests {
 
     use super::*;
     use crate::adversary::ByzStrategy;
+    use crate::cluster::RegisterCluster;
     use crate::reader::ReaderOptions;
     use crate::retry::RetryPolicy;
 
@@ -367,7 +373,7 @@ mod tests {
         let runner = c
             .nemesis_runner(schedule, vec![5], ByzStrategy::Equivocate)
             .cure_mode(CureMode::Amnesiac { total_procs: 8, severity: CorruptionSeverity::Heavy });
-        let mut soak = Soak::new(&mut c, runner);
+        let mut soak = Soak::new(&mut c, (), runner);
         let (wout, rout) = soak.round();
         assert!(wout.is_ok() && rout.is_ok());
         assert!(!soak.runner.done(), "the clock must not have reached the movement");
@@ -408,7 +414,7 @@ mod tests {
         let w = c.client(0);
         c.sim.crash(0);
         c.sim.crash(1);
-        let out = c.write_outcome(w, 1);
+        let out = c.put_outcome(w, (), 1);
         assert!(matches!(out, OpOutcome::TimedOut { .. }), "{out:?}");
         assert_eq!(tallied(&out, true), SoakReport { timed_out: 1, ..SoakReport::default() });
     }
@@ -429,7 +435,7 @@ mod tests {
         let w = c.client(0);
         c.sim.crash(0);
         c.sim.crash(1);
-        let out = c.write_outcome(w, 1);
+        let out = c.put_outcome(w, (), 1);
         assert!(matches!(out, OpOutcome::Exhausted { .. }), "{out:?}");
         assert_eq!(tallied(&out, true), SoakReport { exhausted: 1, ..SoakReport::default() });
     }
@@ -445,17 +451,17 @@ mod tests {
             .retry(RetryPolicy::none())
             .build();
         let (w, r) = (c.client(0), c.client(1));
-        assert!(c.write_outcome(w, 1).is_ok());
+        assert!(c.put_outcome(w, (), 1).is_ok());
         let mut aborted = None;
         for round in 0..40 {
             c.corrupt_servers(&[0, 1, 2], CorruptionSeverity::Adversarial);
-            let out = c.read_outcome(r);
+            let out = c.get_outcome(r, ());
             if matches!(out, OpOutcome::Aborted) {
                 aborted = Some(out);
                 break;
             }
             // Re-seed a coherent value before the next corruption round.
-            let _ = c.write_outcome(w, 2 + round);
+            let _ = c.put_outcome(w, (), 2 + round);
         }
         let out = aborted.expect("no corrupted read aborted in 40 rounds");
         assert_eq!(tallied(&out, false), SoakReport { aborted: 1, ..SoakReport::default() });

@@ -23,7 +23,7 @@
 //! determines the execution — exactly what key-sequence replay requires.
 
 use sbft_core::adversary::ByzStrategy;
-use sbft_core::cluster::{RegisterCluster, SimSubstrate};
+use sbft_core::cluster::{Op, RegisterCluster, SimSubstrate};
 use sbft_core::reader::ReaderOptions;
 use sbft_labels::{BoundedLabeling, LabelingSystem};
 use sbft_net::{DelayModel, EventKey};
@@ -164,7 +164,7 @@ impl ScenarioRun for RegisterRun {
             // The step budget cut the schedule: open ops are expected.
             return None;
         }
-        let open = self.cluster.recorder.open_ops();
+        let open = self.cluster.history(()).open_ops();
         (open > 0)
             .then(|| format!("termination: {open} operation(s) still open at network quiescence"))
     }
@@ -182,8 +182,8 @@ fn concurrent_write_read(seed: u64) -> RegisterRun {
     let r = c.client(1);
     c.write(w, 1).expect("setup write terminates");
     c.settle(100_000);
-    c.invoke_write(w, 7);
-    c.invoke_read(r);
+    c.invoke(w, (), Op::Write(7));
+    c.invoke(r, (), Op::Read);
     RegisterRun { cluster: c }
 }
 
@@ -230,7 +230,7 @@ fn theorem1(n: usize, seed: u64) -> RegisterRun {
     c.scripted_server(byz_idx).expect("scripted").read_reply = Some((999, ts2));
 
     // The victim read goes to the explorer with every channel open.
-    c.invoke_read(r);
+    c.invoke(r, (), Op::Read);
     RegisterRun { cluster: c }
 }
 
@@ -250,9 +250,9 @@ fn mwmr_two_writers(seed: u64) -> RegisterRun {
     let r = c.client(2);
     c.write(w1, 1).expect("setup write terminates");
     c.settle(100_000);
-    c.invoke_write(w1, 7);
-    c.invoke_write(w2, 8);
-    c.invoke_read(r);
+    c.invoke(w1, (), Op::Write(7));
+    c.invoke(w2, (), Op::Write(8));
+    c.invoke(r, (), Op::Read);
     RegisterRun { cluster: c }
 }
 
@@ -279,8 +279,8 @@ fn crash_recover(seed: u64) -> RegisterRun {
     c.write(w, 2).expect("setup write terminates");
     c.settle(100_000);
 
-    c.invoke_write(w, 7);
-    c.invoke_read(r);
+    c.invoke(w, (), Op::Write(7));
+    c.invoke(r, (), Op::Read);
     let sched = NemesisSchedule::scripted(vec![
         (0, NemesisEvent::Crash(0)),
         (0, NemesisEvent::CrashRecover { pid: 0, fault: DiskFault::LostSuffix }),

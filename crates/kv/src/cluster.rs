@@ -1,8 +1,13 @@
-//! The store driver: blocking `put`/`get` with per-key history recording.
+//! The store driver: the one cluster driver of `sbft-core` over the keyed
+//! envelope.
 //!
-//! Like the register driver, the store is generic over the [`Substrate`]
-//! hosting the automata — the deterministic simulator by default, real
-//! threads via [`KvClusterBuilder::build_threaded`], or a runtime choice
+//! [`KvCluster`] *is* [`sbft_core::cluster::Cluster`] — blocking
+//! `put`/`get`, concurrent operations, per-key history recording, transient
+//! faults, nemesis wiring and the [`Soak`](sbft_core::Soak) loop are the
+//! register's own code. What this module adds is the [`Keyed`] envelope
+//! (messages carry a [`Key`], storage nodes are [`KvServer`]s behind their
+//! shard's pid translation) and the builder that assembles those automata —
+//! on the deterministic simulator by default, or on a runtime-chosen backend
 //! via [`KvClusterBuilder::backend`] + [`KvClusterBuilder::build_any`].
 //!
 //! ```
@@ -12,28 +17,28 @@
 //! let c = store.client(0);
 //! store.put(c, 10, 111).unwrap();
 //! store.put(c, 20, 222).unwrap();
-//! assert_eq!(store.get(c, 10).unwrap(), 111);
-//! assert_eq!(store.get(c, 20).unwrap(), 222);
-//! assert!(store.check_all_histories().is_ok());
+//! assert_eq!(store.get(c, 10).unwrap().value, 111);
+//! assert_eq!(store.get(c, 20).unwrap().value, 222);
+//! assert!(store.check_history().is_ok());
 //! ```
 
 use std::collections::BTreeMap;
+use std::marker::PhantomData;
 
+use rand::rngs::StdRng;
+use rand::Rng;
 use sbft_core::adversary::random_message;
-use sbft_core::cluster::OpOutcome;
+use sbft_core::builder_core_setters;
+use sbft_core::cluster::{BuilderCore, Cluster, Envelope, Proc};
 use sbft_core::config::ClusterConfig;
-use sbft_core::messages::{ClientEvent, Value};
+use sbft_core::messages::{ClientEvent, Msg};
 use sbft_core::reader::ReaderOptions;
-use sbft_core::spec::{group_verdicts, GroupVerdict, HistoryRecorder, OpKind, RegularityError};
-use sbft_core::{RetryPolicy, Sys, Ts};
-use sbft_labels::{BoundedLabeling, LabelingSystem, MwmrLabeling};
-use sbft_net::corruption::FaultPlan;
-use sbft_net::substrate::{AnySubstrate, Backend, Substrate, SubstrateConfig};
-use sbft_net::{
-    Automaton, BatchPolicy, CorruptionSeverity, DelayModel, NetMetrics, ProcessId, Simulation,
-    ThreadedCluster,
-};
-use sbft_storage::DiskSet;
+use sbft_core::spec::{group_verdicts, GroupVerdict};
+use sbft_core::{Sys, Ts};
+use sbft_labels::LabelingSystem;
+use sbft_net::substrate::{AnySubstrate, SubstrateConfig};
+use sbft_net::{BatchPolicy, ProcessId, Simulation};
+use sbft_storage::{DiskHandle, DiskSet};
 
 use crate::client::KvClient;
 use crate::messages::{Key, KvEvent, KvMsg};
@@ -42,71 +47,81 @@ use crate::shard::{ShardRouter, ShardedClient, ShardedServer};
 
 /// The simulator substrate type for the store.
 pub type KvSimSubstrate<B> = Simulation<KvMsg<Ts<B>>, KvEvent<Ts<B>>>;
-/// The threaded substrate type for the store.
-pub type KvThreadedSubstrate<B> = ThreadedCluster<KvMsg<Ts<B>>, KvEvent<Ts<B>>>;
 /// The runtime-chosen substrate type for the store.
 pub type AnyKvSubstrate<B> = AnySubstrate<KvMsg<Ts<B>>, KvEvent<Ts<B>>>;
 
-/// Boxed automata in pid order, ready to hand to a substrate.
-type KvProcs<B> = Vec<Box<dyn Automaton<KvMsg<Ts<B>>, KvEvent<Ts<B>>>>>;
+/// A key-value store on a substrate `S` — the simulator by default.
+pub type KvCluster<B, S = KvSimSubstrate<B>> = Cluster<Keyed<B>, S>;
 
-/// Consecutive idle pumps (threaded runtime) before an op is stuck.
-const MAX_IDLE_PUMPS: u32 = 50;
+/// The envelope of the store: every message and client event carries the
+/// [`Key`] of the register it belongs to.
+pub struct Keyed<B>(PhantomData<B>);
 
-/// Why a store operation failed.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum KvError {
-    /// Read aborted (register in a transitory phase).
-    Aborted,
-    /// Simulation drained / budget exhausted before completion.
-    Stuck,
+impl<B: LabelingSystem> Envelope for Keyed<B> {
+    type Base = B;
+    type Key = Key;
+    type Msg = KvMsg<Ts<B>>;
+    type Out = KvEvent<Ts<B>>;
+    type Builder = KvClusterBuilder<B>;
+
+    fn wrap(key: Key, msg: Msg<Ts<B>>) -> KvMsg<Ts<B>> {
+        KvMsg::new(key, msg)
+    }
+
+    fn open(out: &KvEvent<Ts<B>>) -> (Key, &ClientEvent<Ts<B>>) {
+        (out.key, &out.inner)
+    }
+
+    fn garbage(sys: &Sys<B>, cfg: &ClusterConfig, rng: &mut StdRng) -> KvMsg<Ts<B>> {
+        let key = rng.gen_range(0..4u64);
+        KvMsg::new(key, random_message::<B>(sys, cfg, rng))
+    }
+
+    fn honest_server(
+        sys: &Sys<B>,
+        layout: &ShardRouter,
+        pid: ProcessId,
+        disk: Option<DiskHandle>,
+    ) -> Proc<Self> {
+        let node = match disk {
+            Some(disk) => KvServer::recover(sys.clone(), layout.cfg(), disk),
+            None => KvServer::new(sys.clone(), layout.cfg()),
+        };
+        seat(node, layout, pid)
+    }
 }
 
-/// Map a terminal failure event onto the [`OpOutcome`] taxonomy (mirrors
-/// the register driver's rule: a lone attempt dying on its deadline is a
-/// timeout; anything that burned retries is exhaustion).
-fn failure_outcome<T>(timed_out: bool, attempts: u32) -> OpOutcome<T> {
-    if timed_out && attempts <= 1 {
-        OpOutcome::TimedOut { attempts }
+/// Seat `node` at server pid `pid`: bare in the one-shard layout (exactly
+/// the layout every pre-sharding experiment runs on), behind its shard's
+/// pid translation and placement enforcement otherwise.
+fn seat<B: LabelingSystem>(
+    node: KvServer<B>,
+    layout: &ShardRouter,
+    pid: ProcessId,
+) -> Proc<Keyed<B>> {
+    if layout.shards() == 1 {
+        Box::new(node)
     } else {
-        OpOutcome::Exhausted { attempts }
+        Box::new(ShardedServer::new(node, *layout, layout.shard_of_server(pid)))
     }
 }
 
 /// Builder for a [`KvCluster`].
 pub struct KvClusterBuilder<B: LabelingSystem> {
-    cfg: ClusterConfig,
-    base: B,
-    n_clients: usize,
-    seed: u64,
-    delay: DelayModel,
-    retry: RetryPolicy,
-    backend: Backend,
-    pump_timeout: Option<std::time::Duration>,
-    durable: bool,
+    core: BuilderCore<B>,
     shards: usize,
     pipeline: usize,
     batch: BatchPolicy,
 }
 
-impl<B: LabelingSystem> KvClusterBuilder<B> {
-    /// Start from a config and base labeling system.
-    pub fn new(cfg: ClusterConfig, base: B) -> Self {
-        Self {
-            cfg,
-            base,
-            n_clients: 2,
-            seed: 0,
-            delay: DelayModel::uniform(1, 10),
-            retry: RetryPolicy::none(),
-            backend: Backend::Sim,
-            pump_timeout: None,
-            durable: false,
-            shards: 1,
-            pipeline: 1,
-            batch: BatchPolicy::disabled(),
-        }
+impl<B: LabelingSystem> From<BuilderCore<B>> for KvClusterBuilder<B> {
+    fn from(core: BuilderCore<B>) -> Self {
+        Self { core, shards: 1, pipeline: 1, batch: BatchPolicy::disabled() }
     }
+}
+
+impl<B: LabelingSystem> KvClusterBuilder<B> {
+    builder_core_setters!();
 
     /// Hash-partition the keyspace over `s` independent `5f + 1` server
     /// groups (default 1 — the classic single-group store). Each shard is
@@ -131,356 +146,87 @@ impl<B: LabelingSystem> KvClusterBuilder<B> {
         self
     }
 
-    /// Give every storage node a simulated stable disk (per-pid seeds
-    /// derived from the cluster seed, as in the register cluster), so
-    /// nodes can be rebooted from their own — possibly damaged — disks
-    /// via [`KvServer::recover`].
-    pub fn durable(mut self) -> Self {
-        self.durable = true;
-        self
-    }
-
-    /// Number of clients (default 2).
-    pub fn clients(mut self, n: usize) -> Self {
-        self.n_clients = n.max(1);
-        self
-    }
-
-    /// Simulation seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Delay model (simulator only).
-    pub fn delay(mut self, delay: DelayModel) -> Self {
-        self.delay = delay;
-        self
-    }
-
-    /// Retry/timeout/backoff policy for every client (default
-    /// [`RetryPolicy::none`]).
-    pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = policy;
-        self
-    }
-
-    /// Select the runtime used by [`KvClusterBuilder::build_any`].
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Longest one threaded `pump` blocks before reporting idle (threaded
-    /// runtime only; default 100 ms). Open-loop drivers that pace arrivals
-    /// between pumps want this close to the arrival interval.
-    pub fn pump_timeout(mut self, timeout: std::time::Duration) -> Self {
-        self.pump_timeout = Some(timeout);
-        self
-    }
-
-    fn substrate_config(&self) -> SubstrateConfig {
-        let cfg =
-            SubstrateConfig::seeded(self.seed).with_delay(self.delay).with_batching(self.batch);
-        match self.pump_timeout {
-            Some(t) => cfg.with_pump_timeout(t),
-            None => cfg,
+    /// The automata in pid order: every shard's storage nodes, then the
+    /// clients.
+    fn procs(&self, layout: &ShardRouter, disks: Option<&DiskSet>) -> Vec<Proc<Keyed<B>>> {
+        let (sys, cfg) = (self.core.sys(), self.core.cfg);
+        let mut procs: Vec<Proc<Keyed<B>>> = Vec::new();
+        for pid in 0..layout.total_servers() {
+            let node = KvServer::new(sys.clone(), cfg);
+            let node = match disks {
+                Some(d) => node.with_disk(d.get(pid)),
+                None => node,
+            };
+            procs.push(seat(node, layout, pid));
         }
-    }
-
-    fn procs(&self) -> (KvProcs<B>, Option<DiskSet>) {
-        let sys: Sys<B> = MwmrLabeling::new(self.base.clone());
-        let router = ShardRouter::new(self.cfg, self.shards);
-        let disks =
-            self.durable.then(|| DiskSet::sim(router.total_servers(), self.seed ^ 0xD15C_D15C));
-        let mut procs: KvProcs<B> = Vec::new();
-        if self.shards == 1 {
-            // The classic single-group store: unwrapped automata, exactly
-            // the layout every pre-sharding experiment runs on.
-            for s in 0..self.cfg.n {
-                let server = KvServer::new(sys.clone(), self.cfg);
-                procs.push(match &disks {
-                    Some(d) => Box::new(server.with_disk(d.get(s))),
-                    None => Box::new(server),
-                });
-            }
-            for c in 0..self.n_clients {
-                let pid = self.cfg.client_pid(c);
-                procs.push(Box::new(self.client_automaton(&sys, pid)));
-            }
-        } else {
-            for shard in 0..self.shards {
-                for pid in router.server_pids(shard) {
-                    let server = KvServer::new(sys.clone(), self.cfg);
-                    let server = match &disks {
-                        Some(d) => server.with_disk(d.get(pid)),
-                        None => server,
-                    };
-                    procs.push(Box::new(ShardedServer::new(server, router, shard)));
-                }
-            }
-            for c in 0..self.n_clients {
-                // The inner client keeps its local writer identity n + c —
-                // unique per client, independent of the shard count.
-                let inner = self.client_automaton(&sys, self.cfg.client_pid(c));
-                procs.push(Box::new(ShardedClient::new(inner, router)));
-            }
+        for c in 0..self.core.clients {
+            // The client keeps its local writer identity n + c — unique per
+            // client, independent of the shard count.
+            let client = KvClient::with_retry(
+                sys.clone(),
+                cfg,
+                cfg.client_pid(c) as u32,
+                ReaderOptions::default(),
+                self.core.retry,
+            )
+            .with_pipeline(self.pipeline);
+            procs.push(if layout.shards() == 1 {
+                Box::new(client)
+            } else {
+                Box::new(ShardedClient::new(client, *layout))
+            });
         }
-        (procs, disks)
+        procs
     }
 
-    fn client_automaton(&self, sys: &Sys<B>, writer_pid: ProcessId) -> KvClient<B> {
-        KvClient::with_retry(
-            sys.clone(),
-            self.cfg,
-            writer_pid as u32,
-            ReaderOptions::default(),
-            self.retry,
-        )
-        .with_pipeline(self.pipeline)
-    }
-
-    fn assemble<S>(self, sim: S, disks: Option<DiskSet>) -> KvCluster<B, S> {
-        KvCluster {
-            sim,
-            cfg: self.cfg,
-            sys: MwmrLabeling::new(self.base.clone()),
-            router: ShardRouter::new(self.cfg, self.shards),
-            n_clients: self.n_clients,
-            recorders: BTreeMap::new(),
-            op_budget: 400_000,
-            disks,
-        }
+    fn assemble<S>(
+        self,
+        spawn: impl FnOnce(Vec<Proc<Keyed<B>>>, &SubstrateConfig) -> S,
+    ) -> KvCluster<B, S> {
+        let layout = ShardRouter::new(self.core.cfg, self.shards);
+        let disks = self.core.disks(&layout);
+        let procs = self.procs(&layout, disks.as_ref());
+        self.core.assemble(layout, self.batch, disks, procs, spawn)
     }
 
     /// Assemble the store on the deterministic simulator.
     pub fn build(self) -> KvCluster<B> {
-        let (procs, disks) = self.procs();
-        let sim = Simulation::from_procs(procs, &self.substrate_config());
-        self.assemble(sim, disks)
-    }
-
-    /// Assemble the store on the threaded runtime.
-    pub fn build_threaded(self) -> KvCluster<B, KvThreadedSubstrate<B>> {
-        let (procs, disks) = self.procs();
-        let sub = ThreadedCluster::spawn_with(procs, &self.substrate_config());
-        self.assemble(sub, disks)
+        self.assemble(Simulation::from_procs)
     }
 
     /// Assemble the store on the backend chosen with
     /// [`KvClusterBuilder::backend`].
     pub fn build_any(self) -> KvCluster<B, AnyKvSubstrate<B>> {
-        let (procs, disks) = self.procs();
-        let sub = AnySubstrate::spawn(self.backend, procs, &self.substrate_config());
-        self.assemble(sub, disks)
+        let backend = self.core.backend;
+        self.assemble(|procs, config| AnySubstrate::spawn(backend, procs, config))
     }
 }
 
-/// A key-value store on a substrate `S` — the simulator by default.
-pub struct KvCluster<B: LabelingSystem, S = KvSimSubstrate<B>> {
-    /// Underlying substrate.
-    pub sim: S,
-    /// Cluster arithmetic.
-    pub cfg: ClusterConfig,
-    /// The labeling system.
-    pub sys: Sys<B>,
-    /// Key → shard placement (one shard unless the builder asked for more).
-    pub router: ShardRouter,
-    n_clients: usize,
-    /// One history per key.
-    pub recorders: BTreeMap<Key, HistoryRecorder<B>>,
-    /// Max events per blocking op.
-    pub op_budget: u64,
-    /// Per-server stable disks when the builder asked for durability.
-    pub disks: Option<DiskSet>,
-}
-
-impl KvCluster<BoundedLabeling> {
-    /// The paper's configuration: bounded labels, `n = 5f + 1`.
-    pub fn bounded(f: usize) -> KvClusterBuilder<BoundedLabeling> {
-        let cfg = ClusterConfig::stabilizing(f);
-        KvClusterBuilder::new(cfg, BoundedLabeling::new(cfg.label_k()))
-    }
-}
-
-impl<B, S> KvCluster<B, S>
-where
-    B: LabelingSystem,
-    S: Substrate<KvMsg<Ts<B>>, KvEvent<Ts<B>>>,
-{
-    /// Pid of client `i` (clients sit after every shard's servers).
-    pub fn client(&self, i: usize) -> ProcessId {
-        assert!(i < self.n_clients);
-        self.router.client_pid(i)
-    }
-
-    /// Which backend the store runs on.
-    pub fn backend(&self) -> Backend {
-        self.sim.backend()
-    }
-
-    /// Snapshot of the network metrics so far.
-    pub fn metrics(&self) -> NetMetrics {
-        self.sim.metrics_snapshot()
-    }
-
-    fn recorder(&mut self, key: Key) -> &mut HistoryRecorder<B> {
-        self.recorders.entry(key).or_default()
-    }
-
-    fn await_client(&mut self, client: ProcessId) -> Result<KvEvent<Ts<B>>, KvError> {
-        let recorders = &mut self.recorders;
-        self.sim
-            .pump_until(self.op_budget, MAX_IDLE_PUMPS, &mut |time, pid, out: KvEvent<Ts<B>>| {
-                recorders.entry(out.key).or_default().complete(pid, time, &out.inner);
-                (pid == client).then_some(out)
-            })
-            .ok_or(KvError::Stuck)
-    }
-
-    /// The instant to record for an operation invoked now: `now + 1` on
-    /// the simulator (commands arrive after one tick of channel delay),
-    /// `now` exactly on wall-clock ticks where the `+1` would manufacture
-    /// false precedence edges.
-    fn invoke_time(&self) -> u64 {
-        match self.sim.backend() {
-            Backend::Sim => self.sim.now() + 1,
-            Backend::Threaded => self.sim.now(),
-        }
-    }
-
-    /// Blocking `put(key, value)`.
-    pub fn put(&mut self, client: ProcessId, key: Key, value: Value) -> Result<Ts<B>, KvError> {
-        let now = self.invoke_time();
-        self.recorder(key).begin_with_intent(client, OpKind::Write, now, Some(value));
-        self.sim.inject(client, KvMsg::new(key, sbft_core::messages::Msg::InvokeWrite { value }));
-        match self.await_client(client)? {
-            KvEvent { inner: ClientEvent::WriteDone { ts, .. }, .. } => Ok(ts),
-            _ => Err(KvError::Stuck),
-        }
-    }
-
-    /// Blocking `get(key)`.
-    pub fn get(&mut self, client: ProcessId, key: Key) -> Result<Value, KvError> {
-        let now = self.invoke_time();
-        self.recorder(key).begin(client, OpKind::Read, now);
-        self.sim.inject(client, KvMsg::new(key, sbft_core::messages::Msg::InvokeRead));
-        match self.await_client(client)? {
-            KvEvent { inner: ClientEvent::ReadDone { value, .. }, .. } => Ok(value),
-            KvEvent { inner: ClientEvent::ReadAborted, .. } => Err(KvError::Aborted),
-            KvEvent { inner: ClientEvent::ReadFailed { timed_out: false, .. }, .. } => {
-                Err(KvError::Aborted)
-            }
-            _ => Err(KvError::Stuck),
-        }
-    }
-
-    /// Blocking `put` under the retry policy, reporting the typed outcome
-    /// instead of an error.
-    pub fn put_outcome(&mut self, client: ProcessId, key: Key, value: Value) -> OpOutcome<Ts<B>> {
-        let now = self.invoke_time();
-        self.recorder(key).begin_with_intent(client, OpKind::Write, now, Some(value));
-        self.sim.inject(client, KvMsg::new(key, sbft_core::messages::Msg::InvokeWrite { value }));
-        match self.await_client(client) {
-            Ok(KvEvent { inner: ClientEvent::WriteDone { ts, .. }, .. }) => OpOutcome::Ok(ts),
-            Ok(KvEvent { inner: ClientEvent::WriteFailed { timed_out, attempts, .. }, .. }) => {
-                failure_outcome(timed_out, attempts)
-            }
-            _ => OpOutcome::TimedOut { attempts: 0 },
-        }
-    }
-
-    /// Blocking `get` under the retry policy, reporting the typed outcome.
-    pub fn get_outcome(&mut self, client: ProcessId, key: Key) -> OpOutcome<Value> {
-        let now = self.invoke_time();
-        self.recorder(key).begin(client, OpKind::Read, now);
-        self.sim.inject(client, KvMsg::new(key, sbft_core::messages::Msg::InvokeRead));
-        match self.await_client(client) {
-            Ok(KvEvent { inner: ClientEvent::ReadDone { value, .. }, .. }) => OpOutcome::Ok(value),
-            Ok(KvEvent { inner: ClientEvent::ReadAborted, .. }) => OpOutcome::Aborted,
-            Ok(KvEvent { inner: ClientEvent::ReadFailed { timed_out, attempts }, .. }) => {
-                failure_outcome(timed_out, attempts)
-            }
-            _ => OpOutcome::TimedOut { attempts: 0 },
-        }
-    }
-
-    /// Transient fault on the whole store (all nodes, clients, channels).
-    pub fn corrupt_everything(&mut self, severity: CorruptionSeverity) {
-        let total = self.router.total_servers() + self.n_clients;
-        let plan = FaultPlan::total(total, severity);
-        let sys = self.sys.clone();
-        let cfg = self.cfg;
-        let mut gen = move |rng: &mut rand::rngs::StdRng| {
-            let key = rand::Rng::gen_range(rng, 0..4u64);
-            KvMsg::new(key, random_message::<B>(&sys, &cfg, rng))
-        };
-        self.sim.apply_fault(&plan, &mut gen);
-    }
-
-    /// Tear down the substrate (joins worker threads on threads).
-    pub fn stop(&mut self) {
-        self.sim.stop();
-    }
-
-    /// Check one key's history against MWMR regularity.
-    pub fn check_history(&self, key: Key) -> Result<(), Vec<RegularityError>> {
-        match self.recorders.get(&key) {
-            Some(rec) => rec.check(&self.sys),
-            None => Ok(()),
-        }
-    }
-
-    /// Check every key's history; `Err` maps keys to their violations.
-    pub fn check_all_histories(&self) -> Result<(), BTreeMap<Key, Vec<RegularityError>>> {
-        let mut bad = BTreeMap::new();
-        for (&key, rec) in &self.recorders {
-            if let Err(errs) = rec.check(&self.sys) {
-                bad.insert(key, errs);
-            }
-        }
-        if bad.is_empty() {
-            Ok(())
-        } else {
-            Err(bad)
-        }
-    }
-
-    /// Fold every key's regularity verdict by hosting shard: how many keys
-    /// each shard served and how many violations its histories carry. A
-    /// shard with zero violations is regular as a unit — fault isolation
-    /// means a Byzantine or crashed neighbour shard cannot change that.
-    pub fn check_per_shard(&self) -> BTreeMap<usize, GroupVerdict> {
-        group_verdicts(
-            self.recorders
-                .iter()
-                .map(|(&key, rec)| (self.router.shard_of(key), rec.check(&self.sys))),
-        )
-    }
-
-    /// Check every key's suffix from `t` (post-stabilization verdict).
-    pub fn check_all_from(&self, t: u64) -> Result<(), BTreeMap<Key, Vec<RegularityError>>> {
-        let mut bad = BTreeMap::new();
-        for (&key, rec) in &self.recorders {
-            if let Err(errs) = rec.check_from(&self.sys, t) {
-                bad.insert(key, errs);
-            }
-        }
-        if bad.is_empty() {
-            Ok(())
-        } else {
-            Err(bad)
-        }
-    }
-
-    /// Current time: virtual (simulator) or elapsed ticks (threads).
-    pub fn now(&self) -> u64 {
-        self.sim.now()
-    }
+/// Fold every key's regularity verdict by hosting shard: how many keys
+/// each shard served and how many violations its histories carry. A
+/// shard with zero violations is regular as a unit — fault isolation
+/// means a Byzantine or crashed neighbour shard cannot change that.
+pub fn check_per_shard<B: LabelingSystem, S>(
+    store: &KvCluster<B, S>,
+) -> BTreeMap<usize, GroupVerdict> {
+    group_verdicts(
+        store
+            .recorders
+            .iter()
+            .map(|(&key, rec)| (store.router.shard_of(key), rec.check(&store.sys))),
+    )
 }
 
 #[cfg(test)]
 mod tests {
+    use sbft_core::adversary::ByzStrategy;
+    use sbft_core::cluster::{OpOutcome, RegisterCluster};
+    use sbft_core::{RetryPolicy, Soak};
+    use sbft_labels::BoundedLabeling;
+    use sbft_net::nemesis::{NemesisEvent, NemesisSchedule};
+    use sbft_net::{Backend, CorruptionSeverity, LinkFault, Substrate};
+    use sbft_storage::DiskFault;
+
     use super::*;
 
     #[test]
@@ -491,9 +237,9 @@ mod tests {
             store.put(c, key, 100 + key).unwrap();
         }
         for key in 0..5u64 {
-            assert_eq!(store.get(c, key).unwrap(), 100 + key);
+            assert_eq!(store.get(c, key).unwrap().value, 100 + key);
         }
-        assert!(store.check_all_histories().is_ok());
+        assert!(store.check_history().is_ok());
     }
 
     #[test]
@@ -502,9 +248,9 @@ mod tests {
         let (a, b) = (store.client(0), store.client(1));
         store.put(a, 1, 11).unwrap();
         store.put(b, 2, 22).unwrap();
-        assert_eq!(store.get(b, 1).unwrap(), 11);
-        assert_eq!(store.get(a, 2).unwrap(), 22);
-        assert!(store.check_all_histories().is_ok());
+        assert_eq!(store.get(b, 1).unwrap().value, 11);
+        assert_eq!(store.get(a, 2).unwrap().value, 22);
+        assert!(store.check_history().is_ok());
     }
 
     #[test]
@@ -514,8 +260,8 @@ mod tests {
         for v in 1..=5 {
             store.put(c, 9, v).unwrap();
         }
-        assert_eq!(store.get(c, 9).unwrap(), 5);
-        assert!(store.check_history(9).is_ok());
+        assert_eq!(store.get(c, 9).unwrap().value, 5);
+        assert!(store.check_key(9).is_ok());
     }
 
     #[test]
@@ -529,22 +275,21 @@ mod tests {
         store.put(c, 1, 111).unwrap();
         store.put(c, 2, 222).unwrap();
         let stable = store.now();
-        assert_eq!(store.get(c, 1).unwrap(), 111);
-        assert_eq!(store.get(c, 2).unwrap(), 222);
-        assert!(store.check_all_from(stable).is_ok());
+        assert_eq!(store.get(c, 1).unwrap().value, 111);
+        assert_eq!(store.get(c, 2).unwrap().value, 222);
+        assert!(store.check_history_from(stable).is_ok());
     }
 
     #[test]
     fn unwritten_key_reads_genesis() {
         let mut store = KvCluster::bounded(1).seed(5).build();
         let c = store.client(0);
-        assert_eq!(store.get(c, 777).unwrap(), 0);
-        assert!(store.check_history(777).is_ok());
+        assert_eq!(store.get(c, 777).unwrap().value, 0);
+        assert!(store.check_key(777).is_ok());
     }
 
     #[test]
     fn retries_ride_out_a_healed_link_cut() {
-        use sbft_net::LinkFault;
         let mut store = KvCluster::bounded(1).seed(8).retry(RetryPolicy::chaos()).build();
         let c = store.client(0);
         store.put(c, 1, 11).unwrap();
@@ -561,43 +306,121 @@ mod tests {
         }
         assert!(store.put_outcome(c, 1, 33).is_ok());
         let got = store.get_outcome(c, 1);
-        assert_eq!(got, OpOutcome::Ok(33), "{got:?}");
-        assert!(store.check_all_histories().is_ok());
+        assert!(matches!(&got, OpOutcome::Ok(r) if r.value == 33), "{got:?}");
+        assert!(store.check_history().is_ok());
     }
 
     #[test]
     fn durable_store_reboots_a_node_from_its_damaged_disk() {
-        use crate::server::KvServer;
-        use sbft_storage::DiskFault;
         let mut store = KvCluster::bounded(1).seed(9).durable().build();
         let c = store.client(0);
         for key in 0..3u64 {
             store.put(c, key, 100 + key).unwrap();
             store.put(c, key, 200 + key).unwrap();
         }
-        let disks = store.disks.clone().unwrap();
-        store.sim.crash(0);
-        let disk = disks.get(0);
-        disk.crash(DiskFault::LostSuffix);
-        let recovered = KvServer::recover(store.sys.clone(), store.cfg, disk);
-        assert!(recovered.key_count() >= 1, "nothing salvaged from the disk");
-        store.sim.restart_with(0, Box::new(recovered));
+        let sched = NemesisSchedule::scripted(vec![
+            (0, NemesisEvent::Crash(0)),
+            (1, NemesisEvent::CrashRecover { pid: 0, fault: DiskFault::LostSuffix }),
+        ]);
+        let mut runner = store.nemesis_runner(sched, vec![], ByzStrategy::Silent);
+        assert!(runner.fire_next(&mut store.sim));
+        assert!(runner.fire_next(&mut store.sim));
+        assert_eq!(runner.cures.len(), 1, "recovery counts as a cure");
+        let node = store.sim.process_mut(0).as_any_mut().unwrap();
+        let node = node.downcast_mut::<KvServer<BoundedLabeling>>().expect("a bare storage node");
+        assert!(node.key_count() >= 1, "nothing salvaged from the disk");
         // The store keeps serving with the rebooted node back in the pool.
         store.put(c, 1, 999).unwrap();
-        assert_eq!(store.get(c, 1).unwrap(), 999);
-        assert!(store.check_all_histories().is_ok());
+        assert_eq!(store.get(c, 1).unwrap().value, 999);
+        for key in 0..3u64 {
+            assert!(store.check_key(key).is_ok(), "key {key}");
+        }
+    }
+
+    /// The register's soak loop, unchanged, on a durable two-shard store:
+    /// a link cut, a crash with state loss and a reboot from a damaged disk,
+    /// all on the second shard. Returns the rebooted seat.
+    fn soak_a_sharded_durable_store<S>(store: &mut KvCluster<BoundedLabeling, S>) -> ProcessId
+    where
+        S: Substrate<KvMsg<Ts<BoundedLabeling>>, KvEvent<Ts<BoundedLabeling>>>,
+    {
+        let (key, backend) = (5, store.backend());
+        let home = store.router.server_pids(store.router.shard_of(key));
+        let (s0, s1, writer) = (home.start, home.start + 1, store.client(0));
+        assert_eq!(s0, store.cfg.n, "the key lives where global and local pids differ");
+        let sched = NemesisSchedule::scripted(vec![
+            (50, NemesisEvent::LinkFault { a: writer, b: s0, fault: LinkFault::cut() }),
+            (150, NemesisEvent::LinkHeal { a: writer, b: s0 }),
+            (250, NemesisEvent::Crash(s1)),
+            (350, NemesisEvent::Restart(s1)),
+            (450, NemesisEvent::Crash(s0)),
+            (550, NemesisEvent::CrashRecover { pid: s0, fault: DiskFault::TornFrame }),
+        ]);
+        let runner = store.nemesis_runner(sched, vec![], ByzStrategy::Silent);
+        let report = Soak::new(store, key, runner).run();
+        assert_eq!((report.events_fired, report.cures), (6, 1), "{backend:?}: {report:?}");
+        assert_eq!(report.window_violations, 0, "{backend:?}: {report:?}");
+        assert_eq!(report.post_heal_failures, 0, "{backend:?}: {report:?}");
+        assert!(report.windows >= 2 && report.writes_ok > 0, "{backend:?}: {report:?}");
+        assert!(store.check_history().is_ok(), "{backend:?}");
+        store.stop();
+        s0
+    }
+
+    fn sharded_durable() -> KvClusterBuilder<BoundedLabeling> {
+        KvCluster::bounded(1).shards(2).durable().seed(14).retry(RetryPolicy::chaos())
+    }
+
+    #[test]
+    fn soak_runs_on_a_sharded_durable_store() {
+        let mut store = sharded_durable().build();
+        let s0 = soak_a_sharded_durable_store(&mut store);
+        // The rebooted node sits behind its shard's placement enforcement
+        // again, with state from its disk.
+        let node = store.sim.process_mut(s0).as_any_mut().unwrap();
+        let node = node.downcast_mut::<ShardedServer<BoundedLabeling>>().expect("re-wrapped");
+        assert_eq!((node.shard(), node.inner.key_count()), (1, 1));
+    }
+
+    #[test]
+    fn soak_runs_on_a_sharded_durable_store_on_threads() {
+        soak_a_sharded_durable_store(&mut sharded_durable().backend(Backend::Threaded).build_any());
+    }
+
+    /// The merge's premise: a register and a one-key store are the same
+    /// execution, tick for tick, message for message, event for event.
+    #[test]
+    fn one_key_store_is_the_register() {
+        for seed in 1..=5 {
+            let mut reg = RegisterCluster::bounded(1).seed(seed).build();
+            let mut store = KvCluster::bounded(1).seed(seed).build();
+            let same = |reg: &RegisterCluster<BoundedLabeling>,
+                        store: &KvCluster<BoundedLabeling>| {
+                let (r, s) = (reg.metrics(), store.metrics());
+                assert_eq!(reg.now(), store.now(), "seed {seed}");
+                assert_eq!(r.messages_sent, s.messages_sent, "seed {seed}");
+                assert_eq!(r.events_processed, s.events_processed, "seed {seed}");
+            };
+            for round in 0..8 {
+                let (w, r) = (reg.client(0), reg.client(1));
+                assert_eq!(reg.write(w, 10 + round).unwrap(), store.put(w, 3, 10 + round).unwrap());
+                same(&reg, &store);
+                assert_eq!(reg.read(r).unwrap(), store.get(r, 3).unwrap(), "seed {seed}");
+                same(&reg, &store);
+            }
+        }
     }
 
     #[test]
     fn threaded_store_round_trips_and_reports_metrics() {
-        let mut store = KvCluster::bounded(1).seed(6).build_threaded();
+        let mut store = KvCluster::bounded(1).seed(6).backend(Backend::Threaded).build_any();
         assert_eq!(store.backend(), Backend::Threaded);
         let c = store.client(0);
         store.put(c, 1, 11).unwrap();
         store.put(c, 2, 22).unwrap();
-        assert_eq!(store.get(c, 1).unwrap(), 11);
-        assert_eq!(store.get(c, 2).unwrap(), 22);
-        assert!(store.check_all_histories().is_ok());
+        assert_eq!(store.get(c, 1).unwrap().value, 11);
+        assert_eq!(store.get(c, 2).unwrap().value, 22);
+        assert!(store.check_history().is_ok());
         let m = store.metrics();
         assert!(m.messages_sent > 0 && m.messages_delivered > 0, "{m:?}");
         store.stop();
@@ -611,10 +434,10 @@ mod tests {
             store.put(c, key, 1000 + key).unwrap();
         }
         for key in 0..16u64 {
-            assert_eq!(store.get(c, key).unwrap(), 1000 + key);
+            assert_eq!(store.get(c, key).unwrap().value, 1000 + key);
         }
-        assert!(store.check_all_histories().is_ok());
-        let verdicts = store.check_per_shard();
+        assert!(store.check_history().is_ok());
+        let verdicts = check_per_shard(&store);
         assert_eq!(verdicts.values().map(|v| v.registers).sum::<usize>(), 16);
         assert!(verdicts.values().all(|v| v.is_regular()), "{verdicts:?}");
         assert!(verdicts.len() > 1, "16 keys should span several shards");
@@ -622,7 +445,6 @@ mod tests {
 
     #[test]
     fn sharded_store_with_batching_and_pipelining_stays_regular() {
-        use sbft_net::BatchPolicy;
         let mut store = KvCluster::bounded(1)
             .shards(2)
             .pipeline(4)
@@ -634,9 +456,9 @@ mod tests {
             store.put(c, key, 7 + key).unwrap();
         }
         for key in 0..8u64 {
-            assert_eq!(store.get(c, key).unwrap(), 7 + key);
+            assert_eq!(store.get(c, key).unwrap().value, 7 + key);
         }
-        assert!(store.check_all_histories().is_ok());
+        assert!(store.check_history().is_ok());
         let m = store.metrics();
         assert!(m.frames_delivered > 0 && m.frames_delivered <= m.messages_delivered, "{m:?}");
     }
@@ -651,9 +473,9 @@ mod tests {
         store.put(c, 1, 111).unwrap();
         store.put(c, 2, 222).unwrap();
         let stable = store.now();
-        assert_eq!(store.get(c, 1).unwrap(), 111);
-        assert_eq!(store.get(c, 2).unwrap(), 222);
-        assert!(store.check_all_from(stable).is_ok());
+        assert_eq!(store.get(c, 1).unwrap().value, 111);
+        assert_eq!(store.get(c, 2).unwrap().value, 222);
+        assert!(store.check_history_from(stable).is_ok());
     }
 
     #[test]
@@ -663,8 +485,8 @@ mod tests {
             assert_eq!(store.backend(), backend);
             let c = store.client(0);
             store.put(c, 5, 55).unwrap();
-            assert_eq!(store.get(c, 5).unwrap(), 55, "{backend:?}");
-            assert!(store.check_all_histories().is_ok(), "{backend:?}");
+            assert_eq!(store.get(c, 5).unwrap().value, 55, "{backend:?}");
+            assert!(store.check_history().is_ok(), "{backend:?}");
             store.stop();
         }
     }

@@ -17,8 +17,10 @@
 //! * [`client::KvClient`] holds one register-client state per key
 //!   (read-label pools and `recent_vals` caches are per key, as the
 //!   protocol's bookkeeping requires).
-//! * [`cluster::KvCluster`] is the driver: blocking `put`/`get`, one
-//!   history recorder per key, and the per-key regularity verdicts.
+//! * [`cluster::KvCluster`] is the driver — `sbft-core`'s one cluster
+//!   driver over the [`cluster::Keyed`] envelope: blocking `put`/`get`,
+//!   one history recorder per key, the per-key regularity verdicts, and
+//!   the register's nemesis and soak wiring unchanged.
 //! * [`shard::ShardRouter`] optionally hash-partitions the keyspace over
 //!   several independent `5f + 1` server groups ("shards" — each its own
 //!   unit of placement and fault isolation), behind the same facade:
@@ -40,6 +42,6 @@ pub mod messages;
 pub mod server;
 pub mod shard;
 
-pub use cluster::KvCluster;
+pub use cluster::{check_per_shard, KvCluster};
 pub use messages::{Key, KvEvent, KvMsg};
 pub use shard::{ShardRouter, ShardedClient, ShardedServer};

@@ -8,7 +8,8 @@
 //! client agrees on the placement without coordination. Because each key's
 //! register lives entirely inside one shard's `5f + 1` group, Theorem 1
 //! applies to it verbatim — sharding multiplies capacity without touching
-//! the proof.
+//! the proof. The placement and pid arithmetic is the [`ShardRouter`] of
+//! `sbft-core` (every cluster has one; a register's has a single shard).
 //!
 //! The wrappers in this module keep the inner automata oblivious:
 //! [`ShardedServer`] and [`ShardedClient`] translate between the **global**
@@ -20,86 +21,15 @@
 //! so a Byzantine server can never reach across a shard boundary.
 
 use rand::rngs::StdRng;
-use sbft_core::config::ClusterConfig;
+pub use sbft_core::config::ShardRouter;
 use sbft_core::Ts;
 use sbft_labels::LabelingSystem;
 use sbft_net::process::Effects;
 use sbft_net::{Automaton, Ctx, ProcessId, ENV};
 
 use crate::client::KvClient;
-use crate::messages::{Key, KvEvent, KvMsg};
+use crate::messages::{KvEvent, KvMsg};
 use crate::server::KvServer;
-
-/// Stateless shard placement: key → shard, and the global↔local pid
-/// arithmetic of the flattened `shards × n + clients` process layout.
-#[derive(Clone, Copy, Debug)]
-pub struct ShardRouter {
-    cfg: ClusterConfig,
-    shards: usize,
-}
-
-impl ShardRouter {
-    /// A router over `shards` groups of `cfg.n` servers each (clamped to
-    /// at least one shard).
-    pub fn new(cfg: ClusterConfig, shards: usize) -> Self {
-        Self { cfg, shards: shards.max(1) }
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// The shard hosting `key`: Fibonacci multiplicative hash so adjacent
-    /// keys spread across shards instead of striping.
-    pub fn shard_of(&self, key: Key) -> usize {
-        ((key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) % self.shards
-    }
-
-    /// Total servers across all shards.
-    pub fn total_servers(&self) -> usize {
-        self.shards * self.cfg.n
-    }
-
-    /// Global pid of client `i` (clients sit after every shard's servers).
-    pub fn client_pid(&self, i: usize) -> ProcessId {
-        self.total_servers() + i
-    }
-
-    /// Global pids of `shard`'s server group.
-    pub fn server_pids(&self, shard: usize) -> std::ops::Range<ProcessId> {
-        shard * self.cfg.n..(shard + 1) * self.cfg.n
-    }
-
-    /// Which shard a global server pid belongs to.
-    pub fn shard_of_server(&self, pid: ProcessId) -> usize {
-        debug_assert!(pid < self.total_servers());
-        pid / self.cfg.n
-    }
-
-    /// Translate a global pid into `shard`'s local pid space: that shard's
-    /// servers map to `0..n`, clients to `n..`; servers of *other* shards
-    /// have no local identity and yield `None`.
-    pub fn to_local(&self, shard: usize, global: ProcessId) -> Option<ProcessId> {
-        let servers = self.total_servers();
-        if global >= servers {
-            Some(self.cfg.n + (global - servers))
-        } else if self.server_pids(shard).contains(&global) {
-            Some(global - shard * self.cfg.n)
-        } else {
-            None
-        }
-    }
-
-    /// Translate `shard`'s local pid back into the global space.
-    pub fn to_global(&self, shard: usize, local: ProcessId) -> ProcessId {
-        if local < self.cfg.n {
-            shard * self.cfg.n + local
-        } else {
-            self.total_servers() + (local - self.cfg.n)
-        }
-    }
-}
 
 /// Replay one inner-automaton dispatch's drained effects onto the outer
 /// context, translating send targets from `shard`-local pids to global.
@@ -295,6 +225,7 @@ impl<B: LabelingSystem> Automaton<KvMsg<Ts<B>>, KvEvent<Ts<B>>> for ShardedClien
 mod tests {
     use super::*;
     use rand::SeedableRng;
+    use sbft_core::config::ClusterConfig;
     use sbft_core::messages::Msg;
     use sbft_core::reader::ReaderOptions;
     use sbft_labels::{BoundedLabeling, MwmrLabeling};
@@ -303,50 +234,6 @@ mod tests {
 
     fn router(shards: usize) -> ShardRouter {
         ShardRouter::new(ClusterConfig::stabilizing(1), shards)
-    }
-
-    #[test]
-    fn placement_arithmetic_round_trips() {
-        let r = router(4); // n = 6, servers 0..24, clients 24..
-        assert_eq!(r.total_servers(), 24);
-        assert_eq!(r.client_pid(0), 24);
-        assert_eq!(r.server_pids(2), 12..18);
-        for g in 0..24 {
-            let s = r.shard_of_server(g);
-            let l = r.to_local(s, g).unwrap();
-            assert!(l < 6);
-            assert_eq!(r.to_global(s, l), g);
-        }
-        // Clients translate in every shard's local space.
-        for shard in 0..4 {
-            assert_eq!(r.to_local(shard, 25), Some(7));
-            assert_eq!(r.to_global(shard, 7), 25);
-        }
-        // A foreign shard's server has no local identity.
-        assert_eq!(r.to_local(0, 12), None);
-    }
-
-    #[test]
-    fn keys_spread_over_all_shards() {
-        let r = router(4);
-        let mut seen = [false; 4];
-        for key in 0..64u64 {
-            let s = r.shard_of(key);
-            assert!(s < 4);
-            seen[s] = true;
-        }
-        assert!(seen.iter().all(|&b| b), "{seen:?}");
-    }
-
-    #[test]
-    fn single_shard_matches_unsharded_layout() {
-        let r = router(1);
-        let cfg = ClusterConfig::stabilizing(1);
-        assert_eq!(r.total_servers(), cfg.n);
-        assert_eq!(r.client_pid(3), cfg.client_pid(3));
-        for key in 0..32u64 {
-            assert_eq!(r.shard_of(key), 0);
-        }
     }
 
     fn sharded_client(shards: usize) -> ShardedClient<B> {

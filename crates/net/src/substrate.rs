@@ -182,7 +182,7 @@ impl<O> IntoIterator for Outputs<O> {
     fn into_iter(self) -> Self::IntoIter {
         // Vec's iterator for all arities keeps the type simple; the One
         // case allocates only when actually iterated by value, which the
-        // hot threaded paths (recv_output / visit callbacks) avoid.
+        // hot threaded paths (visit callbacks) avoid.
         self.into_vec().into_iter()
     }
 }

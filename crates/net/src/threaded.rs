@@ -290,10 +290,8 @@ impl SharedMetrics {
     }
 }
 
-/// Single MPMC hub carrying every worker's outputs, so `pump` blocks on
-/// one wait instead of sweeping per-process queues. Per-pid receives
-/// (`recv_output`) coexist with pump by rescanning the queue on every
-/// wakeup; an item consumed by neither party stays queued.
+/// Single hub carrying every worker's outputs, so `pump` blocks on one
+/// wait instead of sweeping per-process queues.
 struct OutputHub<O> {
     inner: Mutex<HubInner<O>>,
     cond: Condvar,
@@ -320,9 +318,8 @@ impl<O> OutputHub<O> {
         inner.queue.push_back(item);
         if inner.waiting > 0 {
             drop(inner);
-            // notify_all, not notify_one: per-pid waiters must rescan even
-            // when the item is not theirs, else a pid-B item could absorb
-            // the only wakeup while pid-A's waiter sleeps on.
+            // The driver's `pump` is the only waiter, so this wakes at most
+            // one thread.
             self.cond.notify_all();
         }
     }
@@ -355,39 +352,6 @@ impl<O> OutputHub<O> {
             inner = guard;
             inner.waiting -= 1;
         }
-    }
-
-    /// Wait for the next output *from `pid`*, up to `deadline`; outputs of
-    /// other processes are left queued for their own consumers.
-    fn recv_for(&self, pid: ProcessId, deadline: Instant) -> Option<O> {
-        let mut inner = self.inner.lock().expect("hub lock");
-        loop {
-            if let Some(at) = inner.queue.iter().position(|&(_, p, _)| p == pid) {
-                return inner.queue.remove(at).map(|(_, _, o)| o);
-            }
-            if inner.producers == 0 {
-                return None;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            inner.waiting += 1;
-            let (guard, _) = self.cond.wait_timeout(inner, deadline - now).expect("hub wait");
-            inner = guard;
-            inner.waiting -= 1;
-        }
-    }
-
-    /// Non-blocking variant of [`OutputHub::recv_for`].
-    fn try_recv_for(&self, pid: ProcessId) -> Option<O> {
-        let mut inner = self.inner.lock().expect("hub lock");
-        inner
-            .queue
-            .iter()
-            .position(|&(_, p, _)| p == pid)
-            .and_then(|at| inner.queue.remove(at))
-            .map(|(_, _, o)| o)
     }
 }
 
@@ -742,12 +706,8 @@ where
     M: Clone + std::fmt::Debug + Send + 'static,
     O: Send + 'static,
 {
-    /// Spawn one thread per automaton. `seed` derives each thread's RNG.
-    pub fn spawn(procs: Vec<Box<dyn Automaton<M, O>>>, seed: u64) -> Self {
-        Self::spawn_with(procs, &SubstrateConfig::seeded(seed))
-    }
-
-    /// Spawn with full substrate configuration.
+    /// Spawn one thread per automaton; `config.seed` derives each thread's
+    /// RNG.
     pub fn spawn_with(procs: Vec<Box<dyn Automaton<M, O>>>, config: &SubstrateConfig) -> Self {
         let n = procs.len();
         let mut inbox_tx = Vec::with_capacity(n);
@@ -824,47 +784,21 @@ where
     }
 
     /// Send a command to `pid` as the environment.
-    pub fn send(&self, pid: ProcessId, msg: M) {
+    fn send(&self, pid: ProcessId, msg: M) {
         self.metrics.record_send(ENV);
         let _ = self.inboxes[pid].send(Ctl::Msg { from: ENV, msg });
     }
 
     /// Inject a message into `pid`'s inbox with a spoofed sender — the
     /// threaded realization of garbage already in transit on `(from, to)`.
-    pub fn inject_as(&self, from: ProcessId, to: ProcessId, msg: M) {
+    fn inject_as(&self, from: ProcessId, to: ProcessId, msg: M) {
         self.metrics.record_send(from);
         let _ = self.inboxes[to].send(Ctl::Msg { from, msg });
     }
 
-    /// Block until `pid` emits an output, up to `timeout`. Outputs of
-    /// other processes are left for their own consumers, so concurrent
-    /// per-pid waiters (one client thread each) do not steal each other's
-    /// results.
-    pub fn recv_output(&self, pid: ProcessId, timeout: Duration) -> Option<O> {
-        self.outputs.recv_for(pid, Instant::now() + timeout)
-    }
-
-    /// Non-blocking output poll.
-    pub fn try_recv_output(&self, pid: ProcessId) -> Option<O> {
-        self.outputs.try_recv_for(pid)
-    }
-
-    /// Send a command and wait for the next output from the same process —
-    /// the blocking client-operation shape.
-    pub fn invoke_and_wait(&self, pid: ProcessId, msg: M, timeout: Duration) -> Option<O> {
-        self.send(pid, msg);
-        self.recv_output(pid, timeout)
-    }
-
     /// Corrupt `pid`'s automaton state in-thread (transient fault).
-    pub fn corrupt_process(&self, pid: ProcessId) {
+    fn corrupt_process(&self, pid: ProcessId) {
         let _ = self.inboxes[pid].send(Ctl::Corrupt);
-    }
-
-    /// Stop all threads and join them (bounded by the configured join
-    /// timeout). Equivalent to dropping the cluster, but explicit.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
     }
 }
 
@@ -1000,13 +934,33 @@ mod tests {
         }
     }
 
+    fn spawn<O: Clone + std::fmt::Debug + Send + 'static>(
+        procs: Vec<Box<dyn Automaton<Ping, O>>>,
+        seed: u64,
+    ) -> ThreadedCluster<Ping, O> {
+        ThreadedCluster::spawn_with(procs, &SubstrateConfig::seeded(seed))
+    }
+
+    /// The next output of any process, giving up after `idle_pumps`
+    /// consecutive 100 ms pump windows without one.
+    fn next_output<O: Clone + std::fmt::Debug + Send + 'static>(
+        cluster: &mut ThreadedCluster<Ping, O>,
+        idle_pumps: u32,
+    ) -> Option<O> {
+        cluster.pump_until(u64::MAX, idle_pumps, &mut |_, _, out| Some(out))
+    }
+
+    /// Send a command and wait for the next output.
+    fn invoke(cluster: &mut ThreadedCluster<Ping, u32>, msg: Ping, idle_pumps: u32) -> Option<u32> {
+        cluster.inject(0, msg);
+        next_output(cluster, idle_pumps)
+    }
+
     #[test]
     fn round_trip_through_threads() {
-        let cluster: ThreadedCluster<Ping, u32> =
-            ThreadedCluster::spawn(vec![Box::new(Doubler), Box::new(Worker2)], 1);
-        let out = cluster.invoke_and_wait(0, Ping(21), Duration::from_secs(5));
-        assert_eq!(out, Some(42));
-        cluster.shutdown();
+        let mut cluster = spawn(vec![Box::new(Doubler), Box::new(Worker2)], 1);
+        assert_eq!(invoke(&mut cluster, Ping(21), 50), Some(42));
+        cluster.stop();
     }
 
     #[test]
@@ -1025,28 +979,26 @@ mod tests {
                 }
             }
         }
-        let cluster: ThreadedCluster<Ping, Vec<u32>> =
-            ThreadedCluster::spawn(vec![Box::new(Seq(Vec::new()))], 2);
+        let mut cluster = spawn(vec![Box::new(Seq(Vec::new()))], 2);
         for i in 0..100 {
-            cluster.send(0, Ping(i));
+            cluster.inject(0, Ping(i));
         }
-        let got = cluster.recv_output(0, Duration::from_secs(5)).unwrap();
+        let got = next_output(&mut cluster, 50).unwrap();
         assert_eq!(got, (0..100).collect::<Vec<u32>>());
-        cluster.shutdown();
+        cluster.stop();
     }
 
     #[test]
-    fn shutdown_joins_cleanly() {
-        let cluster: ThreadedCluster<Ping, u32> =
-            ThreadedCluster::spawn(vec![Box::new(Worker2), Box::new(Worker2)], 3);
-        cluster.shutdown();
+    fn stop_joins_cleanly() {
+        let mut cluster: ThreadedCluster<Ping, u32> =
+            spawn(vec![Box::new(Worker2), Box::new(Worker2)], 3);
+        cluster.stop();
     }
 
     #[test]
-    fn drop_joins_without_explicit_shutdown() {
-        let cluster: ThreadedCluster<Ping, u32> =
-            ThreadedCluster::spawn(vec![Box::new(Doubler), Box::new(Worker2)], 7);
-        let _ = cluster.invoke_and_wait(0, Ping(1), Duration::from_secs(5));
+    fn drop_joins_without_explicit_stop() {
+        let mut cluster = spawn(vec![Box::new(Doubler), Box::new(Worker2)], 7);
+        let _ = invoke(&mut cluster, Ping(1), 50);
         drop(cluster); // must terminate promptly, not hang
     }
 
@@ -1054,8 +1006,7 @@ mod tests {
     fn parallel_clients_all_served() {
         // Many environment commands from multiple user threads; every one
         // gets a response. Exercises MPMC sends into one inbox.
-        let cluster: ThreadedCluster<Ping, u32> =
-            ThreadedCluster::spawn(vec![Box::new(Doubler), Box::new(Worker2)], 4);
+        let mut cluster = spawn(vec![Box::new(Doubler), Box::new(Worker2)], 4);
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
@@ -1066,11 +1017,11 @@ mod tests {
             }
         });
         let mut got = 0;
-        while cluster.recv_output(0, Duration::from_millis(500)).is_some() {
+        while next_output(&mut cluster, 5).is_some() {
             got += 1;
         }
         assert_eq!(got, 100);
-        cluster.shutdown();
+        cluster.stop();
     }
 
     #[test]
@@ -1093,13 +1044,11 @@ mod tests {
             }
             fn on_message(&mut self, _: ProcessId, _: Ping, _: &mut Ctx<'_, Ping, u32>) {}
         }
-        let cluster: ThreadedCluster<Ping, u32> =
-            ThreadedCluster::spawn(vec![Box::new(TimerAuto { fired: 0 })], 5);
+        let mut cluster = spawn(vec![Box::new(TimerAuto { fired: 0 })], 5);
         for expect in 1..=3u32 {
-            let got = cluster.recv_output(0, Duration::from_secs(5));
-            assert_eq!(got, Some(expect));
+            assert_eq!(next_output(&mut cluster, 50), Some(expect));
         }
-        cluster.shutdown();
+        cluster.stop();
     }
 
     #[test]
@@ -1115,23 +1064,21 @@ mod tests {
             }
             fn on_message(&mut self, _: ProcessId, _: Ping, _: &mut Ctx<'_, Ping, u32>) {}
         }
-        let mut cluster: ThreadedCluster<Ping, u32> =
-            ThreadedCluster::spawn(vec![Box::new(Gen(1))], 11);
+        let mut cluster = spawn(vec![Box::new(Gen(1))], 11);
         // Restart before the first incarnation's timer fires; only the
         // second incarnation's firing may surface.
         cluster.restart(0, Box::new(Gen(2)));
-        let got = cluster.recv_output(0, Duration::from_secs(5));
+        let got = next_output(&mut cluster, 50);
         assert_eq!(got, Some(2), "stale-incarnation timer must not fire");
-        assert_eq!(cluster.try_recv_output(0), None);
-        cluster.shutdown();
+        assert_eq!(next_output(&mut cluster, 1), None);
+        cluster.stop();
     }
 
     #[test]
     fn metrics_count_sends_and_deliveries() {
-        let mut cluster: ThreadedCluster<Ping, u32> =
-            ThreadedCluster::spawn(vec![Box::new(Doubler), Box::new(Worker2)], 6);
+        let mut cluster = spawn(vec![Box::new(Doubler), Box::new(Worker2)], 6);
         for _ in 0..10 {
-            let _ = cluster.invoke_and_wait(0, Ping(2), Duration::from_secs(5));
+            let _ = invoke(&mut cluster, Ping(2), 50);
         }
         let m = cluster.metrics_snapshot();
         // 10 env commands + 10 forwards + 10 replies.
@@ -1139,21 +1086,20 @@ mod tests {
         assert_eq!(m.messages_delivered, 30, "{m:?}");
         assert_eq!(m.sent_by_process(ENV), 10);
         assert_eq!(m.received_by_process(1), 10);
-        Substrate::stop(&mut cluster);
+        cluster.stop();
     }
 
     #[test]
     fn crash_drops_subsequent_deliveries() {
-        let mut cluster: ThreadedCluster<Ping, u32> =
-            ThreadedCluster::spawn(vec![Box::new(Doubler), Box::new(Worker2)], 8);
+        let mut cluster = spawn(vec![Box::new(Doubler), Box::new(Worker2)], 8);
         Substrate::crash(&mut cluster, 1);
         // Give the crash control a moment to land ahead of traffic.
         std::thread::sleep(Duration::from_millis(20));
-        let out = cluster.invoke_and_wait(0, Ping(3), Duration::from_millis(300));
+        let out = invoke(&mut cluster, Ping(3), 3);
         assert_eq!(out, None, "worker crashed, reply must never come");
         let m = cluster.metrics_snapshot();
         assert!(m.messages_dropped >= 1, "{m:?}");
-        Substrate::stop(&mut cluster);
+        cluster.stop();
     }
 
     #[test]
@@ -1169,17 +1115,16 @@ mod tests {
                 self.poisoned = true;
             }
         }
-        let mut cluster: ThreadedCluster<Ping, u32> =
-            ThreadedCluster::spawn(vec![Box::new(Corruptible { poisoned: false })], 9);
+        let mut cluster = spawn(vec![Box::new(Corruptible { poisoned: false })], 9);
         let plan = FaultPlan {
             corrupt_processes: vec![0],
             garbage_channels: vec![],
             garbage_per_channel: 0,
         };
         Substrate::apply_fault(&mut cluster, &plan, &mut |_rng| Ping(0));
-        let out = cluster.invoke_and_wait(0, Ping(0), Duration::from_secs(5));
+        let out = invoke(&mut cluster, Ping(0), 50);
         assert_eq!(out, Some(1), "corrupt control must precede the probe (FIFO)");
-        Substrate::stop(&mut cluster);
+        cluster.stop();
     }
 
     #[test]
@@ -1209,11 +1154,11 @@ mod tests {
         // 500 ticks × 2 ms = a full second of delay on link 0→1 only.
         cluster.set_link_fault(0, 1, Some(LinkFault::flaky(0.0, 0.0, 500)));
         let t0 = Instant::now();
-        cluster.send(0, Ping(7));
+        cluster.inject(0, Ping(7));
         // The 0→2 echo must come back promptly even though 0→1 is stalled:
         // the old runtime slept the whole worker for the delay, so this
         // reply used to take the full second too.
-        let first = cluster.recv_output(0, Duration::from_secs(5));
+        let first = next_output(&mut cluster, 50);
         let elapsed = t0.elapsed();
         assert_eq!(first, Some(2), "fast link's reply must arrive first");
         assert!(
@@ -1221,9 +1166,9 @@ mod tests {
             "delayed 0→1 link stalled the 0→2 send ({elapsed:?})"
         );
         // The delayed link still delivers (later), preserving the reply.
-        let second = cluster.recv_output(0, Duration::from_secs(10));
+        let second = next_output(&mut cluster, 100);
         assert_eq!(second, Some(1), "delayed link must still deliver");
-        cluster.shutdown();
+        cluster.stop();
     }
 
     #[test]
@@ -1260,16 +1205,16 @@ mod tests {
                 }
             }
         }
-        let cluster: ThreadedCluster<Ping, Vec<u32>> = ThreadedCluster::spawn_with(
+        let mut cluster: ThreadedCluster<Ping, Vec<u32>> = ThreadedCluster::spawn_with(
             vec![Box::new(Fan3), Box::new(Collect(Vec::new()))],
             &SubstrateConfig::seeded(19)
                 .with_tick(Duration::from_micros(200))
                 .with_batching(BatchPolicy::new(6, 2)),
         );
         for i in 0..20 {
-            cluster.send(0, Ping(i));
+            cluster.inject(0, Ping(i));
         }
-        let got = cluster.recv_output(1, Duration::from_secs(10)).expect("all 60 delivered");
+        let got = next_output(&mut cluster, 100).expect("all 60 delivered");
         assert_eq!(got, (0..60).collect::<Vec<u32>>(), "batching must not reorder a link");
         let m = cluster.metrics_snapshot();
         // 20 env commands + 60 forwards, all delivered.
@@ -1279,7 +1224,7 @@ mod tests {
             m.frames_delivered < m.messages_delivered,
             "forwarded traffic must coalesce: {m:?}"
         );
-        cluster.shutdown();
+        cluster.stop();
     }
 
     #[test]
@@ -1298,15 +1243,15 @@ mod tests {
                 ctx.output(msg.0);
             }
         }
-        let cluster: ThreadedCluster<Ping, u32> = ThreadedCluster::spawn_with(
+        let mut cluster: ThreadedCluster<Ping, u32> = ThreadedCluster::spawn_with(
             vec![Box::new(Fwd), Box::new(Echo)],
             &SubstrateConfig::seeded(23).with_batching(BatchPolicy::new(64, 2)),
         );
         // One message far below the size watermark must still arrive.
-        cluster.send(0, Ping(99));
-        let got = cluster.recv_output(1, Duration::from_secs(5));
+        cluster.inject(0, Ping(99));
+        let got = next_output(&mut cluster, 50);
         assert_eq!(got, Some(99), "pending batch must flush on the tick watermark");
-        cluster.shutdown();
+        cluster.stop();
     }
 
     #[test]
@@ -1348,20 +1293,20 @@ mod tests {
         // the fault is cleared mid-stream: the healed sends must still
         // queue behind the deferred ones (the FIFO clamp), not overtake.
         for i in 0..10 {
-            cluster.send(0, Ping(i));
+            cluster.inject(0, Ping(i));
         }
         std::thread::sleep(Duration::from_millis(20));
         cluster.set_link_fault(0, 1, Some(LinkFault::flaky(0.0, 0.0, 40)));
         for i in 10..20 {
-            cluster.send(0, Ping(i));
+            cluster.inject(0, Ping(i));
         }
         std::thread::sleep(Duration::from_millis(2));
         cluster.set_link_fault(0, 1, None);
         for i in 20..30 {
-            cluster.send(0, Ping(i));
+            cluster.inject(0, Ping(i));
         }
-        let got = cluster.recv_output(1, Duration::from_secs(10)).expect("all 30 delivered");
+        let got = next_output(&mut cluster, 100).expect("all 30 delivered");
         assert_eq!(got, (0..30).collect::<Vec<u32>>(), "per-link FIFO violated");
-        cluster.shutdown();
+        cluster.stop();
     }
 }

@@ -64,6 +64,6 @@ fn main() {
         .expect("the suffix after the first complete write is regular");
     println!(
         "suffix regularity verified — {} aborts recorded during the transitory phase",
-        cluster.recorder.aborted_reads()
+        cluster.history(()).aborted_reads()
     );
 }

@@ -21,7 +21,7 @@ fn main() {
         println!("[t={:>6}] alice put {key} -> {value:#x}", store.now());
     }
     for &(key, value) in &objects {
-        let got = store.get(bob, key).expect("get terminates");
+        let got = store.get(bob, key).expect("get terminates").value;
         assert_eq!(got, value);
         println!("[t={:>6}] bob   got {key} -> {got:#x}", store.now());
     }
@@ -36,10 +36,10 @@ fn main() {
     }
     let stable = store.now();
     for &(key, value) in &objects {
-        let got = store.get(bob, key).expect("post-fault get returns");
+        let got = store.get(bob, key).expect("post-fault get returns").value;
         assert_eq!(got, value + 1);
         println!("[t={:>6}] bob   got {key} -> {got:#x} (healed)", store.now());
     }
-    store.check_all_from(stable).expect("every key's post-stabilization suffix is regular");
+    store.check_history_from(stable).expect("every key's post-stabilization suffix is regular");
     println!("all {} keys verified regular after self-healing", objects.len());
 }

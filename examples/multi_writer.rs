@@ -11,7 +11,7 @@
 
 use sbft::labels::BoundedLabeling;
 use sbft::net::DelayModel;
-use sbft::register::cluster::{ClusterBuilder, RegisterCluster};
+use sbft::register::cluster::{ClusterBuilder, Op, RegisterCluster};
 use sbft::register::config::ClusterConfig;
 use sbft::register::messages::ClientEvent;
 use sbft::register::reader::ReaderOptions;
@@ -37,10 +37,10 @@ fn main() {
     let mut next_val = 100u64;
     for (w, slot) in left.iter_mut().enumerate() {
         next_val += 1;
-        cluster.invoke_write(cluster.client(w), next_val);
+        cluster.invoke(cluster.client(w), (), Op::Write(next_val));
         *slot -= 1;
     }
-    cluster.invoke_read(reader);
+    cluster.invoke(reader, (), Op::Read);
 
     let mut reads = 0;
     let mut unions = 0;
@@ -51,12 +51,12 @@ fn main() {
         budget -= 1;
         let (time, pid) = (ev.time, ev.pid);
         for out in ev.outputs {
-            cluster.recorder.complete(pid, time, &out);
+            cluster.observe_event(time, pid, &out);
             #[allow(clippy::needless_range_loop)] // w is matched against pid
             for w in 0..WRITERS {
                 if pid == cluster.client(w) && out.is_write_end() && left[w] > 0 {
                     next_val += 1;
-                    cluster.invoke_write(cluster.client(w), next_val);
+                    cluster.invoke(cluster.client(w), (), Op::Write(next_val));
                     left[w] -= 1;
                     break;
                 }
@@ -74,7 +74,7 @@ fn main() {
                 if left.iter().all(|&l| l == 0) {
                     reader_done = true;
                 } else {
-                    cluster.invoke_read(reader);
+                    cluster.invoke(reader, (), Op::Read);
                 }
             }
         }
@@ -86,5 +86,5 @@ fn main() {
         WRITERS, BURST, reads, unions
     );
     cluster.check_history().expect("MWMR regularity holds under full write concurrency");
-    println!("MWMR regularity verified across {} operations", cluster.recorder.ops().len());
+    println!("MWMR regularity verified across {} operations", cluster.history(()).ops().len());
 }

@@ -23,7 +23,7 @@ fn main() {
     cluster.check_history().expect("the recorded history satisfies MWMR regularity");
     println!(
         "history of {} operations verified regular; {} messages exchanged",
-        cluster.recorder.ops().len(),
+        cluster.history(()).ops().len(),
         cluster.metrics().messages_sent
     );
 }

@@ -1,6 +1,6 @@
 //! The same sans-IO automata on real OS threads, driven through the same
-//! `RegisterCluster` scenario driver the simulator experiments use — the
-//! only difference is `build_threaded()` instead of `build()`.
+//! cluster driver the simulator experiments use — the only difference is
+//! `.backend(Backend::Threaded).build_any()` instead of `build()`.
 //!
 //! ```text
 //! cargo run --release --example threaded_cluster
@@ -8,13 +8,15 @@
 
 use std::time::Instant;
 
+use sbft::net::Backend;
 use sbft::register::cluster::{Op, RegisterCluster};
 
 fn main() {
     const CLIENTS: usize = 4;
     const ROUNDS: u64 = 200;
 
-    let mut cluster = RegisterCluster::bounded(1).clients(CLIENTS).seed(9).build_threaded();
+    let mut cluster =
+        RegisterCluster::bounded(1).clients(CLIENTS).seed(9).backend(Backend::Threaded).build_any();
     println!(
         "spawned {} server threads + {CLIENTS} client threads (backend: {:?})",
         cluster.cfg.n,
@@ -25,14 +27,14 @@ fn main() {
     let mut total = 0usize;
     for round in 0..ROUNDS {
         // One concurrent operation per client, alternating write/read.
-        let ops: Vec<(usize, Op)> = (0..CLIENTS)
+        let ops: Vec<(usize, (), Op)> = (0..CLIENTS)
             .map(|i| {
                 let op = if (round + i as u64).is_multiple_of(2) {
                     Op::Write(((i as u64) << 32) | round)
                 } else {
                     Op::Read
                 };
-                (i, op)
+                (i, (), op)
             })
             .collect();
         total += cluster.run_concurrent(&ops).iter().flatten().count();

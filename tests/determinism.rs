@@ -21,7 +21,7 @@ fn fingerprint(seed: u64) -> (u64, u64, u64, String) {
     let _ = c.read(c.client(2));
     c.settle(100_000);
     let hist: String = c
-        .recorder
+        .history(())
         .ops()
         .iter()
         .map(|o| format!("{:?}@{}..{:?}:{:?};", o.kind, o.invoked_at, o.returned_at, o.outcome))

@@ -118,7 +118,7 @@ fn reader_crash_does_not_block_others() {
     let (w, r1, r2) = (c.client(0), c.client(1), c.client(2));
     c.write(w, 1).unwrap();
     // r1 starts a read and crashes mid-flight.
-    c.invoke_read(r1);
+    c.invoke(r1, (), Op::Read);
     for _ in 0..3 {
         c.sim.step();
     }
@@ -139,10 +139,10 @@ fn concurrent_mixed_workload() {
         let mut c = RegisterCluster::bounded(1).clients(4).seed(seed).build();
         c.write(c.client(0), 1).unwrap();
         let evs = c.run_concurrent(&[
-            (0, Op::Write(10)),
-            (1, Op::Write(20)),
-            (2, Op::Read),
-            (3, Op::Read),
+            (0, (), Op::Write(10)),
+            (1, (), Op::Write(20)),
+            (2, (), Op::Read),
+            (3, (), Op::Read),
         ]);
         assert!(evs.iter().all(|e| e.is_some()), "seed {seed}: {evs:?}");
         c.settle(200_000);

@@ -3,7 +3,7 @@
 //! that shard only — every other shard keeps serving operations whose
 //! histories remain regular.
 
-use sbft::kv::{KvCluster, KvMsg};
+use sbft::kv::{check_per_shard, KvCluster, KvMsg};
 use sbft::register::messages::Msg;
 
 #[test]
@@ -32,11 +32,11 @@ fn crashing_one_shard_leaves_the_others_serving() {
         }
         survivors += 1;
         store.put(a, key, 200 + key).unwrap();
-        assert_eq!(store.get(a, key).unwrap(), 200 + key);
+        assert_eq!(store.get(a, key).unwrap().value, 200 + key);
     }
     assert!(survivors > 0, "need at least one key off the victim shard");
-    assert!(store.check_all_histories().is_ok());
-    let verdicts = store.check_per_shard();
+    assert!(store.check_history().is_ok());
+    let verdicts = check_per_shard(&store);
     assert!(verdicts.values().all(|v| v.is_regular()), "{verdicts:?}");
 }
 
@@ -61,12 +61,12 @@ fn partitioning_one_shard_from_a_client_leaves_other_shards_reachable() {
             continue;
         }
         reachable += 1;
-        assert_eq!(store.get(c, key).unwrap(), 10 + key);
+        assert_eq!(store.get(c, key).unwrap().value, 10 + key);
         store.put(c, key, 20 + key).unwrap();
-        assert_eq!(store.get(c, key).unwrap(), 20 + key);
+        assert_eq!(store.get(c, key).unwrap().value, 20 + key);
     }
     assert!(reachable > 0, "need at least one key off the victim shard");
-    assert!(store.check_all_histories().is_ok());
-    let verdicts = store.check_per_shard();
+    assert!(store.check_history().is_ok());
+    let verdicts = check_per_shard(&store);
     assert!(verdicts.values().all(|v| v.is_regular()), "{verdicts:?}");
 }

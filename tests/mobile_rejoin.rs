@@ -38,7 +38,7 @@ fn run_rejoin(backend: Backend, seed: u64) {
         .nemesis_runner(schedule, vec![byz_seat], ByzStrategy::Equivocate)
         .cure_mode(CureMode::Amnesiac { total_procs, severity: CorruptionSeverity::Heavy });
 
-    let mut soak = Soak::new(&mut c, runner);
+    let mut soak = Soak::new(&mut c, (), runner);
     assert!(soak.tracker.is_open(), "pre-movement write must complete and open a window");
 
     let mut cure_seen = false;
@@ -129,7 +129,7 @@ fn vacated_seat_restarts_honest() {
     let mut value = 0u64;
     while !runner.done() {
         value += 1;
-        let _ = c.write_outcome(w, value);
+        let _ = c.put_outcome(w, (), value);
         runner.fire_due(&mut c.sim);
     }
     assert!(c.server_state(byz_seat).is_some(), "vacated seat must rejoin honest");
@@ -138,6 +138,6 @@ fn vacated_seat_restarts_honest() {
 
     // And the wiped server still lets the cluster make progress.
     value += 1;
-    assert!(c.write_outcome(w, value).is_ok());
+    assert!(c.put_outcome(w, (), value).is_ok());
     c.stop();
 }

@@ -8,7 +8,7 @@
 //! fault → stabilize, indefinitely.
 
 use sbft::net::CorruptionSeverity;
-use sbft::register::cluster::{OpError, RegisterCluster};
+use sbft::register::cluster::{Op, OpError, RegisterCluster};
 use sbft::register::messages::ClientEvent;
 
 /// Writes cannot complete while a majority of servers is unreachable, and
@@ -25,7 +25,7 @@ fn operations_stall_during_partition_and_finish_after_heal() {
     let clients: Vec<usize> = vec![w, r];
     c.sim.partition(&clients, &far);
 
-    c.invoke_write(w, 2);
+    c.invoke(w, (), Op::Write(2));
     // Drain everything deliverable: the write must NOT complete.
     let ev = c.await_client(w);
     assert_eq!(ev, Err(OpError::Stuck), "write must stall behind the partition");

@@ -61,12 +61,12 @@ proptest! {
                 Step::Concurrent(ops) => {
                     // One op per distinct client.
                     let mut seen = [false; 3];
-                    let batch: Vec<(usize, Op)> = ops
+                    let batch: Vec<(usize, (), Op)> = ops
                         .into_iter()
                         .filter(|(ci, _)| !std::mem::replace(&mut seen[*ci as usize % 3], true))
                         .map(|(ci, is_write)| {
                             next_val += 1;
-                            (ci as usize % 3, if is_write { Op::Write(next_val) } else { Op::Read })
+                            (ci as usize % 3, (), if is_write { Op::Write(next_val) } else { Op::Read })
                         })
                         .collect();
                     let evs = c.run_concurrent(&batch);

@@ -6,7 +6,7 @@
 //! values. This is a small exhaustive model check of the WTsG decision
 //! logic, complementing the randomized schedule suite.
 
-use sbft::register::cluster::RegisterCluster;
+use sbft::register::cluster::{Op, RegisterCluster};
 
 /// All permutations of `items` (Heap's algorithm, collected).
 fn permutations(items: &[usize]) -> Vec<Vec<usize>> {
@@ -39,7 +39,7 @@ fn run_with_order(order: &[usize]) -> u64 {
     // Install v1 everywhere, then a crashed writer leaves v2 on 3 servers.
     c.write(w, 1).unwrap();
     let ts1 = c.write(w, 1).unwrap();
-    c.invoke_write(w2, 2);
+    c.invoke(w2, (), Op::Write(2));
     c.sim.crash(w2);
     c.settle(50_000);
     let ts2 = c.sys.next_for(w2 as u32, std::slice::from_ref(&ts1));
@@ -57,7 +57,7 @@ fn run_with_order(order: &[usize]) -> u64 {
     for s in 0..6 {
         c.sim.pause_channel(s, r);
     }
-    c.invoke_read(r);
+    c.invoke(r, (), Op::Read);
     // Let the FLUSHes reach the servers (their acks are buffered).
     c.settle(50_000);
     let mut result = None;
@@ -70,7 +70,7 @@ fn run_with_order(order: &[usize]) -> u64 {
             budget -= 1;
             let (time, pid) = (ev.time, ev.pid);
             for out in ev.outputs {
-                c.recorder.complete(pid, time, &out);
+                c.observe_event(time, pid, &out);
                 if pid == r {
                     if let sbft::register::messages::ClientEvent::ReadDone { value, .. } = out {
                         result = Some(value);

@@ -4,7 +4,6 @@
 //! assumes.
 
 use std::collections::BTreeMap;
-use std::time::Duration;
 
 use proptest::collection;
 use proptest::prelude::*;
@@ -44,46 +43,47 @@ fn spawn_threaded(f: usize, clients: usize, seed: u64) -> (ClusterConfig, Thread
             ReaderOptions::default(),
         )));
     }
-    (cfg, ThreadedCluster::spawn(procs, seed))
+    (cfg, ThreadedCluster::spawn_with(procs, &SubstrateConfig::seeded(seed)))
+}
+
+/// Send `msg` to client `pid` and wait (up to 30 s of idle pumps) for its
+/// next output.
+fn invoke(cluster: &mut ThreadedCluster<M, E>, pid: ProcessId, msg: M) -> Option<E> {
+    cluster.inject(pid, msg);
+    cluster.pump_until(u64::MAX, 300, &mut |_, from, out| (from == pid).then_some(out))
 }
 
 #[test]
 fn threaded_write_read_roundtrip() {
-    let (cfg, cluster) = spawn_threaded(1, 2, 1);
+    let (cfg, mut cluster) = spawn_threaded(1, 2, 1);
     let w = cfg.client_pid(0);
     let r = cfg.client_pid(1);
-    let ev = cluster
-        .invoke_and_wait(w, Msg::InvokeWrite { value: 55 }, Duration::from_secs(30))
+    let ev = invoke(&mut cluster, w, Msg::InvokeWrite { value: 55 })
         .expect("write terminates on threads");
     assert!(matches!(ev, ClientEvent::WriteDone { value: 55, .. }));
-    let ev = cluster
-        .invoke_and_wait(r, Msg::InvokeRead, Duration::from_secs(30))
-        .expect("read terminates on threads");
+    let ev = invoke(&mut cluster, r, Msg::InvokeRead).expect("read terminates on threads");
     match ev {
         ClientEvent::ReadDone { value, .. } => assert_eq!(value, 55),
         other => panic!("unexpected {other:?}"),
     }
-    cluster.shutdown();
+    cluster.stop();
 }
 
 #[test]
 fn threaded_sequential_reads_do_not_regress() {
-    let (cfg, cluster) = spawn_threaded(1, 2, 2);
+    let (cfg, mut cluster) = spawn_threaded(1, 2, 2);
     let w = cfg.client_pid(0);
     let r = cfg.client_pid(1);
     let mut last = 0u64;
     for v in 1..=20u64 {
-        cluster
-            .invoke_and_wait(w, Msg::InvokeWrite { value: v }, Duration::from_secs(30))
-            .expect("write");
-        let ev =
-            cluster.invoke_and_wait(r, Msg::InvokeRead, Duration::from_secs(30)).expect("read");
+        invoke(&mut cluster, w, Msg::InvokeWrite { value: v }).expect("write");
+        let ev = invoke(&mut cluster, r, Msg::InvokeRead).expect("read");
         if let ClientEvent::ReadDone { value, .. } = ev {
             assert!(value >= last, "reads regressed: {value} after {last}");
             last = value;
         }
     }
-    cluster.shutdown();
+    cluster.stop();
 }
 
 #[test]
@@ -96,24 +96,16 @@ fn simulator_and_threads_agree_on_final_value() {
     }
     let sim_final = sim.read(r).unwrap().value;
 
-    let (cfg, cluster) = spawn_threaded(1, 2, 3);
+    let (cfg, mut cluster) = spawn_threaded(1, 2, 3);
     for v in 1..=7u64 {
-        cluster
-            .invoke_and_wait(
-                cfg.client_pid(0),
-                Msg::InvokeWrite { value: v },
-                Duration::from_secs(30),
-            )
-            .expect("write");
+        invoke(&mut cluster, cfg.client_pid(0), Msg::InvokeWrite { value: v }).expect("write");
     }
-    let ev = cluster
-        .invoke_and_wait(cfg.client_pid(1), Msg::InvokeRead, Duration::from_secs(30))
-        .expect("read");
+    let ev = invoke(&mut cluster, cfg.client_pid(1), Msg::InvokeRead).expect("read");
     let thr_final = match ev {
         ClientEvent::ReadDone { value, .. } => value,
         other => panic!("unexpected {other:?}"),
     };
-    cluster.shutdown();
+    cluster.stop();
 
     assert_eq!(sim_final, 7);
     assert_eq!(thr_final, 7);
@@ -232,10 +224,11 @@ fn threaded_crash_mid_operation_still_terminates() {
         .clients(1)
         .seed(17)
         .retry(RetryPolicy::chaos())
-        .build_threaded();
+        .backend(Backend::Threaded)
+        .build_any();
     let w = c.client(0);
     c.write(w, 1).expect("clean write before the crash");
-    c.invoke_write(w, 2);
+    c.invoke(w, (), Op::Write(2));
     c.sim.crash(0);
     let ev = c.await_client(w).expect("write terminates despite the crash");
     assert!(matches!(ev, ClientEvent::WriteDone { value: 2, .. }), "unexpected {ev:?}");
@@ -267,7 +260,7 @@ fn chaos_trace(seed: u64) -> (Vec<(u64, String)>, Vec<String>, u64, u64) {
     let runner: NemesisRunner<M, E> =
         NemesisRunner::new(schedule, make_honest, None, None, garbage);
 
-    let mut soak = Soak::new(&mut c, runner);
+    let mut soak = Soak::new(&mut c, (), runner);
     let mut outcomes = Vec::new();
     let mut rounds = 0;
     while !soak.runner.done() && rounds < 200 {

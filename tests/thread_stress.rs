@@ -14,9 +14,9 @@ use std::time::Duration;
 
 use sbft::labels::BoundedLabeling;
 use sbft::net::{
-    Automaton, Ctx, LinkFault, ProcessId, Substrate, SubstrateConfig, ThreadedCluster, ENV,
+    Automaton, Backend, Ctx, LinkFault, ProcessId, Substrate, SubstrateConfig, ThreadedCluster, ENV,
 };
-use sbft::register::cluster::RegisterCluster;
+use sbft::register::cluster::{Op, RegisterCluster};
 use sbft::register::messages::ClientEvent;
 use sbft::register::server::Server;
 use sbft::register::RetryPolicy;
@@ -29,7 +29,8 @@ type B = BoundedLabeling;
 #[test]
 #[ignore = "elevated iterations; run via the CI thread-stress job"]
 fn stress_register_sustained_ops() {
-    let mut c = RegisterCluster::bounded(1).clients(3).seed(101).build_threaded();
+    let mut c =
+        RegisterCluster::bounded(1).clients(3).seed(101).backend(Backend::Threaded).build_any();
     let clients: Vec<ProcessId> = (0..3).map(|i| c.client(i)).collect();
     for round in 0..300u64 {
         for (i, &pid) in clients.iter().enumerate() {
@@ -152,7 +153,8 @@ fn stress_crash_restart_churn_keeps_terminating() {
         .clients(1)
         .seed(31)
         .retry(RetryPolicy::chaos())
-        .build_threaded();
+        .backend(Backend::Threaded)
+        .build_any();
     let w = c.client(0);
     let n = c.cfg.n;
     let cfg = c.cfg;
@@ -161,7 +163,7 @@ fn stress_crash_restart_churn_keeps_terminating() {
     for round in 0..60u64 {
         let victim = (round as usize) % n;
         c.sim.crash(victim);
-        c.invoke_write(w, round + 1);
+        c.invoke(w, (), Op::Write(round + 1));
         if let Ok(ev) = c.await_client(w) {
             if matches!(ev, ClientEvent::WriteDone { .. }) {
                 completed += 1;
