@@ -18,14 +18,12 @@
 //! observes exactly the unbatched per-link order. Batching never reorders,
 //! only re-frames.
 //!
-//! Accounting: `messages_sent`/`messages_delivered` keep counting *logical*
-//! messages (protocol cost, comparable across all experiments) while
-//! `frames_sent`/`frames_delivered` count wire transfers. With batching
-//! disabled the two coincide.
+//! When a message ships and how it is counted (logical messages against
+//! wire frames) is decided in [`crate::link`], for both substrates.
 
 use std::collections::HashMap;
 
-use crate::process::ProcessId;
+use crate::process::{Automaton, Ctx, ProcessId};
 
 /// When a link's pending queue ships as a [`Frame`].
 ///
@@ -99,10 +97,24 @@ impl<M> Frame<M> {
         }
     }
 
-    /// True when the frame carries no messages (never produced by the
-    /// batcher; present for completeness).
+    /// True when the frame carries no messages.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Hand every carried message to `auto`, in send order, through one
+    /// shared context — so replies produced while applying a batch coalesce
+    /// into outgoing frames of their own (batch-in → batch-out).
+    pub fn apply<O>(
+        self,
+        from: ProcessId,
+        auto: &mut dyn Automaton<M, O>,
+        ctx: &mut Ctx<'_, M, O>,
+    ) {
+        match self {
+            Frame::One(msg) => auto.on_message(from, msg, ctx),
+            Frame::Batch(msgs) => msgs.into_iter().for_each(|m| auto.on_message(from, m, ctx)),
+        }
     }
 }
 

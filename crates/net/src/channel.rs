@@ -11,12 +11,9 @@
 //! the mechanism scripted adversarial schedules (the "slow server" of the
 //! Theorem 1 proof) use to steer executions precisely.
 //!
-//! Orthogonally, a channel can carry a [`LinkFault`]: per-message drop and
-//! duplication probabilities plus a constant extra delay, set and cleared at
-//! runtime by the nemesis. Faulty links still never reorder — a duplicate is
-//! scheduled immediately after its original, and survivors keep FIFO order —
-//! so the fault model degrades the *reliability* assumption of Section II
-//! while leaving the ordering assumption intact.
+//! Orthogonally, a channel can carry a [`LinkFault`], set and cleared at
+//! runtime by the nemesis; what a fault does to a message, and how FIFO
+//! order survives it, is [`crate::link::Link`]'s business.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -24,6 +21,7 @@ use std::collections::VecDeque;
 use rand::rngs::StdRng;
 use rand::Rng;
 
+use crate::link::Link;
 use crate::nemesis::LinkFault;
 use crate::process::ProcessId;
 
@@ -66,16 +64,14 @@ impl Default for DelayModel {
 }
 
 /// Per-ordered-pair channel state.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct ChannelState<M> {
-    /// Latest delivery time already scheduled on this channel.
-    last_delivery: u64,
+    /// The link's fault and its latest scheduled delivery time.
+    link: Link,
     /// Held (unscheduled) messages while the channel is paused.
     held: VecDeque<M>,
     /// Whether the channel currently buffers instead of delivering.
     paused: bool,
-    /// Active link fault, if any.
-    fault: Option<LinkFault>,
 }
 
 /// Outcome of scheduling one message on a channel.
@@ -120,17 +116,11 @@ impl<M> ChannelMap<M> {
         Self { delay, states: HashMap::new() }
     }
 
-    /// The configured delay model.
-    pub fn delay_model(&self) -> DelayModel {
-        self.delay
-    }
-
     fn state(&mut self, from: ProcessId, to: ProcessId) -> &mut ChannelState<M> {
         self.states.entry((from, to)).or_insert_with(|| ChannelState {
-            last_delivery: 0,
+            link: Link::default(),
             held: VecDeque::new(),
             paused: false,
-            fault: None,
         })
     }
 
@@ -150,51 +140,27 @@ impl<M> ChannelMap<M> {
         rng: &mut StdRng,
     ) -> Scheduled<M> {
         let delay = self.delay.sample(rng);
-        let fault = self.states.get(&(from, to)).and_then(|s| s.fault);
-        if self.state(from, to).paused {
-            self.state(from, to).held.push_back(msg);
+        let st = self.state(from, to);
+        if st.paused {
+            st.held.push_back(msg);
             return Scheduled::Held;
         }
-        if let Some(f) = fault {
-            if f.drop_rate > 0.0 && rng.gen_bool(f.drop_rate.min(1.0)) {
-                return Scheduled::Dropped;
-            }
-        }
-        let extra = fault.map_or(0, |f| f.extra_delay);
-        let duplicate = match fault {
-            Some(f) if f.dup_rate > 0.0 => rng.gen_bool(f.dup_rate.min(1.0)),
-            _ => false,
+        let Some(pass) = st.link.roll(rng) else {
+            return Scheduled::Dropped;
         };
-        let st = self.state(from, to);
-        let t = (now + delay + extra).max(st.last_delivery + 1);
-        st.last_delivery = t;
-        let dup_at = duplicate.then(|| {
-            let t2 = st.last_delivery + 1;
-            st.last_delivery = t2;
-            t2
-        });
-        Scheduled::Deliver { at: t, msg, dup_at }
+        let (at, dup_at) = st.link.reserve(now + delay + pass.extra_delay, pass.dup);
+        Scheduled::Deliver { at, msg, dup_at }
     }
 
     /// Install (`Some`) or clear (`None`) a link fault on `(from, to)`.
     pub fn set_fault(&mut self, from: ProcessId, to: ProcessId, fault: Option<LinkFault>) {
-        self.state(from, to).fault = fault;
-    }
-
-    /// The active fault on `(from, to)`, if any.
-    pub fn fault(&self, from: ProcessId, to: ProcessId) -> Option<LinkFault> {
-        self.states.get(&(from, to)).and_then(|s| s.fault)
+        self.state(from, to).link.fault = fault;
     }
 
     /// Pause the channel `(from, to)`: subsequent (and only subsequent)
     /// messages are buffered in order.
     pub fn pause(&mut self, from: ProcessId, to: ProcessId) {
         self.state(from, to).paused = true;
-    }
-
-    /// Whether the channel is paused.
-    pub fn is_paused(&self, from: ProcessId, to: ProcessId) -> bool {
-        self.states.get(&(from, to)).map(|s| s.paused).unwrap_or(false)
     }
 
     /// Resume the channel, returning the held messages (in FIFO order) with
@@ -209,15 +175,7 @@ impl<M> ChannelMap<M> {
         let delay = self.delay;
         let st = self.state(from, to);
         st.paused = false;
-        let held: Vec<M> = st.held.drain(..).collect();
-        let mut out = Vec::with_capacity(held.len());
-        for msg in held {
-            let d = delay.sample(rng);
-            let t = (now + d).max(st.last_delivery + 1);
-            st.last_delivery = t;
-            out.push((t, msg));
-        }
-        out
+        st.held.drain(..).map(|msg| (st.link.slot(now + delay.sample(rng)), msg)).collect()
     }
 
     /// Number of held messages on a paused channel.
@@ -281,42 +239,6 @@ mod tests {
         ch.schedule(0, 1, 51, 2, &mut r);
         let rel = ch.resume(0, 1, 52, &mut r);
         assert!(rel[0].0 > t0);
-    }
-
-    #[test]
-    fn cut_link_drops_everything_until_cleared() {
-        let mut ch: ChannelMap<u32> = ChannelMap::new(DelayModel::unit());
-        let mut r = rng();
-        ch.set_fault(0, 1, Some(LinkFault::cut()));
-        for i in 0..10 {
-            assert!(matches!(ch.schedule(0, 1, 0, i, &mut r), Scheduled::Dropped));
-        }
-        ch.set_fault(0, 1, None);
-        assert!(ch.schedule(0, 1, 0, 99, &mut r).delivery().is_some());
-    }
-
-    #[test]
-    fn duplication_schedules_a_later_copy_and_keeps_fifo() {
-        let mut ch: ChannelMap<u32> = ChannelMap::new(DelayModel::unit());
-        let mut r = rng();
-        ch.set_fault(0, 1, Some(LinkFault::flaky(0.0, 1.0, 0)));
-        let Scheduled::Deliver { at, dup_at, .. } = ch.schedule(0, 1, 0, 7, &mut r) else {
-            panic!("expected delivery");
-        };
-        let dup_at = dup_at.expect("dup_rate=1 must duplicate");
-        assert!(dup_at > at);
-        // The next message lands strictly after the duplicate.
-        let (t2, _) = ch.schedule(0, 1, 0, 8, &mut r).delivery().unwrap();
-        assert!(t2 > dup_at);
-    }
-
-    #[test]
-    fn extra_delay_shifts_deliveries() {
-        let mut ch: ChannelMap<u32> = ChannelMap::new(DelayModel::unit());
-        let mut r = rng();
-        ch.set_fault(0, 1, Some(LinkFault::flaky(0.0, 0.0, 50)));
-        let (t, _) = ch.schedule(0, 1, 0, 1, &mut r).delivery().unwrap();
-        assert_eq!(t, 51);
     }
 
     #[test]

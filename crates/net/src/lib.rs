@@ -27,7 +27,8 @@
 //! protocol crates. The [`nemesis`] module composes all of it — crashes
 //! with recovery, partitions, per-link loss/duplication/delay, transient
 //! corruption, and Byzantine-seat relocation — into seeded, replayable
-//! fault schedules fired through the [`substrate::Substrate`] trait.
+//! fault schedules fired through the [`substrate::Substrate`] trait. What
+//! a link does to the frames it carries is written once, in [`link`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,6 +36,7 @@
 pub mod batch;
 pub mod channel;
 pub mod corruption;
+pub mod link;
 pub mod metrics;
 pub mod mobile;
 pub mod nemesis;

@@ -16,8 +16,9 @@ use std::fmt::Debug;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::batch::{BatchPolicy, Frame, LinkBatcher};
+use crate::batch::{BatchPolicy, Frame};
 use crate::channel::{ChannelMap, DelayModel, Scheduled};
+use crate::link::{Outbound, Sent, Tally};
 use crate::metrics::NetMetrics;
 use crate::nemesis::LinkFault;
 use crate::process::{Automaton, Ctx, ProcessId, ENV};
@@ -148,11 +149,9 @@ pub struct Simulation<M, O> {
     metrics: NetMetrics,
     started: bool,
     halted: bool,
-    batch: BatchPolicy,
-    batcher: LinkBatcher<M>,
-    /// Invariant: whenever the batcher holds pending messages, exactly one
-    /// `Flush` event is queued — so `is_quiet` never lies about liveness.
-    flush_armed: bool,
+    /// Pending link batches. While it holds any, one `Flush` event is
+    /// queued — so `is_quiet` never lies about liveness.
+    outbound: Outbound<M>,
 }
 
 impl<M, O> Simulation<M, O>
@@ -174,9 +173,7 @@ where
             metrics: NetMetrics::default(),
             started: false,
             halted: false,
-            batch: config.batch,
-            batcher: LinkBatcher::new(),
-            flush_armed: false,
+            outbound: Outbound::new(config.batch),
         }
     }
 
@@ -249,17 +246,11 @@ where
 
     /// Route one frame through the channel map, honoring pauses and link
     /// faults, and enqueue the resulting delivery (and duplicate) events.
-    /// Faults act on whole frames: a dropped frame drops every message it
-    /// carries, a duplicated frame delivers all of them twice.
-    fn schedule_send(&mut self, from: ProcessId, to: ProcessId, frame: Frame<M>) {
+    fn ship(&mut self, from: ProcessId, to: ProcessId, frame: Frame<M>) {
         let logical = frame.len();
         match self.channels.schedule(from, to, self.now, frame, &mut self.rng) {
             Scheduled::Held => {}
-            Scheduled::Dropped => {
-                for _ in 0..logical {
-                    self.metrics.record_drop();
-                }
-            }
+            Scheduled::Dropped => self.metrics.dropped(logical),
             Scheduled::Deliver { at, msg, dup_at } => {
                 if let Some(t2) = dup_at {
                     self.push(t2, EventKind::Deliver { from, to, frame: msg.clone() });
@@ -269,33 +260,19 @@ where
         }
     }
 
-    /// Ship a drained link queue as one wire frame.
-    fn send_frame(&mut self, from: ProcessId, to: ProcessId, queue: Vec<M>) {
-        self.metrics.record_frame_sent();
-        self.schedule_send(from, to, Frame::from_queue(queue));
-    }
-
     /// Collect effects from a finished callback into the event queue.
     fn absorb(&mut self, pid: ProcessId, outbox: Vec<(ProcessId, M)>, timers: Vec<(u64, u64)>) {
         for (to, msg) in outbox {
             if to == ENV || to >= self.procs.len() {
-                self.metrics.record_drop();
+                self.metrics.dropped(1);
                 continue;
             }
-            if self.batch.enabled() {
-                self.metrics.record_logical_send(pid);
-                match self.batcher.push(pid, to, msg, self.batch.max_batch) {
-                    Some(queue) => self.send_frame(pid, to, queue),
-                    None => {
-                        if !self.flush_armed {
-                            self.flush_armed = true;
-                            self.push(self.now + self.batch.flush_ticks, EventKind::Flush);
-                        }
-                    }
+            match self.outbound.send(pid, to, msg, &mut self.metrics) {
+                Sent::Ship(frame) => self.ship(pid, to, frame),
+                Sent::Queued { arm_flush: true } => {
+                    self.push(self.now + self.outbound.policy().flush_ticks, EventKind::Flush)
                 }
-            } else {
-                self.metrics.record_send(pid, to);
-                self.schedule_send(pid, to, Frame::One(msg));
+                Sent::Queued { arm_flush: false } => {}
             }
         }
         for (delay, id) in timers {
@@ -308,8 +285,8 @@ where
     /// usual channel delay (FIFO with respect to earlier commands to `pid`).
     /// Environment commands never batch: one command, one frame.
     pub fn inject(&mut self, pid: ProcessId, msg: M) {
-        self.metrics.record_send(ENV, pid);
-        self.schedule_send(ENV, pid, Frame::One(msg));
+        let frame = Outbound::solo(msg, &mut self.metrics);
+        self.ship(ENV, pid, frame);
     }
 
     /// Place `msgs` in the channel `(from, to)` as if they were already in
@@ -317,7 +294,7 @@ where
     /// corruption of channel contents.
     pub fn preload_channel(&mut self, from: ProcessId, to: ProcessId, msgs: Vec<M>) {
         for msg in msgs {
-            self.schedule_send(from, to, Frame::One(msg));
+            self.ship(from, to, Frame::One(msg));
         }
     }
 
@@ -419,8 +396,7 @@ where
     pub fn halt(&mut self) {
         self.halted = true;
         self.queue.clear();
-        let _ = self.batcher.drain_all();
-        self.flush_armed = false;
+        self.outbound.discard();
     }
 
     /// Apply a transient fault to `pid`'s local state (delegates to the
@@ -459,25 +435,14 @@ where
         self.queue.len()
     }
 
-    /// Apply one frame to a live process: a single message dispatches as
-    /// before; a batch dispatches every carried message through **one**
-    /// shared context, so replies produced while applying the batch coalesce
-    /// into outgoing frames of their own (batch-in → batch-out).
+    /// Apply one frame that reached `to`; a crashed process drops it whole.
     fn deliver_frame(&mut self, from: ProcessId, to: ProcessId, frame: Frame<M>) -> Vec<O> {
-        match frame {
-            Frame::One(msg) => {
-                self.metrics.record_delivery(from, to);
-                self.dispatch(to, move |auto, ctx| auto.on_message(from, msg, ctx))
-            }
-            Frame::Batch(msgs) => {
-                self.metrics.record_batch_delivery(to, msgs.len() as u64);
-                self.dispatch(to, move |auto, ctx| {
-                    for msg in msgs {
-                        auto.on_message(from, msg, ctx);
-                    }
-                })
-            }
+        let live = !self.crashed[to];
+        self.metrics.arrived(&frame, live);
+        if !live {
+            return Vec::new();
         }
+        self.dispatch(to, move |auto, ctx| frame.apply(from, auto, ctx))
     }
 
     /// Process one event. Returns `None` when the queue is empty or the
@@ -490,36 +455,31 @@ where
         let ev = self.queue.pop()?;
         debug_assert!(ev.time >= self.now, "time must be monotone");
         self.now = ev.time;
-        match ev.kind {
-            EventKind::Deliver { from, to, frame } => {
-                self.metrics.record_event();
-                if self.crashed[to] {
-                    for _ in 0..frame.len() {
-                        self.metrics.record_drop();
-                    }
-                    return Some(SimEvent { time: self.now, pid: to, outputs: Vec::new() });
-                }
-                let outputs = self.deliver_frame(from, to, frame);
-                Some(SimEvent { time: self.now, pid: to, outputs })
-            }
+        Some(self.process(ev.kind))
+    }
+
+    /// Run one dequeued event at the current time.
+    fn process(&mut self, kind: EventKind<M>) -> SimEvent<O> {
+        let (pid, outputs) = match kind {
+            EventKind::Deliver { from, to, frame } => (to, self.deliver_frame(from, to, frame)),
             EventKind::Timer { pid, id, incarnation } => {
-                self.metrics.record_event();
+                self.metrics.event();
                 if self.crashed[pid] || incarnation != self.incarnation[pid] {
-                    return Some(SimEvent { time: self.now, pid, outputs: Vec::new() });
+                    (pid, Vec::new())
+                } else {
+                    (pid, self.dispatch(pid, move |auto, ctx| auto.on_timer(id, ctx)))
                 }
-                let outputs = self.dispatch(pid, move |auto, ctx| auto.on_timer(id, ctx));
-                Some(SimEvent { time: self.now, pid, outputs })
             }
             EventKind::Flush => {
                 // Tick watermark: ship every pending link queue. Not a
                 // protocol event, so it is excluded from events_processed.
-                self.flush_armed = false;
-                for ((from, to), queue) in self.batcher.drain_all() {
-                    self.send_frame(from, to, queue);
+                for (from, to, frame) in self.outbound.flush(&mut self.metrics) {
+                    self.ship(from, to, frame);
                 }
-                Some(SimEvent { time: self.now, pid: ENV, outputs: Vec::new() })
+                (ENV, Vec::new())
             }
-        }
+        };
+        SimEvent { time: self.now, pid, outputs }
     }
 
     /// Guard for the schedule-exploration API ([`Simulation::enabled_events`]
@@ -530,19 +490,15 @@ where
     /// anyway. Exploration therefore requires batching off; panic loudly
     /// instead of silently exploring the wrong tree.
     fn assert_explorable(&self) {
+        let batch = self.outbound.policy();
         assert!(
-            !self.batch.enabled(),
+            !batch.enabled(),
             "schedule exploration (enabled_events/step_key) requires batching off: \
              BatchPolicy {{ max_batch: {}, flush_ticks: {} }} holds messages in the \
              LinkBatcher where the explorer cannot see them, so quiescence verdicts \
              would be bogus. Build the explored cluster with BatchPolicy::disabled().",
-            self.batch.max_batch,
-            self.batch.flush_ticks,
-        );
-        debug_assert!(
-            self.batcher.is_empty(),
-            "batching disabled but the LinkBatcher holds {} pending messages",
-            self.batcher.pending_len(),
+            batch.max_batch,
+            batch.flush_ticks,
         );
     }
 
@@ -630,20 +586,7 @@ where
         let ev = entries.swap_remove(idx);
         self.queue = BinaryHeap::from(entries);
         self.now = (self.now + 1).max(ev.time);
-        self.metrics.record_event();
-        match ev.kind {
-            EventKind::Deliver { from, to, frame } => {
-                let outputs = self.deliver_frame(from, to, frame);
-                Some(SimEvent { time: self.now, pid: to, outputs })
-            }
-            EventKind::Timer { pid, id, .. } => {
-                let outputs = self.dispatch(pid, move |auto, ctx| auto.on_timer(id, ctx));
-                Some(SimEvent { time: self.now, pid, outputs })
-            }
-            // No EventKey ever matches a Flush entry, so one can never be
-            // selected above.
-            EventKind::Flush => unreachable!("flush events are not key-addressable"),
-        }
+        Some(self.process(ev.kind))
     }
 
     /// Run until the queue drains or `max_events` were processed; returns
@@ -1034,32 +977,6 @@ mod tests {
         fn on_message(&mut self, _from: ProcessId, msg: u32, ctx: &mut Ctx<'_, u32, u32>) {
             ctx.output(msg);
         }
-    }
-
-    fn fan_outputs(batch: BatchPolicy) -> (Vec<u32>, NetMetrics) {
-        let mut sim: Simulation<u32, u32> =
-            Simulation::new(SimConfig::seeded(13).with_batching(batch));
-        sim.add_process(Box::new(Fan));
-        sim.add_process(Box::new(Echo));
-        sim.inject(0, 10);
-        let out = sim.run_until_quiet(10_000);
-        (out.into_iter().map(|(_, _, o)| o).collect(), sim.metrics().clone())
-    }
-
-    #[test]
-    fn batching_coalesces_frames_without_reordering() {
-        let (plain, pm) = fan_outputs(BatchPolicy::disabled());
-        let (batched, bm) = fan_outputs(BatchPolicy::new(4, 2));
-        assert_eq!(plain, (0..10).collect::<Vec<u32>>());
-        assert_eq!(batched, plain, "batching must not reorder a link");
-        // 1 injected command + 10 fanned messages, in both runs.
-        assert_eq!(pm.messages_sent, 11);
-        assert_eq!(bm.messages_sent, 11);
-        assert_eq!(bm.messages_delivered, 11);
-        assert_eq!(pm.frames_sent, 11, "unbatched: one frame per message");
-        // Batched: inject frame + two full 4-frames + one flushed 2-frame.
-        assert_eq!(bm.frames_sent, 4);
-        assert_eq!(bm.frames_delivered, 4);
     }
 
     #[test]

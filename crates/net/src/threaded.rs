@@ -27,14 +27,10 @@
 //!   shared hub; [`crate::substrate::Substrate::pump`] blocks directly on
 //!   it up to `pump_timeout`, so [`Pumped::Idle`] means provably
 //!   no-output-for-the-window rather than poll jitter.
-//! * **Link faults**: consulted on the *sender* side. Drops and
-//!   duplicates act immediately; `extra_delay` hands the message to the
-//!   timer wheel as a per-link deferred delivery instead of sleeping the
-//!   worker — other destinations of the same sender are unaffected. Every
-//!   later send on a delayed link (even after the fault is cleared) is
-//!   clamped behind the last deferred delivery, so per-link FIFO among
-//!   surviving messages is preserved, mirroring the simulator's
-//!   `(now + extra).max(last + 1)` clamp.
+//! * **Link faults**: [`crate::link::Link`] decides a frame's fate on the
+//!   *sender* side. A delayed frame goes to the timer wheel as a per-link
+//!   deferred delivery instead of sleeping the worker, and while one is in
+//!   flight every later send on that link is deferred behind it.
 //! * **Crash recovery**: a restart control message replaces the worker's
 //!   automaton in place, bumps its incarnation (stale timer firings are
 //!   ignored on receipt), un-crashes it, and runs `on_start` — the inbox
@@ -43,11 +39,6 @@
 //!   timer wheel (discarding deferred work), and parks on an exit latch
 //!   that each worker signals on the way out — a condvar wait bounded by
 //!   `join_timeout`, not a join-poll.
-//!
-//! Metrics accounting is identical to the simulator's: a faulted send
-//! counts as sent no matter what the fault does to it, a drop adds one to
-//! `messages_dropped`, a duplicate is one send delivered twice, and a
-//! delayed message is one send delivered once (later).
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -57,10 +48,11 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
-use crate::batch::{BatchPolicy, LinkBatcher};
+use crate::batch::Frame;
 use crate::corruption::FaultPlan;
+use crate::link::{Counter, Link, Outbound, Sent, Tally};
 use crate::metrics::NetMetrics;
 use crate::nemesis::LinkFault;
 use crate::process::{Automaton, Ctx, ProcessId, ENV};
@@ -68,15 +60,10 @@ use crate::substrate::{Backend, Outputs, Pumped, Substrate, SubstrateConfig};
 use crate::timer_wheel::{TimerWheel, TimerWheelThread};
 
 enum Ctl<M, O> {
-    Msg {
+    /// One wire frame from `from`'s side of the directed link.
+    Frame {
         from: ProcessId,
-        msg: M,
-    },
-    /// One wire frame carrying ≥ 2 coalesced messages from the same
-    /// directed link, in send order (batching only).
-    Batch {
-        from: ProcessId,
-        msgs: Vec<M>,
+        frame: Frame<M>,
     },
     /// A timer firing routed back from the wheel; `incarnation` tags the
     /// worker lifetime that armed it so stale firings die on receipt.
@@ -104,87 +91,57 @@ enum SendPlan {
     Defer { at: u64, dup_at: Option<u64> },
 }
 
-/// Per-directed-link fault state. `fault` is what the nemesis installed;
-/// the other two fields keep FIFO while deferred deliveries are in flight:
-/// as long as `deferred_pending > 0`, *every* later send on the link is
-/// deferred behind `last_fire_tick` (even a fault-free one after the fault
-/// was cleared), because a direct send would overtake the queued ones.
+/// Per-directed-link fault state. As long as `deferred_pending > 0`,
+/// *every* later send on the link is deferred behind the link's last slot
+/// (even a fault-free one after the fault was cleared), because a direct
+/// send would overtake the queued ones.
 #[derive(Default)]
 struct LinkState {
-    fault: Option<LinkFault>,
+    link: Link,
     deferred_pending: usize,
-    last_fire_tick: u64,
 }
 
 /// Shared per-directed-link fault table. The `AtomicBool` fast path keeps
 /// the fault-free hot loop lock-free: workers only take the mutex while at
 /// least one fault is installed or a deferred delivery is still in flight.
+#[derive(Default)]
 struct LinkFaults {
     any_active: AtomicBool,
     map: Mutex<HashMap<(ProcessId, ProcessId), LinkState>>,
 }
 
 impl LinkFaults {
-    fn new() -> Self {
-        Self { any_active: AtomicBool::new(false), map: Mutex::new(HashMap::new()) }
-    }
-
-    fn set(&self, from: ProcessId, to: ProcessId, fault: Option<LinkFault>) {
+    /// Change `(from, to)`'s state, then forget every link with neither a
+    /// fault nor a deferred delivery and republish whether any is left.
+    fn update(&self, from: ProcessId, to: ProcessId, change: impl FnOnce(&mut LinkState)) {
         if let Ok(mut m) = self.map.lock() {
-            match fault {
-                Some(f) => m.entry((from, to)).or_default().fault = Some(f),
-                None => {
-                    if let Some(st) = m.get_mut(&(from, to)) {
-                        st.fault = None;
-                        if st.deferred_pending == 0 {
-                            m.remove(&(from, to));
-                        }
-                    }
-                }
-            }
-            Self::refresh_active(&self.any_active, &m);
+            change(m.entry((from, to)).or_default());
+            m.retain(|_, st| st.link.fault.is_some() || st.deferred_pending > 0);
+            self.any_active.store(!m.is_empty(), Ordering::Release);
         }
     }
 
-    fn refresh_active(flag: &AtomicBool, m: &HashMap<(ProcessId, ProcessId), LinkState>) {
-        let active = m.values().any(|st| st.fault.is_some() || st.deferred_pending > 0);
-        flag.store(active, Ordering::Release);
+    fn set(&self, from: ProcessId, to: ProcessId, fault: Option<LinkFault>) {
+        self.update(from, to, |st| st.link.fault = fault);
     }
 
     /// Decide the fate of one send on `(from, to)` at tick `now`.
     /// Deferred sends reserve their delivery slots here, under the lock,
     /// so concurrent senders on the same link serialize their clamps.
     fn plan(&self, from: ProcessId, to: ProcessId, now: u64, rng: &mut StdRng) -> SendPlan {
-        if !self.any_active.load(Ordering::Acquire) {
-            return SendPlan::Direct { dup: false };
-        }
-        let Ok(mut m) = self.map.lock() else {
-            return SendPlan::Direct { dup: false };
-        };
-        let Some(st) = m.get_mut(&(from, to)) else {
+        let mut map =
+            self.any_active.load(Ordering::Acquire).then(|| self.map.lock().ok()).flatten();
+        let Some(st) = map.as_mut().and_then(|m| m.get_mut(&(from, to))) else {
             return SendPlan::Direct { dup: false };
         };
-        let (mut dup, mut extra) = (false, 0u64);
-        if let Some(f) = st.fault {
-            if f.drop_rate > 0.0 && rng.gen_bool(f.drop_rate.min(1.0)) {
-                return SendPlan::Dropped;
-            }
-            dup = f.dup_rate > 0.0 && rng.gen_bool(f.dup_rate.min(1.0));
-            extra = f.extra_delay;
+        let Some(pass) = st.link.roll(rng) else {
+            return SendPlan::Dropped;
+        };
+        if pass.extra_delay == 0 && st.deferred_pending == 0 {
+            return SendPlan::Direct { dup: pass.dup };
         }
-        if extra == 0 && st.deferred_pending == 0 {
-            return SendPlan::Direct { dup };
-        }
-        // Same monotone clamp as the simulator's channel: never before
-        // `now + extra`, never at-or-before the previous delivery.
-        let at = (now + extra).max(st.last_fire_tick + 1);
-        st.last_fire_tick = at;
-        st.deferred_pending += 1;
-        let dup_at = dup.then(|| {
-            st.last_fire_tick = at + 1;
-            st.deferred_pending += 1;
-            at + 1
-        });
+        let (at, dup_at) = st.link.reserve(now + pass.extra_delay, pass.dup);
+        st.deferred_pending += 1 + usize::from(dup_at.is_some());
         SendPlan::Defer { at, dup_at }
     }
 
@@ -192,99 +149,27 @@ impl LinkFaults {
     /// wheel thread *after* the message is in the destination inbox, so a
     /// sender observing `deferred_pending == 0` cannot overtake it).
     fn deferred_done(&self, from: ProcessId, to: ProcessId) {
-        if let Ok(mut m) = self.map.lock() {
-            if let Some(st) = m.get_mut(&(from, to)) {
-                st.deferred_pending = st.deferred_pending.saturating_sub(1);
-                if st.fault.is_none() && st.deferred_pending == 0 {
-                    m.remove(&(from, to));
-                }
-            }
-            Self::refresh_active(&self.any_active, &m);
-        }
+        self.update(from, to, |st| st.deferred_pending = st.deferred_pending.saturating_sub(1));
     }
 }
 
-/// Lock-free counters shared by all workers; ENV tallies live in the
-/// extra slot at index `n`.
-struct SharedMetrics {
-    sent: AtomicU64,
-    delivered: AtomicU64,
-    dropped: AtomicU64,
-    events: AtomicU64,
-    frames_sent: AtomicU64,
-    frames_delivered: AtomicU64,
-    sent_by: Vec<AtomicU64>,
-    received_by: Vec<AtomicU64>,
+/// The six counters as relaxed atomics shared by all workers, indexed by
+/// `Counter as usize`.
+#[derive(Default)]
+struct SharedMetrics([AtomicU64; 6]);
+
+impl Tally for Arc<SharedMetrics> {
+    #[inline]
+    fn add(&mut self, counter: Counter, n: u64) {
+        self.0[counter as usize].fetch_add(n, Ordering::Relaxed);
+    }
 }
 
 impl SharedMetrics {
-    fn new(n: usize) -> Self {
-        Self {
-            sent: AtomicU64::new(0),
-            delivered: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            events: AtomicU64::new(0),
-            frames_sent: AtomicU64::new(0),
-            frames_delivered: AtomicU64::new(0),
-            sent_by: (0..=n).map(|_| AtomicU64::new(0)).collect(),
-            received_by: (0..n).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    fn record_send(&self, from: ProcessId) {
-        self.sent.fetch_add(1, Ordering::Relaxed);
-        self.frames_sent.fetch_add(1, Ordering::Relaxed);
-        let slot = if from == ENV { self.sent_by.len() - 1 } else { from };
-        self.sent_by[slot].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A logical send whose wire frame is accounted when the frame ships.
-    fn record_logical_send(&self, from: ProcessId) {
-        self.sent.fetch_add(1, Ordering::Relaxed);
-        let slot = if from == ENV { self.sent_by.len() - 1 } else { from };
-        self.sent_by[slot].fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn record_frame_sent(&self) {
-        self.frames_sent.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn record_delivery(&self, to: ProcessId) {
-        self.delivered.fetch_add(1, Ordering::Relaxed);
-        self.frames_delivered.fetch_add(1, Ordering::Relaxed);
-        self.received_by[to].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One delivered frame carrying `batched` logical messages.
-    fn record_batch_delivery(&self, to: ProcessId, batched: u64) {
-        self.delivered.fetch_add(batched, Ordering::Relaxed);
-        self.frames_delivered.fetch_add(1, Ordering::Relaxed);
-        self.received_by[to].fetch_add(batched, Ordering::Relaxed);
-    }
-
     fn snapshot(&self) -> NetMetrics {
-        let mut m = NetMetrics {
-            messages_sent: self.sent.load(Ordering::Relaxed),
-            messages_delivered: self.delivered.load(Ordering::Relaxed),
-            messages_dropped: self.dropped.load(Ordering::Relaxed),
-            events_processed: self.events.load(Ordering::Relaxed),
-            frames_sent: self.frames_sent.load(Ordering::Relaxed),
-            frames_delivered: self.frames_delivered.load(Ordering::Relaxed),
-            ..NetMetrics::default()
-        };
-        let env_slot = self.sent_by.len() - 1;
-        for (pid, c) in self.sent_by.iter().enumerate() {
-            let v = c.load(Ordering::Relaxed);
-            if v > 0 {
-                let key = if pid == env_slot { ENV } else { pid };
-                m.sent_by.insert(key, v);
-            }
-        }
-        for (pid, c) in self.received_by.iter().enumerate() {
-            let v = c.load(Ordering::Relaxed);
-            if v > 0 {
-                m.received_by.insert(pid, v);
-            }
+        let mut m = NetMetrics::default();
+        for c in Counter::ALL {
+            m.add(c, self.0[c as usize].load(Ordering::Relaxed));
         }
         m
     }
@@ -411,13 +296,9 @@ struct Worker<M, O> {
     /// Peers with a parked receiver awaiting a wake at the end of the
     /// current dispatch (reused across dispatches to avoid allocation).
     wake_buf: Vec<ProcessId>,
-    /// Per-link coalescing policy (disabled ⇒ the pre-batching hot path).
-    batch: BatchPolicy,
-    /// This worker's pending outgoing link queues (batching only).
-    batcher: LinkBatcher<M>,
-    /// Whether a `FlushLinks` wheel entry is outstanding; pending batched
-    /// messages always have one, so they cannot linger unsent.
-    flush_armed: bool,
+    /// This worker's pending outgoing link queues; while any message
+    /// waits there a `FlushLinks` wheel entry is outstanding.
+    outbound: Outbound<M>,
 }
 
 impl<M, O> Worker<M, O>
@@ -480,7 +361,7 @@ where
                     if crashed || incarnation != self.incarnation {
                         continue;
                     }
-                    self.metrics.events.fetch_add(1, Ordering::Relaxed);
+                    self.metrics.event();
                     let now = self.ticks();
                     self.dispatch(now, |auto, ctx| auto.on_timer(id, ctx));
                 }
@@ -489,41 +370,18 @@ where
                     // batches are messages already in the channel, so they
                     // flush even while this worker is crashed — a crashed
                     // *destination* drops them on receipt, as usual.
-                    self.flush_armed = false;
                     let now = self.ticks();
-                    for ((_, to), queue) in self.batcher.drain_all() {
-                        self.send_frame(to, queue, now);
+                    for (_, to, frame) in self.outbound.flush(&mut self.metrics) {
+                        self.ship(to, frame, now);
                     }
-                    for to in self.wake_buf.drain(..) {
-                        self.peers[to].wake();
-                    }
+                    self.wake_parked();
                 }
-                Ok(Ctl::Batch { from, msgs }) => {
-                    if crashed {
-                        self.metrics.dropped.fetch_add(msgs.len() as u64, Ordering::Relaxed);
-                        continue;
+                Ok(Ctl::Frame { from, frame }) => {
+                    self.metrics.arrived(&frame, !crashed);
+                    if !crashed {
+                        let now = self.ticks();
+                        self.dispatch(now, |auto, ctx| frame.apply(from, auto, ctx));
                     }
-                    self.metrics.events.fetch_add(1, Ordering::Relaxed);
-                    self.metrics.record_batch_delivery(self.pid, msgs.len() as u64);
-                    let now = self.ticks();
-                    // One shared context for the whole frame: replies and
-                    // acks produced while applying it coalesce into outgoing
-                    // frames of their own (batch-in → batch-out).
-                    self.dispatch(now, |auto, ctx| {
-                        for msg in msgs {
-                            auto.on_message(from, msg, ctx);
-                        }
-                    });
-                }
-                Ok(Ctl::Msg { from, msg }) => {
-                    if crashed {
-                        self.metrics.dropped.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                    self.metrics.events.fetch_add(1, Ordering::Relaxed);
-                    self.metrics.record_delivery(self.pid);
-                    let now = self.ticks();
-                    self.dispatch(now, |auto, ctx| auto.on_message(from, msg, ctx));
                 }
             }
         }
@@ -536,84 +394,21 @@ where
         let (outbox, outputs, set_timers) = ctx.drain();
         for (to, msg) in outbox {
             if to >= self.peers.len() {
-                self.metrics.dropped.fetch_add(1, Ordering::Relaxed);
+                self.metrics.dropped(1);
                 continue;
             }
-            if self.batch.enabled() {
-                // Batching path: the logical send is counted now, the wire
-                // frame when its queue ships (size watermark here, tick
-                // watermark via the FlushLinks wheel entry).
-                self.metrics.record_logical_send(self.pid);
-                match self.batcher.push(self.pid, to, msg, self.batch.max_batch) {
-                    Some(queue) => self.send_frame(to, queue, now),
-                    None => {
-                        if !self.flush_armed {
-                            self.flush_armed = true;
-                            let fire = now + self.batch.flush_ticks;
-                            let tx = self.self_tx.clone();
-                            self.wheel.register(fire, move || {
-                                let _ = tx.send(Ctl::FlushLinks);
-                            });
-                        }
-                    }
-                }
-                continue;
-            }
-            // The message is handed to the (possibly faulty) channel, so
-            // it counts as sent no matter what the fault does to it — the
-            // sim backend records the send before consulting the link
-            // fault, and the backends must agree.
-            self.metrics.record_send(self.pid);
-            match self.links.plan(self.pid, to, now, &mut self.rng) {
-                SendPlan::Direct { dup } => {
-                    // A duplicate is one send delivered twice (the channel
-                    // replays it); only the deliveries tally twice.
-                    // Quiet sends: publish the whole outbox first, wake
-                    // parked peers once at the end of the dispatch, so a
-                    // woken consumer cannot preempt this worker while
-                    // later outbox messages are still unsent.
-                    if dup {
-                        let _ = self.peers[to]
-                            .send_quiet(Ctl::Msg { from: self.pid, msg: msg.clone() });
-                    }
-                    if let Ok(parked) = self.peers[to].send_quiet(Ctl::Msg { from: self.pid, msg })
-                    {
-                        if parked && !self.wake_buf.contains(&to) {
-                            self.wake_buf.push(to);
-                        }
-                    }
-                }
-                SendPlan::Dropped => {
-                    self.metrics.dropped.fetch_add(1, Ordering::Relaxed);
-                }
-                SendPlan::Defer { at, dup_at } => {
-                    // Deferred delivery through the wheel: only this link
-                    // waits; the worker moves straight on to its other
-                    // destinations. The wheel fires in (tick, registration)
-                    // order and each link's ticks are strictly increasing,
-                    // so per-link FIFO survives the detour.
-                    let from = self.pid;
-                    if let Some(at2) = dup_at {
-                        let tx = self.peers[to].clone();
-                        let links = Arc::clone(&self.links);
-                        let msg2 = msg.clone();
-                        self.wheel.register(at2, move || {
-                            let _ = tx.send(Ctl::Msg { from, msg: msg2 });
-                            links.deferred_done(from, to);
-                        });
-                    }
-                    let tx = self.peers[to].clone();
-                    let links = Arc::clone(&self.links);
-                    self.wheel.register(at, move || {
-                        let _ = tx.send(Ctl::Msg { from, msg });
-                        links.deferred_done(from, to);
+            match self.outbound.send(self.pid, to, msg, &mut self.metrics) {
+                Sent::Ship(frame) => self.ship(to, frame, now),
+                Sent::Queued { arm_flush: true } => {
+                    let tx = self.self_tx.clone();
+                    self.wheel.register(now + self.outbound.policy().flush_ticks, move || {
+                        let _ = tx.send(Ctl::FlushLinks);
                     });
                 }
+                Sent::Queued { arm_flush: false } => {}
             }
         }
-        for to in self.wake_buf.drain(..) {
-            self.peers[to].wake();
-        }
+        self.wake_parked();
         for o in outputs {
             self.out.push((now, self.pid, o));
         }
@@ -628,53 +423,51 @@ where
         }
     }
 
-    /// Ship a drained link queue to `to` as one wire frame. Link faults act
-    /// on whole frames: a dropped frame drops every carried message, a
-    /// duplicated frame delivers all of them twice, a delayed frame defers
-    /// through the wheel behind the link's FIFO clamp exactly like a single
-    /// message. Wakes land in `wake_buf`; every caller drains it afterward.
-    fn send_frame(&mut self, to: ProcessId, queue: Vec<M>, now: u64) {
-        fn pack<M, O>(from: ProcessId, mut q: Vec<M>) -> Ctl<M, O> {
-            if q.len() == 1 {
-                Ctl::Msg { from, msg: q.pop().expect("len checked") }
-            } else {
-                Ctl::Batch { from, msgs: q }
-            }
-        }
-        self.metrics.record_frame_sent();
-        let logical = queue.len() as u64;
-        match self.links.plan(self.pid, to, now, &mut self.rng) {
+    /// Ship one wire frame to `to`, as its link's fault decides. Quiet
+    /// sends: the whole outbox is published first and parked peers are
+    /// woken once by [`Worker::wake_parked`], so a woken consumer cannot
+    /// preempt this worker while later outbox messages are still unsent.
+    fn ship(&mut self, to: ProcessId, frame: Frame<M>, now: u64) {
+        let from = self.pid;
+        match self.links.plan(from, to, now, &mut self.rng) {
             SendPlan::Direct { dup } => {
                 if dup {
-                    let _ = self.peers[to].send_quiet(pack(self.pid, queue.clone()));
+                    let _ = self.peers[to].send_quiet(Ctl::Frame { from, frame: frame.clone() });
                 }
-                if let Ok(parked) = self.peers[to].send_quiet(pack(self.pid, queue)) {
-                    if parked && !self.wake_buf.contains(&to) {
+                if let Ok(true) = self.peers[to].send_quiet(Ctl::Frame { from, frame }) {
+                    if !self.wake_buf.contains(&to) {
                         self.wake_buf.push(to);
                     }
                 }
             }
-            SendPlan::Dropped => {
-                self.metrics.dropped.fetch_add(logical, Ordering::Relaxed);
-            }
+            SendPlan::Dropped => self.metrics.dropped(frame.len()),
             SendPlan::Defer { at, dup_at } => {
-                let from = self.pid;
-                if let Some(at2) = dup_at {
+                // Deferred delivery through the wheel: only this link
+                // waits; the worker moves straight on to its other
+                // destinations. The wheel fires in (tick, registration)
+                // order and each link's slots are strictly increasing,
+                // so per-link FIFO survives the detour.
+                let defer = |at: u64, frame: Frame<M>| {
                     let tx = self.peers[to].clone();
                     let links = Arc::clone(&self.links);
-                    let queue2 = queue.clone();
-                    self.wheel.register(at2, move || {
-                        let _ = tx.send(pack(from, queue2));
+                    self.wheel.register(at, move || {
+                        let _ = tx.send(Ctl::Frame { from, frame });
                         links.deferred_done(from, to);
                     });
+                };
+                if let Some(at2) = dup_at {
+                    defer(at2, frame.clone());
                 }
-                let tx = self.peers[to].clone();
-                let links = Arc::clone(&self.links);
-                self.wheel.register(at, move || {
-                    let _ = tx.send(pack(from, queue));
-                    links.deferred_done(from, to);
-                });
+                defer(at, frame);
             }
+        }
+    }
+
+    /// Wake every peer whose receiver was parked when [`Worker::ship`]
+    /// published to it.
+    fn wake_parked(&mut self) {
+        for to in self.wake_buf.drain(..) {
+            self.peers[to].wake();
         }
     }
 }
@@ -718,8 +511,8 @@ where
             inbox_rx.push(rx);
         }
         let outputs = Arc::new(OutputHub::new(n));
-        let metrics = Arc::new(SharedMetrics::new(n));
-        let links = Arc::new(LinkFaults::new());
+        let metrics = Arc::new(SharedMetrics::default());
+        let links = Arc::new(LinkFaults::default());
         let latch = Arc::new(ExitLatch::new(n));
         let epoch = Instant::now();
         let wheel = TimerWheel::spawn(epoch, config.tick);
@@ -743,9 +536,7 @@ where
                 ),
                 incarnation: 0,
                 wake_buf: Vec::new(),
-                batch: config.batch,
-                batcher: LinkBatcher::new(),
-                flush_armed: false,
+                outbound: Outbound::new(config.batch),
             };
             let latch = Arc::clone(&latch);
             handles.push(std::thread::spawn(move || worker.run(latch)));
@@ -783,22 +574,11 @@ where
         ticks_since(self.epoch, self.tick)
     }
 
-    /// Send a command to `pid` as the environment.
+    /// Send a command to `pid` as the environment (`&self`: user threads
+    /// may share the cluster, hence the tally through its own handle).
     fn send(&self, pid: ProcessId, msg: M) {
-        self.metrics.record_send(ENV);
-        let _ = self.inboxes[pid].send(Ctl::Msg { from: ENV, msg });
-    }
-
-    /// Inject a message into `pid`'s inbox with a spoofed sender — the
-    /// threaded realization of garbage already in transit on `(from, to)`.
-    fn inject_as(&self, from: ProcessId, to: ProcessId, msg: M) {
-        self.metrics.record_send(from);
-        let _ = self.inboxes[to].send(Ctl::Msg { from, msg });
-    }
-
-    /// Corrupt `pid`'s automaton state in-thread (transient fault).
-    fn corrupt_process(&self, pid: ProcessId) {
-        let _ = self.inboxes[pid].send(Ctl::Corrupt);
+        let frame = Outbound::solo(msg, &mut Arc::clone(&self.metrics));
+        let _ = self.inboxes[pid].send(Ctl::Frame { from: ENV, frame });
     }
 }
 
@@ -875,16 +655,18 @@ where
     fn apply_fault(&mut self, plan: &FaultPlan, gen: &mut dyn FnMut(&mut StdRng) -> M) {
         for &pid in &plan.corrupt_processes {
             if pid < self.inboxes.len() {
-                self.corrupt_process(pid);
+                let _ = self.inboxes[pid].send(Ctl::Corrupt);
             }
         }
         for &(from, to) in &plan.garbage_channels {
             if to >= self.inboxes.len() {
                 continue;
             }
+            // Garbage already in transit on `(from, to)`: a frame with a
+            // spoofed sender that nobody sent.
             for _ in 0..plan.garbage_per_channel {
-                let msg = gen(&mut self.rng);
-                self.inject_as(from, to, msg);
+                let frame = Frame::One(gen(&mut self.rng));
+                let _ = self.inboxes[to].send(Ctl::Frame { from, frame });
             }
         }
     }
@@ -1084,9 +866,18 @@ mod tests {
         // 10 env commands + 10 forwards + 10 replies.
         assert_eq!(m.messages_sent, 30, "{m:?}");
         assert_eq!(m.messages_delivered, 30, "{m:?}");
-        assert_eq!(m.sent_by_process(ENV), 10);
-        assert_eq!(m.received_by_process(1), 10);
         cluster.stop();
+    }
+
+    #[test]
+    fn shared_counters_snapshot_what_the_plain_ones_hold() {
+        let (mut shared, mut plain) = (Arc::new(SharedMetrics::default()), NetMetrics::default());
+        for (i, c) in Counter::ALL.into_iter().enumerate() {
+            shared.add(c, i as u64 + 1);
+            plain.add(c, i as u64 + 1);
+        }
+        assert_eq!(shared.snapshot(), plain);
+        assert_eq!(plain.frames_delivered, 6, "every counter has a slot of its own");
     }
 
     #[test]
@@ -1168,89 +959,6 @@ mod tests {
         // The delayed link still delivers (later), preserving the reply.
         let second = next_output(&mut cluster, 100);
         assert_eq!(second, Some(1), "delayed link must still deliver");
-        cluster.stop();
-    }
-
-    #[test]
-    fn batching_coalesces_frames_and_preserves_fifo_on_threads() {
-        /// Collects payloads; outputs the arrival order once all 60 landed.
-        struct Collect(Vec<u32>);
-        impl Automaton<Ping, Vec<u32>> for Collect {
-            fn on_message(
-                &mut self,
-                _from: ProcessId,
-                msg: Ping,
-                ctx: &mut Ctx<'_, Ping, Vec<u32>>,
-            ) {
-                self.0.push(msg.0);
-                if self.0.len() == 60 {
-                    ctx.output(self.0.clone());
-                }
-            }
-        }
-        /// Fans each env command into three forwarded payloads, so one
-        /// dispatch queues several messages on the same link.
-        struct Fan3;
-        impl Automaton<Ping, Vec<u32>> for Fan3 {
-            fn on_message(
-                &mut self,
-                from: ProcessId,
-                msg: Ping,
-                ctx: &mut Ctx<'_, Ping, Vec<u32>>,
-            ) {
-                if from == ENV {
-                    for k in 0..3 {
-                        ctx.send(1, Ping(msg.0 * 3 + k));
-                    }
-                }
-            }
-        }
-        let mut cluster: ThreadedCluster<Ping, Vec<u32>> = ThreadedCluster::spawn_with(
-            vec![Box::new(Fan3), Box::new(Collect(Vec::new()))],
-            &SubstrateConfig::seeded(19)
-                .with_tick(Duration::from_micros(200))
-                .with_batching(BatchPolicy::new(6, 2)),
-        );
-        for i in 0..20 {
-            cluster.inject(0, Ping(i));
-        }
-        let got = next_output(&mut cluster, 100).expect("all 60 delivered");
-        assert_eq!(got, (0..60).collect::<Vec<u32>>(), "batching must not reorder a link");
-        let m = cluster.metrics_snapshot();
-        // 20 env commands + 60 forwards, all delivered.
-        assert_eq!(m.messages_sent, 80, "{m:?}");
-        assert_eq!(m.messages_delivered, 80, "{m:?}");
-        assert!(
-            m.frames_delivered < m.messages_delivered,
-            "forwarded traffic must coalesce: {m:?}"
-        );
-        cluster.stop();
-    }
-
-    #[test]
-    fn tick_watermark_flushes_stragglers_on_threads() {
-        struct Fwd;
-        impl Automaton<Ping, u32> for Fwd {
-            fn on_message(&mut self, from: ProcessId, msg: Ping, ctx: &mut Ctx<'_, Ping, u32>) {
-                if from == ENV {
-                    ctx.send(1, msg);
-                }
-            }
-        }
-        struct Echo;
-        impl Automaton<Ping, u32> for Echo {
-            fn on_message(&mut self, _from: ProcessId, msg: Ping, ctx: &mut Ctx<'_, Ping, u32>) {
-                ctx.output(msg.0);
-            }
-        }
-        let mut cluster: ThreadedCluster<Ping, u32> = ThreadedCluster::spawn_with(
-            vec![Box::new(Fwd), Box::new(Echo)],
-            &SubstrateConfig::seeded(23).with_batching(BatchPolicy::new(64, 2)),
-        );
-        // One message far below the size watermark must still arrive.
-        cluster.inject(0, Ping(99));
-        let got = next_output(&mut cluster, 50);
-        assert_eq!(got, Some(99), "pending batch must flush on the tick watermark");
         cluster.stop();
     }
 

@@ -10,9 +10,11 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use sbft::datalink::DatalinkSim;
 use sbft::labels::{BoundedLabeling, MwmrLabeling};
+use sbft::net::corruption::FaultPlan;
 use sbft::net::{
-    AnySubstrate, Automaton, AutomatonFactory, Backend, Ctx, LinkFault, NemesisOpts, NemesisRunner,
-    NemesisSchedule, ProcessId, Substrate, SubstrateConfig, ThreadedCluster, ENV,
+    AnySubstrate, Automaton, AutomatonFactory, Backend, BatchPolicy, CorruptionSeverity, Ctx,
+    LinkFault, NemesisOpts, NemesisRunner, NemesisSchedule, ProcessId, Substrate, SubstrateConfig,
+    ThreadedCluster, ENV,
 };
 use sbft::register::adversary::random_message;
 use sbft::register::client::Client;
@@ -312,16 +314,19 @@ impl Automaton<u64, (ProcessId, u64)> for Volley {
 }
 
 /// Run a `volley`-message burst over the faulted channel `(2, 0)` and
-/// return `(sent, delivered, dropped)` plus the sink-0 delivery count.
+/// return `(sent, frames_sent, delivered, dropped)` plus the sink-0
+/// delivery count.
 fn fault_cell(
     backend: Backend,
+    batch: BatchPolicy,
     fault: LinkFault,
     volley: u64,
     expect_sink: u64,
-) -> (u64, u64, u64, u64) {
+) -> (u64, u64, u64, u64, u64) {
     let procs: Vec<Box<dyn Automaton<u64, (ProcessId, u64)>>> =
         vec![Box::new(Sink), Box::new(Sink), Box::new(Volley)];
-    let mut sub = AnySubstrate::spawn(backend, procs, &SubstrateConfig::seeded(9));
+    let mut sub =
+        AnySubstrate::spawn(backend, procs, &SubstrateConfig::seeded(9).with_batching(batch));
     sub.set_link_fault(2, 0, Some(fault));
     sub.inject(2, volley);
     let mut sink0 = 0u64;
@@ -336,12 +341,32 @@ fn fault_cell(
     });
     let m = sub.metrics_snapshot();
     sub.stop();
-    (m.messages_sent, m.messages_delivered, m.messages_dropped, sink0)
+    (m.messages_sent, m.frames_sent, m.messages_delivered, m.messages_dropped, sink0)
+}
+
+/// Load `plan`'s garbage onto a quiet three-process cluster, wait for all
+/// of it to surface at the sinks, and return `(sent, delivered)`.
+fn garbage_cell(backend: Backend, plan: &FaultPlan) -> (u64, u64) {
+    let procs: Vec<Box<dyn Automaton<u64, (ProcessId, u64)>>> =
+        vec![Box::new(Sink), Box::new(Sink), Box::new(Volley)];
+    let mut sub = AnySubstrate::spawn(backend, procs, &SubstrateConfig::seeded(9));
+    sub.apply_fault(plan, &mut |_rng| 7);
+    let mut seen = 0usize;
+    sub.pump_until(u64::MAX, 200, &mut |_t, _pid, _out| {
+        seen += 1;
+        (seen >= plan.garbage_total()).then_some(())
+    });
+    let m = sub.metrics_snapshot();
+    sub.stop();
+    (m.messages_sent, m.messages_delivered)
 }
 
 /// Link-fault accounting parity: a dropped message still counts as sent, a
 /// duplicate is one send with two deliveries, and a delayed message is one
-/// send with one delivery — identically on the simulator and on threads.
+/// send with one delivery — identically on the simulator and on threads,
+/// and per whole frame when the link batches (a dropped frame drops every
+/// message it carries, a duplicated one delivers all of them twice).
+/// Garbage preloaded by a `FaultPlan` was never sent: it is only delivered.
 /// Fault rates of 0.0/1.0 make the cells deterministic even though the two
 /// backends consume different RNG streams.
 #[test]
@@ -353,20 +378,36 @@ fn link_fault_accounting_agrees_across_substrates() {
         ("dup", LinkFault::flaky(0.0, 1.0, 0), 2 * volley),
         ("delay", LinkFault::flaky(0.0, 0.0, 3), volley),
     ];
-    for (name, fault, expect_sink) in cells {
-        let sim = fault_cell(Backend::Sim, fault, volley, expect_sink);
-        let thr = fault_cell(Backend::Threaded, fault, volley, expect_sink);
-        assert_eq!(sim, thr, "{name}: (sent, delivered, dropped, sink) diverged across backends");
-        // And both match the accounting contract in absolute terms: every
-        // send is one of the ENV kick, the volley, or the marker.
-        let (sent, delivered, dropped, sink0) = sim;
-        assert_eq!(sent, volley + 2, "{name}: drops and dups must not distort the send count");
-        assert_eq!(sink0, expect_sink, "{name}");
-        // Delivered covers the ENV kick, the marker, and the surviving
-        // volley (twice for duplicates); drops are counted separately.
-        assert_eq!(delivered, expect_sink + 2, "{name}");
-        assert_eq!(dropped, if name == "drop" { volley } else { 0 }, "{name}");
+    // Unbatched, every message is its own frame: the ENV kick, the volley
+    // and the marker. Batched 4-wide, the volley ships as frames of 4, 4
+    // and (flushed with the marker's own frame) 2.
+    let columns = [(BatchPolicy::disabled(), volley + 2), (BatchPolicy::new(4, 2), 5)];
+    for (batch, expect_frames) in columns {
+        for (name, fault, expect_sink) in cells {
+            let name = format!("{name}, max_batch {}", batch.max_batch);
+            let sim = fault_cell(Backend::Sim, batch, fault, volley, expect_sink);
+            let thr = fault_cell(Backend::Threaded, batch, fault, volley, expect_sink);
+            assert_eq!(
+                sim, thr,
+                "{name}: (sent, frames, delivered, dropped, sink) diverged across backends"
+            );
+            // And both match the accounting contract in absolute terms: every
+            // send is one of the ENV kick, the volley, or the marker.
+            let (sent, frames, delivered, dropped, sink0) = sim;
+            assert_eq!(sent, volley + 2, "{name}: drops and dups must not distort the send count");
+            assert_eq!(frames, expect_frames, "{name}: a faulted frame is still one frame sent");
+            assert_eq!(sink0, expect_sink, "{name}");
+            // Delivered covers the ENV kick, the marker, and the surviving
+            // volley (twice for duplicates); drops are counted separately.
+            assert_eq!(delivered, expect_sink + 2, "{name}");
+            assert_eq!(dropped, if fault.is_cut() { volley } else { 0 }, "{name}");
+        }
     }
+    let plan = FaultPlan::targeting(&[2], 3, CorruptionSeverity::Heavy);
+    let sim = garbage_cell(Backend::Sim, &plan);
+    let thr = garbage_cell(Backend::Threaded, &plan);
+    assert_eq!(sim, thr, "garbage: (sent, delivered) diverged across backends");
+    assert_eq!(sim, (0, plan.garbage_total() as u64), "garbage is delivered, never sent");
 }
 
 /// One durable run under a scripted Crash → CrashRecover schedule:
