@@ -15,6 +15,7 @@ use rand::Rng;
 use sbft_labels::{LabelingSystem, ReadLabel};
 use sbft_net::{Automaton, Ctx, ProcessId, ENV};
 
+use crate::cluster::{Envelope, Plain};
 use crate::config::ClusterConfig;
 use crate::messages::{ClientEvent, History, Msg, ValTs, Value};
 use crate::{Sys, Ts};
@@ -104,93 +105,74 @@ impl<B: LabelingSystem> ByzServer<B> {
         self.value = value;
         self.ts = ts;
     }
-}
 
-impl<B: LabelingSystem> Automaton<Msg<Ts<B>>, ClientEvent<Ts<B>>> for ByzServer<B> {
-    fn on_message(
+    /// The adversary's reaction to `msg` from `from`, as the register `key`
+    /// of the envelope `W`: at most one reply, to `from`, under the key it
+    /// was asked about — so the seat needs no pid translation wherever it
+    /// sits. [`Automaton::on_message`] is the [`Plain`] instance.
+    pub fn handle<W: Envelope<Base = B>>(
         &mut self,
+        key: W::Key,
         from: ProcessId,
         msg: Msg<Ts<B>>,
-        ctx: &mut Ctx<'_, Msg<Ts<B>>, ClientEvent<Ts<B>>>,
+        ctx: &mut Ctx<'_, W::Msg, W::Out>,
     ) {
         if from == ENV {
             return;
         }
-        match self.strategy {
-            ByzStrategy::Silent => {}
+        let reply = match self.strategy {
+            ByzStrategy::Silent => None,
             ByzStrategy::NackFlood => match msg {
-                Msg::GetTs => ctx.send(from, Msg::TsReply { ts: self.sys.genesis() }),
-                Msg::Write { ts, .. } => ctx.send(from, Msg::WriteAck { ts, ack: false }),
-                Msg::Read { label } => ctx.send(
-                    from,
-                    Msg::Reply { value: 0, ts: self.sys.genesis(), old: [].into(), label },
-                ),
-                Msg::Flush { label } => ctx.send(from, Msg::FlushAck { label }),
-                _ => {}
+                Msg::GetTs => Some(Msg::TsReply { ts: self.sys.genesis() }),
+                Msg::Write { ts, .. } => Some(Msg::WriteAck { ts, ack: false }),
+                Msg::Read { label } => {
+                    Some(Msg::Reply { value: 0, ts: self.sys.genesis(), old: [].into(), label })
+                }
+                Msg::Flush { label } => Some(Msg::FlushAck { label }),
+                _ => None,
             },
             ByzStrategy::StaleReplay => match msg {
-                Msg::GetTs => ctx.send(from, Msg::TsReply { ts: self.stale.1.clone() }),
-                Msg::Write { ts, .. } => ctx.send(from, Msg::WriteAck { ts, ack: true }),
-                Msg::Read { label } => ctx.send(
-                    from,
-                    Msg::Reply {
-                        value: self.stale.0,
-                        ts: self.stale.1.clone(),
-                        old: [self.stale.clone()].into(),
-                        label,
-                    },
-                ),
-                Msg::Flush { label } => ctx.send(from, Msg::FlushAck { label }),
-                _ => {}
+                Msg::GetTs => Some(Msg::TsReply { ts: self.stale.1.clone() }),
+                Msg::Write { ts, .. } => Some(Msg::WriteAck { ts, ack: true }),
+                Msg::Read { label } => Some(Msg::Reply {
+                    value: self.stale.0,
+                    ts: self.stale.1.clone(),
+                    old: [self.stale.clone()].into(),
+                    label,
+                }),
+                Msg::Flush { label } => Some(Msg::FlushAck { label }),
+                _ => None,
             },
             ByzStrategy::Equivocate => match msg {
-                Msg::GetTs => ctx.send(from, Msg::TsReply { ts: self.ts.clone() }),
+                Msg::GetTs => Some(Msg::TsReply { ts: self.ts.clone() }),
                 Msg::Write { value, ts } => {
                     let ts = self.sys.sanitize(ts);
                     let ack = self.sys.precedes(&self.ts, &ts);
                     self.shadow_apply(value, ts.clone());
-                    ctx.send(from, Msg::WriteAck { ts, ack });
+                    Some(Msg::WriteAck { ts, ack })
                 }
-                Msg::Read { label } => {
-                    // Honest timestamp, forged value: the hijack the WTsG
-                    // (ts, value)-keying defeats.
-                    ctx.send(
-                        from,
-                        Msg::Reply {
-                            value: self.value ^ u64::MAX,
-                            ts: self.ts.clone(),
-                            old: self
-                                .old_vals
-                                .iter()
-                                .map(|(v, t)| (v ^ u64::MAX, t.clone()))
-                                .collect(),
-                            label,
-                        },
-                    );
-                }
-                Msg::Flush { label } => ctx.send(from, Msg::FlushAck { label }),
-                _ => {}
+                // Honest timestamp, forged value: the hijack the WTsG
+                // (ts, value)-keying defeats.
+                Msg::Read { label } => Some(Msg::Reply {
+                    value: self.value ^ u64::MAX,
+                    ts: self.ts.clone(),
+                    old: self.old_vals.iter().map(|(v, t)| (v ^ u64::MAX, t.clone())).collect(),
+                    label,
+                }),
+                Msg::Flush { label } => Some(Msg::FlushAck { label }),
+                _ => None,
             },
             ByzStrategy::PoisonLabels => match msg {
-                Msg::GetTs => {
-                    let poison = self.sys.arbitrary(ctx.rng());
-                    ctx.send(from, Msg::TsReply { ts: poison });
-                }
-                Msg::Write { ts, .. } => ctx.send(from, Msg::WriteAck { ts, ack: true }),
+                Msg::GetTs => Some(Msg::TsReply { ts: self.sys.arbitrary(ctx.rng()) }),
+                Msg::Write { ts, .. } => Some(Msg::WriteAck { ts, ack: true }),
                 Msg::Read { label } => {
                     let poison = self.sys.arbitrary(ctx.rng());
-                    ctx.send(
-                        from,
-                        Msg::Reply { value: u64::MAX, ts: poison, old: [].into(), label },
-                    );
+                    Some(Msg::Reply { value: u64::MAX, ts: poison, old: [].into(), label })
                 }
-                Msg::Flush { label } => ctx.send(from, Msg::FlushAck { label }),
-                _ => {}
+                Msg::Flush { label } => Some(Msg::FlushAck { label }),
+                _ => None,
             },
-            ByzStrategy::RandomGarbage => {
-                let reply = random_message(&self.sys, &self.cfg, ctx.rng());
-                ctx.send(from, reply);
-            }
+            ByzStrategy::RandomGarbage => Some(random_message(&self.sys, &self.cfg, ctx.rng())),
             ByzStrategy::Adaptive => match msg {
                 Msg::GetTs => {
                     // Oldest label it ever saw: degrades the writer's
@@ -200,12 +182,12 @@ impl<B: LabelingSystem> Automaton<Msg<Ts<B>>, ClientEvent<Ts<B>>> for ByzServer<
                         .last()
                         .map(|(_, t)| t.clone())
                         .unwrap_or_else(|| self.ts.clone());
-                    ctx.send(from, Msg::TsReply { ts: oldest });
+                    Some(Msg::TsReply { ts: oldest })
                 }
                 Msg::Write { value, ts } => {
                     let ts = self.sys.sanitize(ts);
                     self.shadow_apply(value, ts.clone());
-                    ctx.send(from, Msg::WriteAck { ts, ack: false });
+                    Some(Msg::WriteAck { ts, ack: false })
                 }
                 Msg::Read { label } => {
                     // Testify one write behind: the previous pair, with
@@ -213,12 +195,26 @@ impl<B: LabelingSystem> Automaton<Msg<Ts<B>>, ClientEvent<Ts<B>>> for ByzServer<
                     let (value, ts) =
                         self.old_vals.first().cloned().unwrap_or((self.value, self.ts.clone()));
                     let old: History<Ts<B>> = self.old_vals.iter().skip(1).cloned().collect();
-                    ctx.send(from, Msg::Reply { value, ts, old, label });
+                    Some(Msg::Reply { value, ts, old, label })
                 }
-                Msg::Flush { label } => ctx.send(from, Msg::FlushAck { label }),
-                _ => {}
+                Msg::Flush { label } => Some(Msg::FlushAck { label }),
+                _ => None,
             },
+        };
+        if let Some(reply) = reply {
+            ctx.send(from, W::wrap(key, reply));
         }
+    }
+}
+
+impl<B: LabelingSystem> Automaton<Msg<Ts<B>>, ClientEvent<Ts<B>>> for ByzServer<B> {
+    fn on_message(
+        &mut self,
+        from: ProcessId,
+        msg: Msg<Ts<B>>,
+        ctx: &mut Ctx<'_, Msg<Ts<B>>, ClientEvent<Ts<B>>>,
+    ) {
+        self.handle::<Plain<B>>((), from, msg, ctx);
     }
 
     fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {

@@ -21,6 +21,7 @@ use rand::Rng;
 use sbft_labels::{LabelingSystem, ReadLabel, ReadLabelPool, WriterId};
 use sbft_net::{Automaton, Ctx, ProcessId, ENV};
 
+use crate::cluster::{Envelope, Plain};
 use crate::config::ClusterConfig;
 use crate::messages::{ClientEvent, Msg, ValTs, Value};
 use crate::reader::{ReadDecision, ReadPhase, ReaderOptions};
@@ -134,14 +135,19 @@ impl<B: LabelingSystem> Client<B> {
 
     /// Begin (or re-begin) an operation attempt: bump the epoch, arm the
     /// deadline timer if the policy has one, and enter the protocol.
-    fn begin_attempt(&mut self, op: RetryOp, ctx: &mut Ctx<'_, Msg<Ts<B>>, ClientEvent<Ts<B>>>) {
+    fn begin_attempt<W: Envelope<Base = B>>(
+        &mut self,
+        key: W::Key,
+        op: RetryOp,
+        ctx: &mut Ctx<'_, W::Msg, W::Out>,
+    ) {
         self.epoch += 1;
         if self.policy.deadline > 0 {
             ctx.set_timer(self.policy.deadline, timer_id(TIMER_KIND_DEADLINE, self.epoch));
         }
         match op {
-            RetryOp::Write(value) => self.start_write(value, ctx),
-            RetryOp::Read => self.start_read(ctx),
+            RetryOp::Write(value) => self.start_write::<W>(key, value, ctx),
+            RetryOp::Read => self.start_read::<W>(key, ctx),
         }
     }
 
@@ -155,11 +161,12 @@ impl<B: LabelingSystem> Client<B> {
 
     /// The current attempt failed (`timed_out` says how). Either schedule a
     /// backed-off retry or surface the typed failure event.
-    fn fail_or_retry(
+    fn fail_or_retry<W: Envelope<Base = B>>(
         &mut self,
+        key: W::Key,
         op: RetryOp,
         timed_out: bool,
-        ctx: &mut Ctx<'_, Msg<Ts<B>>, ClientEvent<Ts<B>>>,
+        ctx: &mut Ctx<'_, W::Msg, W::Out>,
     ) {
         self.epoch += 1; // the failed attempt's timers are now stale
         if self.attempt < self.policy.max_attempts {
@@ -173,37 +180,49 @@ impl<B: LabelingSystem> Client<B> {
         let attempts = self.attempt;
         self.attempt = 0;
         self.phase = Phase::Idle;
-        match op {
-            RetryOp::Write(value) => {
-                ctx.output(ClientEvent::WriteFailed { value, timed_out, attempts });
-            }
-            RetryOp::Read => ctx.output(ClientEvent::ReadFailed { timed_out, attempts }),
-        }
+        let failed = match op {
+            RetryOp::Write(value) => ClientEvent::WriteFailed { value, timed_out, attempts },
+            RetryOp::Read => ClientEvent::ReadFailed { timed_out, attempts },
+        };
+        ctx.output(W::emit(key, failed));
     }
 
     /// The deadline timer of the current attempt fired: abandon whatever
     /// phase the attempt is in and fail or retry.
-    fn deadline_expired(&mut self, ctx: &mut Ctx<'_, Msg<Ts<B>>, ClientEvent<Ts<B>>>) {
+    fn deadline_expired<W: Envelope<Base = B>>(
+        &mut self,
+        key: W::Key,
+        ctx: &mut Ctx<'_, W::Msg, W::Out>,
+    ) {
         let op = match &self.phase {
             Phase::Idle | Phase::BackingOff(_) => return, // nothing in flight
             Phase::Writing(w) => RetryOp::Write(w.value),
             Phase::Reading(r) => {
                 // Release the servers forwarding to this read's label.
                 let label = r.label;
-                ctx.broadcast(self.cfg.server_ids(), Msg::CompleteRead { label });
+                ctx.broadcast(self.cfg.server_ids(), W::wrap(key, Msg::CompleteRead { label }));
                 RetryOp::Read
             }
             Phase::WritingBack { .. } => RetryOp::Read,
         };
-        self.fail_or_retry(op, true, ctx);
+        self.fail_or_retry::<W>(key, op, true, ctx);
     }
 
-    fn start_write(&mut self, value: Value, ctx: &mut Ctx<'_, Msg<Ts<B>>, ClientEvent<Ts<B>>>) {
+    fn start_write<W: Envelope<Base = B>>(
+        &mut self,
+        key: W::Key,
+        value: Value,
+        ctx: &mut Ctx<'_, W::Msg, W::Out>,
+    ) {
         self.phase = Phase::Writing(WritePhase::new(value));
-        ctx.broadcast(self.cfg.server_ids(), Msg::GetTs);
+        ctx.broadcast(self.cfg.server_ids(), W::wrap(key, Msg::GetTs));
     }
 
-    fn start_read(&mut self, ctx: &mut Ctx<'_, Msg<Ts<B>>, ClientEvent<Ts<B>>>) {
+    fn start_read<W: Envelope<Base = B>>(
+        &mut self,
+        key: W::Key,
+        ctx: &mut Ctx<'_, W::Msg, W::Out>,
+    ) {
         // find_read_label, step 1: candidate ≠ last (Figure 3a line 01).
         let label = self.pool.candidate();
         self.pool.adopt(label);
@@ -216,14 +235,14 @@ impl<B: LabelingSystem> Client<B> {
             }
             self.phase = Phase::Reading(phase);
             for s in self.cfg.server_ids() {
-                ctx.send(s, Msg::Read { label });
+                ctx.send(s, W::wrap(key, Msg::Read { label }));
                 self.pool.mark_pending(s, label);
             }
             return;
         }
         self.phase = Phase::Reading(phase);
         // Step 2: FLUSH to every server (Figure 3a line 04).
-        ctx.broadcast(self.cfg.server_ids(), Msg::Flush { label });
+        ctx.broadcast(self.cfg.server_ids(), W::wrap(key, Msg::Flush { label }));
     }
 
     /// Store a historical pair for `server`, newest first, bounded by the
@@ -234,16 +253,17 @@ impl<B: LabelingSystem> Client<B> {
         slot.truncate(self.cfg.history_depth);
     }
 
-    fn finish_read(
+    fn finish_read<W: Envelope<Base = B>>(
         &mut self,
+        key: W::Key,
         decision: ReadDecision<B>,
         safe: Vec<ProcessId>,
         label: ReadLabel,
-        ctx: &mut Ctx<'_, Msg<Ts<B>>, ClientEvent<Ts<B>>>,
+        ctx: &mut Ctx<'_, W::Msg, W::Out>,
     ) {
         // COMPLETE_READ to the safe set (Figure 2a lines 12/20).
         for s in safe {
-            ctx.send(s, Msg::CompleteRead { label });
+            ctx.send(s, W::wrap(key, Msg::CompleteRead { label }));
         }
         match decision {
             ReadDecision::Return { value, ts, via_union } => {
@@ -256,12 +276,12 @@ impl<B: LabelingSystem> Client<B> {
                         via_union,
                         answered: Default::default(),
                     };
-                    ctx.broadcast(self.cfg.server_ids(), Msg::Write { value, ts });
+                    ctx.broadcast(self.cfg.server_ids(), W::wrap(key, Msg::Write { value, ts }));
                     return;
                 }
                 self.reads_done += 1;
                 self.op_done();
-                ctx.output(ClientEvent::ReadDone { value, ts, via_union });
+                ctx.output(W::emit(key, ClientEvent::ReadDone { value, ts, via_union }));
             }
             ReadDecision::Abort => {
                 self.reads_aborted += 1;
@@ -269,22 +289,26 @@ impl<B: LabelingSystem> Client<B> {
                     // Transitory phase: retry silently instead of surfacing
                     // the abort; the stabilization argument guarantees a
                     // later attempt decides once a write completes.
-                    self.fail_or_retry(RetryOp::Read, false, ctx);
+                    self.fail_or_retry::<W>(key, RetryOp::Read, false, ctx);
                     return;
                 }
                 self.op_done();
-                ctx.output(ClientEvent::ReadAborted);
+                ctx.output(W::emit(key, ClientEvent::ReadAborted));
             }
         }
     }
-}
 
-impl<B: LabelingSystem> Automaton<Msg<Ts<B>>, ClientEvent<Ts<B>>> for Client<B> {
-    fn on_message(
+    /// The client's reaction to `msg` from `from`, as the register `key` of
+    /// the envelope `W`: every send and output goes into `ctx` already
+    /// addressed under `key`, so a store client hosting one `Client` per
+    /// key hands each its own context. [`Automaton::on_message`] is the
+    /// [`Plain`] instance.
+    pub fn handle<W: Envelope<Base = B>>(
         &mut self,
+        key: W::Key,
         from: ProcessId,
         msg: Msg<Ts<B>>,
-        ctx: &mut Ctx<'_, Msg<Ts<B>>, ClientEvent<Ts<B>>>,
+        ctx: &mut Ctx<'_, W::Msg, W::Out>,
     ) {
         match msg {
             // ---- environment commands ----
@@ -293,14 +317,14 @@ impl<B: LabelingSystem> Automaton<Msg<Ts<B>>, ClientEvent<Ts<B>>> for Client<B> 
                     return; // one op at a time per client
                 }
                 self.attempt = 1;
-                self.begin_attempt(RetryOp::Write(value), ctx);
+                self.begin_attempt::<W>(key, RetryOp::Write(value), ctx);
             }
             Msg::InvokeRead if from == ENV => {
                 if self.is_busy() {
                     return;
                 }
                 self.attempt = 1;
-                self.begin_attempt(RetryOp::Read, ctx);
+                self.begin_attempt::<W>(key, RetryOp::Read, ctx);
             }
 
             // ---- write protocol replies ----
@@ -309,8 +333,8 @@ impl<B: LabelingSystem> Automaton<Msg<Ts<B>>, ClientEvent<Ts<B>>> for Client<B> 
                     if let Some(new_ts) =
                         w.on_ts_reply(&self.sys, &self.cfg, self.writer_id, from, ts)
                     {
-                        let value = w.value;
-                        ctx.broadcast(self.cfg.server_ids(), Msg::Write { value, ts: new_ts });
+                        let write = Msg::Write { value: w.value, ts: new_ts };
+                        ctx.broadcast(self.cfg.server_ids(), W::wrap(key, write));
                     }
                 }
             }
@@ -330,7 +354,7 @@ impl<B: LabelingSystem> Automaton<Msg<Ts<B>>, ClientEvent<Ts<B>>> for Client<B> 
                             };
                             self.reads_done += 1;
                             self.op_done();
-                            ctx.output(ev);
+                            ctx.output(W::emit(key, ev));
                         }
                     }
                     return;
@@ -341,11 +365,11 @@ impl<B: LabelingSystem> Automaton<Msg<Ts<B>>, ClientEvent<Ts<B>>> for Client<B> 
                             let value = w.value;
                             self.writes_done += 1;
                             self.op_done();
-                            ctx.output(ClientEvent::WriteDone { value, ts });
+                            ctx.output(W::emit(key, ClientEvent::WriteDone { value, ts }));
                         }
                         crate::writer::WriteProgress::Retry => {
                             self.writes_retried += 1;
-                            ctx.broadcast(self.cfg.server_ids(), Msg::GetTs);
+                            ctx.broadcast(self.cfg.server_ids(), W::wrap(key, Msg::GetTs));
                         }
                         crate::writer::WriteProgress::Pending => {}
                     }
@@ -361,7 +385,7 @@ impl<B: LabelingSystem> Automaton<Msg<Ts<B>>, ClientEvent<Ts<B>>> for Client<B> 
                     if r.on_flush_ack(&self.cfg, from, label) {
                         // Figure 3a lines 14–15: the server is safe; send it
                         // the read request and re-mark the label pending.
-                        ctx.send(from, Msg::Read { label });
+                        ctx.send(from, W::wrap(key, Msg::Read { label }));
                         self.pool.mark_pending(from, label);
                     }
                 }
@@ -397,7 +421,7 @@ impl<B: LabelingSystem> Automaton<Msg<Ts<B>>, ClientEvent<Ts<B>>> for Client<B> 
                     }
                 }
                 if let Some((d, safe, label)) = decided {
-                    self.finish_read(d, safe, label, ctx);
+                    self.finish_read::<W>(key, d, safe, label, ctx);
                 }
             }
 
@@ -407,16 +431,38 @@ impl<B: LabelingSystem> Automaton<Msg<Ts<B>>, ClientEvent<Ts<B>>> for Client<B> 
         }
     }
 
-    fn on_timer(&mut self, id: u64, ctx: &mut Ctx<'_, Msg<Ts<B>>, ClientEvent<Ts<B>>>) {
+    /// The timer `id` this client armed (as the register `key` of `W`)
+    /// fired. [`Automaton::on_timer`] is the [`Plain`] instance.
+    pub fn timer<W: Envelope<Base = B>>(
+        &mut self,
+        key: W::Key,
+        id: u64,
+        ctx: &mut Ctx<'_, W::Msg, W::Out>,
+    ) {
         let (kind, epoch) = (id & 1, id >> 1);
         if epoch != self.epoch {
             return; // armed by a finished attempt
         }
         if kind == TIMER_KIND_DEADLINE {
-            self.deadline_expired(ctx);
+            self.deadline_expired::<W>(key, ctx);
         } else if let Phase::BackingOff(op) = self.phase {
-            self.begin_attempt(op, ctx);
+            self.begin_attempt::<W>(key, op, ctx);
         }
+    }
+}
+
+impl<B: LabelingSystem> Automaton<Msg<Ts<B>>, ClientEvent<Ts<B>>> for Client<B> {
+    fn on_message(
+        &mut self,
+        from: ProcessId,
+        msg: Msg<Ts<B>>,
+        ctx: &mut Ctx<'_, Msg<Ts<B>>, ClientEvent<Ts<B>>>,
+    ) {
+        self.handle::<Plain<B>>((), from, msg, ctx);
+    }
+
+    fn on_timer(&mut self, id: u64, ctx: &mut Ctx<'_, Msg<Ts<B>>, ClientEvent<Ts<B>>>) {
+        self.timer::<Plain<B>>((), id, ctx);
     }
 
     fn corrupt(&mut self, rng: &mut StdRng) {

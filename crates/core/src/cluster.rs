@@ -142,11 +142,12 @@ pub enum Op {
 }
 
 /// How an operation is addressed on the wire — the one decision the
-/// driver leaves open. An envelope names the key an operation targets,
-/// wraps register messages under it, opens client outputs back into
-/// `(key, event)`, and supplies what the nemesis needs to rebuild a
-/// server: garbage for corrupted channels and the honest server
-/// automaton, fresh or recovered from its disk.
+/// driver and the register automata leave open. An envelope names the key
+/// an operation targets, wraps register messages under it, turns client
+/// events into outputs under it and opens them back into `(key, event)`,
+/// and supplies what the nemesis needs to re-seat a server: garbage for
+/// corrupted channels, the honest server automaton, fresh or recovered
+/// from its disk, and the Byzantine one.
 pub trait Envelope: Sized + 'static {
     /// The base labeling system the registers run on.
     type Base: LabelingSystem;
@@ -162,7 +163,11 @@ pub trait Envelope: Sized + 'static {
     /// Address `msg` to the register named `key`.
     fn wrap(key: Self::Key, msg: Msg<Ts<Self::Base>>) -> Self::Msg;
 
-    /// The register an output belongs to, and the event itself.
+    /// `ev` as an output of the register named `key`.
+    fn emit(key: Self::Key, ev: ClientEvent<Ts<Self::Base>>) -> Self::Out;
+
+    /// The register an output belongs to, and the event itself — the
+    /// inverse of [`Envelope::emit`].
     fn open(out: &Self::Out) -> (Self::Key, &ClientEvent<Ts<Self::Base>>);
 
     /// One garbage message for a corrupted channel.
@@ -178,14 +183,12 @@ pub trait Envelope: Sized + 'static {
     ) -> Proc<Self>;
 
     /// A Byzantine server following `strat`, for seats the nemesis hands to
-    /// the adversary; `None` when no adversary speaks this envelope.
+    /// the adversary.
     fn byzantine_server(
-        _sys: &Sys<Self::Base>,
-        _cfg: ClusterConfig,
-        _strat: ByzStrategy,
-    ) -> Option<Proc<Self>> {
-        None
-    }
+        sys: &Sys<Self::Base>,
+        cfg: ClusterConfig,
+        strat: ByzStrategy,
+    ) -> Proc<Self>;
 }
 
 /// The envelope of a lone register: no key, bare [`Msg`] / [`ClientEvent`].
@@ -200,6 +203,10 @@ impl<B: LabelingSystem> Envelope for Plain<B> {
 
     fn wrap(_key: (), msg: Msg<Ts<B>>) -> Msg<Ts<B>> {
         msg
+    }
+
+    fn emit(_key: (), ev: ClientEvent<Ts<B>>) -> ClientEvent<Ts<B>> {
+        ev
     }
 
     fn open(out: &ClientEvent<Ts<B>>) -> ((), &ClientEvent<Ts<B>>) {
@@ -222,12 +229,8 @@ impl<B: LabelingSystem> Envelope for Plain<B> {
         })
     }
 
-    fn byzantine_server(
-        sys: &Sys<B>,
-        cfg: ClusterConfig,
-        strat: ByzStrategy,
-    ) -> Option<Proc<Self>> {
-        Some(Box::new(ByzServer::new(sys.clone(), cfg, strat)))
+    fn byzantine_server(sys: &Sys<B>, cfg: ClusterConfig, strat: ByzStrategy) -> Proc<Self> {
+        Box::new(ByzServer::new(sys.clone(), cfg, strat))
     }
 }
 
@@ -778,9 +781,8 @@ where
         let make_honest: AutomatonFactory<W::Msg, W::Out> =
             Box::new(move |pid| W::honest_server(&sys, &layout, pid, None));
         let sys = self.sys.clone();
-        let make_byz: AutomatonFactory<W::Msg, W::Out> = Box::new(move |_pid| {
-            W::byzantine_server(&sys, cfg, strat).expect("no adversary speaks this envelope")
-        });
+        let make_byz: AutomatonFactory<W::Msg, W::Out> =
+            Box::new(move |_pid| W::byzantine_server(&sys, cfg, strat));
         let sys = self.sys.clone();
         let garbage = Box::new(move |rng: &mut StdRng| W::garbage(&sys, &cfg, rng));
         let runner =

@@ -29,6 +29,7 @@ use sbft_labels::{LabelingSystem, ReadLabel};
 use sbft_net::{Automaton, Ctx, ProcessId, ENV};
 use sbft_storage::{ByteReader, Cadence, Codec, DiskHandle, Journal};
 
+use crate::cluster::{Envelope, Plain};
 use crate::config::ClusterConfig;
 use crate::messages::{ClientEvent, History, Msg, ValTs, Value};
 use crate::{Sys, Ts};
@@ -208,21 +209,24 @@ impl<B: LabelingSystem> Server<B> {
             self.journal = Some(journal);
         }
     }
-}
 
-impl<B: LabelingSystem> Automaton<Msg<Ts<B>>, ClientEvent<Ts<B>>> for Server<B> {
-    fn on_message(
+    /// The server's reaction to `msg` from `from`, as the register `key` of
+    /// the envelope `W`: every reply goes into `ctx` already addressed
+    /// under `key`, so a store node hosting one `Server` per key hands each
+    /// its own context. [`Automaton::on_message`] is the [`Plain`] instance.
+    pub fn handle<W: Envelope<Base = B>>(
         &mut self,
+        key: W::Key,
         from: ProcessId,
         msg: Msg<Ts<B>>,
-        ctx: &mut Ctx<'_, Msg<Ts<B>>, ClientEvent<Ts<B>>>,
+        ctx: &mut Ctx<'_, W::Msg, W::Out>,
     ) {
         if from == ENV {
             return; // servers take no environment commands
         }
         match msg {
             Msg::GetTs => {
-                ctx.send(from, Msg::TsReply { ts: self.ts.clone() });
+                ctx.send(from, W::wrap(key, Msg::TsReply { ts: self.ts.clone() }));
             }
             Msg::Write { value, ts } => {
                 // Sanitize before any algebraic use: the writer (or the
@@ -232,25 +236,18 @@ impl<B: LabelingSystem> Automaton<Msg<Ts<B>>, ClientEvent<Ts<B>>> for Server<B> 
                 // Adopt unconditionally (Figure 1 server side: "in any
                 // case, the server updates its local copy").
                 self.apply_write(value, ts.clone());
-                ctx.send(from, Msg::WriteAck { ts, ack });
+                ctx.send(from, W::wrap(key, Msg::WriteAck { ts, ack }));
                 // Forward the fresh pair to all running readers.
                 let old = self.history();
                 for (&reader, &label) in &self.running_read {
-                    ctx.send(
-                        reader,
-                        Msg::Reply {
-                            value: self.value,
-                            ts: self.ts.clone(),
-                            old: old.clone(),
-                            label,
-                        },
-                    );
+                    let (value, ts, old) = (self.value, self.ts.clone(), old.clone());
+                    ctx.send(reader, W::wrap(key, Msg::Reply { value, ts, old, label }));
                 }
             }
             Msg::Read { label } => {
                 self.running_read.insert(from, label);
-                let old = self.history();
-                ctx.send(from, Msg::Reply { value: self.value, ts: self.ts.clone(), old, label });
+                let (value, ts, old) = (self.value, self.ts.clone(), self.history());
+                ctx.send(from, W::wrap(key, Msg::Reply { value, ts, old, label }));
             }
             Msg::CompleteRead { label } => {
                 if self.running_read.get(&from) == Some(&label) {
@@ -258,7 +255,7 @@ impl<B: LabelingSystem> Automaton<Msg<Ts<B>>, ClientEvent<Ts<B>>> for Server<B> 
                 }
             }
             Msg::Flush { label } => {
-                ctx.send(from, Msg::FlushAck { label });
+                ctx.send(from, W::wrap(key, Msg::FlushAck { label }));
             }
             // Messages a correct server never consumes (stale client-bound
             // traffic, channel garbage) are dropped silently.
@@ -269,6 +266,17 @@ impl<B: LabelingSystem> Automaton<Msg<Ts<B>>, ClientEvent<Ts<B>>> for Server<B> 
             | Msg::InvokeWrite { .. }
             | Msg::InvokeRead => {}
         }
+    }
+}
+
+impl<B: LabelingSystem> Automaton<Msg<Ts<B>>, ClientEvent<Ts<B>>> for Server<B> {
+    fn on_message(
+        &mut self,
+        from: ProcessId,
+        msg: Msg<Ts<B>>,
+        ctx: &mut Ctx<'_, Msg<Ts<B>>, ClientEvent<Ts<B>>>,
+    ) {
+        self.handle::<Plain<B>>((), from, msg, ctx);
     }
 
     fn corrupt(&mut self, rng: &mut StdRng) {

@@ -8,6 +8,12 @@
 //! depth of 1 keeps the original one-op-at-a-time discipline. At most one
 //! operation per key is ever in flight — a command for a busy key is
 //! dropped, like any command beyond the depth.
+//!
+//! A key is a register: the key's [`Client`] reacts on the store client's
+//! own context and speaks under the key through the [`Keyed`] envelope (the
+//! composition rule of `sbft_net::process`). What the store client adds
+//! afterwards is the one thing per-key clients cannot know: it moves the
+//! timers they armed into the process-wide id space.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -19,6 +25,7 @@ use sbft_core::{RetryPolicy, Sys, Ts};
 use sbft_labels::{LabelingSystem, WriterId};
 use sbft_net::{Automaton, Ctx, ProcessId, ENV};
 
+use crate::cluster::Keyed;
 use crate::messages::{Key, KvEvent, KvMsg};
 
 /// A key-value client multiplexing per-key register clients.
@@ -84,24 +91,24 @@ impl<B: LabelingSystem> KvClient<B> {
         self.active.len()
     }
 
-    fn client_for(&mut self, key: Key) -> &mut Client<B> {
-        let (sys, cfg, wid, opts) = (self.sys.clone(), self.cfg, self.writer_id, self.opts);
-        let policy = self.policy;
-        self.per_key.entry(key).or_insert_with(|| Client::with_retry(sys, cfg, wid, opts, policy))
-    }
-
-    /// Re-arm an inner client's timer under a fresh outer id.
-    fn arm(
+    /// After `key`'s client reacted on `ctx`: move the timers it armed
+    /// (those past `timers_from`) into the process-wide id space, and retire
+    /// the key if it emitted a terminal event (past `outputs_from`).
+    fn settle(
         &mut self,
         key: Key,
-        delay: u64,
-        inner_id: u64,
+        (timers_from, outputs_from): (usize, usize),
         ctx: &mut Ctx<'_, KvMsg<Ts<B>>, KvEvent<Ts<B>>>,
     ) {
-        let outer = self.timer_seq;
-        self.timer_seq += 1;
-        self.timer_routes.insert(outer, (key, inner_id));
-        ctx.set_timer(delay, outer);
+        for (_, id) in &mut ctx.armed_mut()[timers_from..] {
+            self.timer_routes.insert(self.timer_seq, (key, *id));
+            *id = self.timer_seq;
+            self.timer_seq += 1;
+        }
+        let ended = |o: &KvEvent<Ts<B>>| o.inner.is_read_end() || o.inner.is_write_end();
+        if ctx.emitted()[outputs_from..].iter().any(ended) {
+            self.active.remove(&key);
+        }
     }
 }
 
@@ -118,72 +125,28 @@ impl<B: LabelingSystem> Automaton<KvMsg<Ts<B>>, KvEvent<Ts<B>>> for KvClient<B> 
                 return; // key busy, or the pipeline is full
             }
             self.active.insert(key);
-        } else if !self.active.contains(&key) {
-            // A late reply for a finished (or foreign) key's operation:
-            // deliver it to that key's client anyway so its label
-            // bookkeeping stays accurate — but no new op can start there.
-            if let Some(client) = self.per_key.get_mut(&key) {
-                let (me, now) = (ctx.me, ctx.now);
-                let mut inner = Ctx::detached(me, now, ctx.rng());
-                client.on_message(from, msg.inner, &mut inner);
-                let (sends, _outs, timers) = inner.drain();
-                drop(inner);
-                for (to, m) in sends {
-                    ctx.send(to, KvMsg::new(key, m));
-                }
-                for (delay, tid) in timers {
-                    self.arm(key, delay, tid, ctx);
-                }
-            }
-            return;
+            let (cfg, wid, opts, policy) = (self.cfg, self.writer_id, self.opts, self.policy);
+            let fresh = || Client::with_retry(self.sys.clone(), cfg, wid, opts, policy);
+            self.per_key.entry(key).or_insert_with(fresh);
         }
-
-        let (me, now) = (ctx.me, ctx.now);
-        let client = self.client_for(key);
-        let (sends, outputs, timers) = {
-            let mut inner = Ctx::detached(me, now, ctx.rng());
-            client.on_message(from, msg.inner, &mut inner);
-            inner.drain()
-        };
-        for (to, m) in sends {
-            ctx.send(to, KvMsg::new(key, m));
-        }
-        for (delay, tid) in timers {
-            self.arm(key, delay, tid, ctx);
-        }
-        for o in outputs {
-            if o.is_read_end() || o.is_write_end() {
-                self.active.remove(&key);
-            }
-            ctx.output(KvEvent { key, inner: o });
-        }
+        // A reply for a key with no operation in flight still reaches that
+        // key's client, so its label bookkeeping stays accurate; a reply for
+        // a key never operated on creates no client. A key outside `active`
+        // has an idle client — it leaves `active` on its client's terminal
+        // event, or together with `Client::corrupt`, which idles every
+        // client — and an idle client sends, arms and emits nothing.
+        let Some(client) = self.per_key.get_mut(&key) else { return };
+        let before = (ctx.armed_mut().len(), ctx.emitted().len());
+        client.handle::<Keyed<B>>(key, from, msg.inner, ctx);
+        self.settle(key, before, ctx);
     }
 
     fn on_timer(&mut self, id: u64, ctx: &mut Ctx<'_, KvMsg<Ts<B>>, KvEvent<Ts<B>>>) {
-        let Some((key, inner_id)) = self.timer_routes.remove(&id) else {
-            return;
-        };
-        let Some(client) = self.per_key.get_mut(&key) else {
-            return;
-        };
-        let (me, now) = (ctx.me, ctx.now);
-        let (sends, outputs, timers) = {
-            let mut inner = Ctx::detached(me, now, ctx.rng());
-            client.on_timer(inner_id, &mut inner);
-            inner.drain()
-        };
-        for (to, m) in sends {
-            ctx.send(to, KvMsg::new(key, m));
-        }
-        for (delay, tid) in timers {
-            self.arm(key, delay, tid, ctx);
-        }
-        for o in outputs {
-            if o.is_read_end() || o.is_write_end() {
-                self.active.remove(&key);
-            }
-            ctx.output(KvEvent { key, inner: o });
-        }
+        let Some((key, inner_id)) = self.timer_routes.remove(&id) else { return };
+        let Some(client) = self.per_key.get_mut(&key) else { return };
+        let before = (ctx.armed_mut().len(), ctx.emitted().len());
+        client.timer::<Keyed<B>>(key, inner_id, ctx);
+        self.settle(key, before, ctx);
     }
 
     fn corrupt(&mut self, rng: &mut StdRng) {

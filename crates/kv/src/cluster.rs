@@ -27,7 +27,7 @@ use std::marker::PhantomData;
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use sbft_core::adversary::random_message;
+use sbft_core::adversary::{random_message, ByzServer, ByzStrategy};
 use sbft_core::builder_core_setters;
 use sbft_core::cluster::{BuilderCore, Cluster, Envelope, Proc};
 use sbft_core::config::ClusterConfig;
@@ -37,7 +37,7 @@ use sbft_core::spec::{group_verdicts, GroupVerdict};
 use sbft_core::{Sys, Ts};
 use sbft_labels::LabelingSystem;
 use sbft_net::substrate::{AnySubstrate, SubstrateConfig};
-use sbft_net::{BatchPolicy, ProcessId, Simulation};
+use sbft_net::{Automaton, BatchPolicy, Ctx, ProcessId, Simulation};
 use sbft_storage::{DiskHandle, DiskSet};
 
 use crate::client::KvClient;
@@ -68,6 +68,10 @@ impl<B: LabelingSystem> Envelope for Keyed<B> {
         KvMsg::new(key, msg)
     }
 
+    fn emit(key: Key, inner: ClientEvent<Ts<B>>) -> KvEvent<Ts<B>> {
+        KvEvent { key, inner }
+    }
+
     fn open(out: &KvEvent<Ts<B>>) -> (Key, &ClientEvent<Ts<B>>) {
         (out.key, &out.inner)
     }
@@ -88,6 +92,28 @@ impl<B: LabelingSystem> Envelope for Keyed<B> {
             None => KvServer::new(sys.clone(), layout.cfg()),
         };
         seat(node, layout, pid)
+    }
+
+    fn byzantine_server(sys: &Sys<B>, cfg: ClusterConfig, strat: ByzStrategy) -> Proc<Self> {
+        Box::new(KeyedByz(ByzServer::new(sys.clone(), cfg, strat)))
+    }
+}
+
+/// The adversary's seat in the store: one [`ByzServer`] answering under
+/// whatever key it is asked about. One shadow state for all keys is a legal
+/// Byzantine behaviour, and it only ever answers its interlocutor, so it is
+/// seated bare in any layout — what it says about keys outside its shard,
+/// the honest [`ShardedClient`] drops.
+struct KeyedByz<B: LabelingSystem>(ByzServer<B>);
+
+impl<B: LabelingSystem> Automaton<KvMsg<Ts<B>>, KvEvent<Ts<B>>> for KeyedByz<B> {
+    fn on_message(
+        &mut self,
+        from: ProcessId,
+        msg: KvMsg<Ts<B>>,
+        ctx: &mut Ctx<'_, KvMsg<Ts<B>>, KvEvent<Ts<B>>>,
+    ) {
+        self.0.handle::<Keyed<B>>(msg.key, from, msg.inner, ctx);
     }
 }
 
@@ -219,7 +245,6 @@ pub fn check_per_shard<B: LabelingSystem, S>(
 
 #[cfg(test)]
 mod tests {
-    use sbft_core::adversary::ByzStrategy;
     use sbft_core::cluster::{OpOutcome, RegisterCluster};
     use sbft_core::{RetryPolicy, Soak};
     use sbft_labels::BoundedLabeling;

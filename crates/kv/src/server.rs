@@ -1,5 +1,9 @@
 //! The storage node: one register-server state per key, one process.
 //!
+//! A key is a register: the node looks the key's [`Server`] up and hands it
+//! the node's own context, and the register answers under the key through
+//! the [`Keyed`] envelope (the composition rule of `sbft_net::process`).
+//!
 //! With a disk attached the node persists every applied write as one
 //! `(key, value, ts)` record through a shared [`Journal`], which decides
 //! when the log has grown large enough to be worth replacing by a snapshot
@@ -18,6 +22,7 @@ use sbft_labels::LabelingSystem;
 use sbft_net::{Automaton, Ctx, ProcessId, ENV};
 use sbft_storage::{ByteReader, Cadence, Codec, DiskHandle, Journal};
 
+use crate::cluster::Keyed;
 use crate::messages::{Key, KvEvent, KvMsg};
 
 /// A server hosting the registers of every key it has ever been asked
@@ -165,13 +170,7 @@ impl<B: LabelingSystem> Automaton<KvMsg<Ts<B>>, KvEvent<Ts<B>>> for KvServer<B> 
         let is_write = matches!(msg.inner, Msg::Write { .. });
         let register =
             self.registers.entry(key).or_insert_with(|| Server::new(self.sys.clone(), self.cfg));
-        let (me, now) = (ctx.me, ctx.now);
-        let (sends, outputs) = {
-            let mut inner = Ctx::detached(me, now, ctx.rng());
-            register.on_message(from, msg.inner, &mut inner);
-            let (s, o, _) = inner.drain();
-            (s, o)
-        };
+        register.handle::<Keyed<B>>(key, from, msg.inner, ctx);
         if is_write {
             // The register adopts every sanitized write unconditionally
             // (Figure 1), so a Write message always advanced (value, ts):
@@ -191,12 +190,6 @@ impl<B: LabelingSystem> Automaton<KvMsg<Ts<B>>, KvEvent<Ts<B>>> for KvServer<B> 
                     });
                 }
             }
-        }
-        for (to, m) in sends {
-            ctx.send(to, KvMsg::new(key, m));
-        }
-        for o in outputs {
-            ctx.output(KvEvent { key, inner: o });
         }
     }
 

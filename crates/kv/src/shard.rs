@@ -11,43 +11,43 @@
 //! the proof. The placement and pid arithmetic is the [`ShardRouter`] of
 //! `sbft-core` (every cluster has one; a register's has a single shard).
 //!
-//! The wrappers in this module keep the inner automata oblivious:
-//! [`ShardedServer`] and [`ShardedClient`] translate between the **global**
-//! pid space of the substrate (shard `s`'s servers at `[s·n, (s+1)·n)`,
-//! clients after all servers) and the **local** pid space each inner
-//! automaton was written for (servers `0..n`, clients `n..`). Traffic that
-//! violates placement — a message for a key the shard does not host, or a
-//! reply from a server outside the key's shard — is dropped at the wrapper,
-//! so a Byzantine server can never reach across a shard boundary.
+//! [`ShardedServer`] and [`ShardedClient`] host a store automaton written
+//! for the **local** pid space of one group (servers `0..n`, clients `n..`)
+//! in the **global** pid space of the substrate (shard `s`'s servers at
+//! `[s·n, (s+1)·n)`, clients after all servers). The hosted automaton runs
+//! on the host's own context (the composition rule of `sbft_net::process`)
+//! as its local pid, and the host re-addresses the sends it queued from
+//! local to global in place. Traffic that violates placement — a message
+//! for a key the shard does not host, or a reply from a server outside the
+//! key's shard — is dropped before the hosted automaton sees it, so a
+//! Byzantine server can never reach across a shard boundary.
 
 use rand::rngs::StdRng;
 pub use sbft_core::config::ShardRouter;
 use sbft_core::Ts;
 use sbft_labels::LabelingSystem;
-use sbft_net::process::Effects;
 use sbft_net::{Automaton, Ctx, ProcessId, ENV};
 
 use crate::client::KvClient;
 use crate::messages::{KvEvent, KvMsg};
 use crate::server::KvServer;
 
-/// Replay one inner-automaton dispatch's drained effects onto the outer
-/// context, translating send targets from `shard`-local pids to global.
-fn replay<B: LabelingSystem>(
+/// Let a hosted automaton react on its host's `ctx` as the local process
+/// `me`, then re-address what it queued from local to global pids — per
+/// message, by the shard of the message's own key (one reaction of a
+/// pipelining client may carry sends for several keys).
+fn as_local<B: LabelingSystem>(
     router: &ShardRouter,
-    shard: usize,
-    effects: Effects<KvMsg<Ts<B>>, KvEvent<Ts<B>>>,
+    me: ProcessId,
     ctx: &mut Ctx<'_, KvMsg<Ts<B>>, KvEvent<Ts<B>>>,
+    react: impl FnOnce(&mut Ctx<'_, KvMsg<Ts<B>>, KvEvent<Ts<B>>>),
 ) {
-    let (sends, outputs, timers) = effects;
-    for (to, m) in sends {
-        ctx.send(router.to_global(shard, to), m);
-    }
-    for o in outputs {
-        ctx.output(o);
-    }
-    for (delay, tid) in timers {
-        ctx.set_timer(delay, tid);
+    let (global_me, queued) = (ctx.me, ctx.sent().len());
+    ctx.me = me;
+    react(ctx);
+    ctx.me = global_me;
+    for (to, m) in &mut ctx.sent_mut()[queued..] {
+        *to = router.to_global(router.shard_of(m.key), *to);
     }
 }
 
@@ -94,24 +94,7 @@ impl<B: LabelingSystem> Automaton<KvMsg<Ts<B>>, KvEvent<Ts<B>>> for ShardedServe
             }
         };
         let me = self.router.to_local(self.shard, ctx.me).expect("own pid is in shard");
-        let now = ctx.now;
-        let effects = {
-            let mut inner = Ctx::detached(me, now, ctx.rng());
-            self.inner.on_message(local_from, msg, &mut inner);
-            inner.drain()
-        };
-        replay::<B>(&self.router, self.shard, effects, ctx);
-    }
-
-    fn on_timer(&mut self, id: u64, ctx: &mut Ctx<'_, KvMsg<Ts<B>>, KvEvent<Ts<B>>>) {
-        let me = self.router.to_local(self.shard, ctx.me).expect("own pid is in shard");
-        let now = ctx.now;
-        let effects = {
-            let mut inner = Ctx::detached(me, now, ctx.rng());
-            self.inner.on_timer(id, &mut inner);
-            inner.drain()
-        };
-        replay::<B>(&self.router, self.shard, effects, ctx);
+        as_local::<B>(&self.router, me, ctx, |ctx| self.inner.on_message(local_from, msg, ctx));
     }
 
     fn corrupt(&mut self, rng: &mut StdRng) {
@@ -170,46 +153,12 @@ impl<B: LabelingSystem> Automaton<KvMsg<Ts<B>>, KvEvent<Ts<B>>> for ShardedClien
             return; // clients never talk to each other
         };
         let me = self.local_me(ctx.me);
-        let now = ctx.now;
-        let effects = {
-            let mut inner = Ctx::detached(me, now, ctx.rng());
-            self.inner.on_message(local_from, msg, &mut inner);
-            inner.drain()
-        };
-        // The inner client's sends are broadcasts to local servers 0..n of
-        // the key's shard — but a single drain may carry sends for several
-        // keys (pipelining), so translate per message by its own key.
-        let (sends, outputs, timers) = effects;
-        for (to, m) in sends {
-            let s = self.router.shard_of(m.key);
-            ctx.send(self.router.to_global(s, to), m);
-        }
-        for o in outputs {
-            ctx.output(o);
-        }
-        for (delay, tid) in timers {
-            ctx.set_timer(delay, tid);
-        }
+        as_local::<B>(&self.router, me, ctx, |ctx| self.inner.on_message(local_from, msg, ctx));
     }
 
     fn on_timer(&mut self, id: u64, ctx: &mut Ctx<'_, KvMsg<Ts<B>>, KvEvent<Ts<B>>>) {
         let me = self.local_me(ctx.me);
-        let now = ctx.now;
-        let (sends, outputs, timers) = {
-            let mut inner = Ctx::detached(me, now, ctx.rng());
-            self.inner.on_timer(id, &mut inner);
-            inner.drain()
-        };
-        for (to, m) in sends {
-            let s = self.router.shard_of(m.key);
-            ctx.send(self.router.to_global(s, to), m);
-        }
-        for o in outputs {
-            ctx.output(o);
-        }
-        for (delay, tid) in timers {
-            ctx.set_timer(delay, tid);
-        }
+        as_local::<B>(&self.router, me, ctx, |ctx| self.inner.on_timer(id, ctx));
     }
 
     fn corrupt(&mut self, rng: &mut StdRng) {

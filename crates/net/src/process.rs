@@ -4,6 +4,13 @@
 //! messages; all effects (sends, timers, observable outputs) go through the
 //! [`Ctx`] handed to each callback. The same automaton therefore runs
 //! unchanged under the discrete-event simulator and the threaded runtime.
+//!
+//! **Composition rule: an automaton hosted inside another is handed the
+//! host's context.** The host marks how much is queued, lets the hosted
+//! automaton write its effects straight into the [`Ctx`] it was given, and
+//! afterwards re-addresses in place what was added since the mark
+//! ([`Ctx::sent_mut`], [`Ctx::armed_mut`]; [`Ctx::me`] is a plain field the
+//! host may set for the call). No second context, no copy of the effects.
 
 use rand::rngs::StdRng;
 
@@ -13,9 +20,6 @@ pub type ProcessId = usize;
 /// The distinguished "environment" process: operation invocations and other
 /// driver commands are delivered as messages *from* `ENV`.
 pub const ENV: ProcessId = usize::MAX;
-
-/// Drained effects of one callback: `(sends, outputs, timers)`.
-pub type Effects<M, O> = (Vec<(ProcessId, M)>, Vec<O>, Vec<(u64, u64)>);
 
 /// Effect sink passed to every automaton callback.
 ///
@@ -44,18 +48,30 @@ impl<'a, M, O> Ctx<'a, M, O> {
         Self::new(me, now, rng)
     }
 
-    /// Messages queued so far (testing aid).
+    /// Messages queued so far, as `(to, message)`.
     pub fn sent(&self) -> &[(ProcessId, M)] {
         &self.outbox
     }
 
-    /// Outputs emitted so far (testing aid).
+    /// The queued messages, re-addressable in place by a host automaton.
+    pub fn sent_mut(&mut self) -> &mut [(ProcessId, M)] {
+        &mut self.outbox
+    }
+
+    /// Outputs emitted so far.
     pub fn emitted(&self) -> &[O] {
         &self.outputs
     }
 
+    /// Timers armed so far, as `(delay, id)`, re-numberable in place by a
+    /// host automaton.
+    pub fn armed_mut(&mut self) -> &mut [(u64, u64)] {
+        &mut self.timers
+    }
+
     /// Take all queued effects: `(sends, outputs, timers)` (testing aid).
-    pub fn drain(&mut self) -> Effects<M, O> {
+    #[allow(clippy::type_complexity)]
+    pub fn drain(&mut self) -> (Vec<(ProcessId, M)>, Vec<O>, Vec<(u64, u64)>) {
         (
             std::mem::take(&mut self.outbox),
             std::mem::take(&mut self.outputs),
