@@ -3,7 +3,7 @@
 //! ```text
 //! harness all            # every experiment (default scale)
 //! harness e1 … e20       # one experiment (there is no e9: see E15's threaded closed cells)
-//! harness ablations      # the ablation tables
+//! harness ablations      # the FLUSH workload on this build (scripts/mutants.sh runs it patched)
 //! harness quick          # all experiments at reduced scale (CI-sized)
 //! harness load           # E15 sustained-load run; writes BENCH_e15.json
 //! harness explore        # E16 exhaustive schedule exploration
@@ -212,9 +212,7 @@ fn main() {
         write_bench("BENCH_e19.json", &e19_scale::to_json(&cells), cells.len());
     }
     if want("ablations") {
-        emit(ablations::ablate_selection(seeds.min(5)));
-        emit(ablations::ablate_union(seeds.min(5)));
-        emit(ablations::ablate_flush(seeds.min(5)));
+        emit(ablations::flush_workload(seeds.min(5)));
     }
 
     if !printed {

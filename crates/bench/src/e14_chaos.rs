@@ -142,10 +142,17 @@ pub fn run(sim_seeds: u64, threaded_seeds: u64) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// The `harness e14 --quick` sim cell, run once for both tests below.
+    fn quick_sim_cell() -> &'static E14Cell {
+        static CELL: OnceLock<E14Cell> = OnceLock::new();
+        CELL.get_or_init(|| run_backend(Backend::Sim, 3))
+    }
 
     #[test]
     fn sim_soak_has_zero_stable_window_violations() {
-        let cell = run_backend(Backend::Sim, 3);
+        let cell = quick_sim_cell();
         let soak = &cell.soak;
         assert_eq!(soak.window_violations, 0, "{cell:?}");
         assert_eq!(soak.post_heal_failures, 0, "{cell:?}");
@@ -153,6 +160,12 @@ mod tests {
         assert!(soak.writes_ok > 0 && soak.reads_ok > 0, "{cell:?}");
         assert!(soak.heals > 0, "{cell:?}");
         assert!(soak.cures > 0, "amnesiac seat movement never fired: {cell:?}");
+    }
+
+    #[test]
+    fn quick_sim_row_is_pinned() {
+        let cell = quick_sim_cell();
+        let soak = &cell.soak;
         // Pin: the `harness e14 --quick` sim row. The simulator is
         // deterministic, so any drift here is a behaviour change.
         assert_eq!((soak.events_fired, cell.min_distinct_kinds), (27, 5), "{cell:?}");

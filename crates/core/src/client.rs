@@ -226,21 +226,7 @@ impl<B: LabelingSystem> Client<B> {
         // find_read_label, step 1: candidate ≠ last (Figure 3a line 01).
         let label = self.pool.candidate();
         self.pool.adopt(label);
-        let mut phase = ReadPhase::new(label);
-        if self.opts.skip_flush {
-            // Ablation: no FLUSH certification — every server is assumed
-            // safe and read immediately (loses Lemma 5).
-            for s in self.cfg.server_ids() {
-                phase.safe.insert(s);
-            }
-            self.phase = Phase::Reading(phase);
-            for s in self.cfg.server_ids() {
-                ctx.send(s, W::wrap(key, Msg::Read { label }));
-                self.pool.mark_pending(s, label);
-            }
-            return;
-        }
-        self.phase = Phase::Reading(phase);
+        self.phase = Phase::Reading(ReadPhase::new(label));
         // Step 2: FLUSH to every server (Figure 3a line 04).
         ctx.broadcast(self.cfg.server_ids(), W::wrap(key, Msg::Flush { label }));
     }

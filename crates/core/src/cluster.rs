@@ -430,7 +430,7 @@ impl<B: LabelingSystem> ClusterBuilder<B> {
         self
     }
 
-    /// Reader ablation switches.
+    /// Reader protocol variants (TM_1R forced return, atomic write-back).
     pub fn reader_options(mut self, opts: ReaderOptions) -> Self {
         self.reader_opts = opts;
         self

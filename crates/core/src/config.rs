@@ -25,7 +25,7 @@ pub struct ClusterConfig {
     /// Upper bound on Byzantine servers.
     pub f: usize,
     /// Length of each server's `old_vals` sliding history. The paper uses
-    /// `n`; experiments E8/ablate_history sweep it.
+    /// `n`; experiment E8 sweeps it.
     pub history_depth: usize,
     /// Size of each client's bounded read-label pool (`k` in Figure 3).
     pub read_labels: usize,

@@ -23,25 +23,15 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use sbft_labels::{LabelingSystem, ReadLabel};
 use sbft_net::ProcessId;
-use sbft_wtsg::{
-    build_union, select_with_policy, HistoryEntry, IncrementalWtsg, SelectionPolicy, Witness,
-};
+use sbft_wtsg::{build_union, select_return_value, HistoryEntry, IncrementalWtsg, Witness};
 
 use crate::config::ClusterConfig;
 use crate::messages::{ValTs, Value};
 use crate::{Sys, Ts};
 
-/// Reader behaviour knobs (ablation switches; defaults are paper-faithful).
-#[derive(Clone, Copy, Debug)]
+/// The reader's protocol variants; the default is the paper's read.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ReaderOptions {
-    /// WTsG node selection rule.
-    pub policy: SelectionPolicy,
-    /// Whether the union-graph fallback is enabled (Figure 2a line 15).
-    pub use_union: bool,
-    /// Ablation: skip the FLUSH round of `find_read_label()` and treat
-    /// every server as immediately safe. Loses Lemma 5's stale-reply
-    /// protection — measurable as wrong reads under churn (`ablate_flush`).
-    pub skip_flush: bool,
     /// Model the paper's TM_1R protocol class (Theorem 1): a one-phase
     /// read that must **return** — when no node reaches `2f + 1`
     /// witnesses it falls back to a majority-of-correct decision (`f + 1`
@@ -57,18 +47,6 @@ pub struct ReaderOptions {
     /// two-phase and *mutate* server state — surrendering the paper's §VI
     /// guarantee that Byzantine readers are harmless.
     pub write_back: bool,
-}
-
-impl Default for ReaderOptions {
-    fn default() -> Self {
-        Self {
-            policy: SelectionPolicy::DominantSink,
-            use_union: true,
-            skip_flush: false,
-            forced_return: false,
-            write_back: false,
-        }
-    }
 }
 
 impl ReaderOptions {
@@ -159,8 +137,8 @@ impl<B: LabelingSystem> ReadPhase<B> {
         self.replies.len() >= cfg.quorum()
     }
 
-    /// The decision of Figure 2a lines 09–19: local WTsG, then (optionally)
-    /// the union WTsG over `recent_vals`, else abort.
+    /// The decision of Figure 2a lines 09–19: local WTsG, then the union
+    /// WTsG over `recent_vals`, else abort.
     pub fn decide(
         &self,
         sys: &Sys<B>,
@@ -172,7 +150,7 @@ impl<B: LabelingSystem> ReadPhase<B> {
         // The local graph is already up to date: `on_reply` maintained it
         // delta-by-delta, so the common case (a clean quorum) decides with
         // no graph construction at all.
-        if let Some(node) = select_with_policy(sys, &self.graph, threshold, opts.policy) {
+        if let Some(node) = select_return_value(sys, &self.graph, threshold) {
             return ReadDecision::Return {
                 value: node.value,
                 ts: node.ts.clone(),
@@ -180,31 +158,29 @@ impl<B: LabelingSystem> ReadPhase<B> {
             };
         }
 
-        if opts.use_union {
-            let current = self.replies.iter().map(|(&s, (v, t))| Witness::new(s, *v, t.clone()));
-            let histories = recent_vals.iter().map(|(&s, hist)| {
-                (
-                    s,
-                    hist.iter()
-                        .map(|(v, t)| HistoryEntry::new(*v, sys.sanitize(t.clone())))
-                        .collect::<Vec<_>>(),
-                )
-            });
-            let union = build_union(sys, current, histories);
-            if let Some(node) = select_with_policy(sys, &union, threshold, opts.policy) {
-                return ReadDecision::Return {
-                    value: node.value,
-                    ts: node.ts.clone(),
-                    via_union: true,
-                };
-            }
+        let current = self.replies.iter().map(|(&s, (v, t))| Witness::new(s, *v, t.clone()));
+        let histories = recent_vals.iter().map(|(&s, hist)| {
+            (
+                s,
+                hist.iter()
+                    .map(|(v, t)| HistoryEntry::new(*v, sys.sanitize(t.clone())))
+                    .collect::<Vec<_>>(),
+            )
+        });
+        let union = build_union(sys, current, histories);
+        if let Some(node) = select_return_value(sys, &union, threshold) {
+            return ReadDecision::Return {
+                value: node.value,
+                ts: node.ts.clone(),
+                via_union: true,
+            };
         }
         if opts.forced_return {
             // TM_1R semantics: the read must return. Fall back to the
             // majority-of-correct bar (f + 1 witnesses pins one correct
             // server), then to any dominant node at all.
             for thr in [cfg.f + 1, 1] {
-                if let Some(node) = select_with_policy(sys, &self.graph, thr, opts.policy) {
+                if let Some(node) = select_return_value(sys, &self.graph, thr) {
                     return ReadDecision::Return {
                         value: node.value,
                         ts: node.ts.clone(),
@@ -321,28 +297,6 @@ mod tests {
         recent.insert(1, vec![(1, t1.clone())]);
         let d = r.decide(&sys, &cfg, &ReaderOptions::default(), &recent);
         assert_eq!(d, ReadDecision::Return { value: 1, ts: t1, via_union: true });
-    }
-
-    #[test]
-    fn union_disabled_aborts_on_split() {
-        let (sys, cfg) = setup();
-        let mut r = ReadPhase::<B>::new(0);
-        let t1 = ts_of(&sys, 1);
-        let t2 = sys.next_for(2, std::slice::from_ref(&t1));
-        let t0 = sys.genesis();
-        for s in 0..5 {
-            r.on_flush_ack(&cfg, s, 0);
-        }
-        r.on_reply(&sys, &cfg, 0, 2, t2.clone(), 0);
-        r.on_reply(&sys, &cfg, 1, 2, t2, 0);
-        r.on_reply(&sys, &cfg, 2, 1, t1.clone(), 0);
-        r.on_reply(&sys, &cfg, 3, 1, t1.clone(), 0);
-        r.on_reply(&sys, &cfg, 4, 0, t0, 0);
-        let mut recent = BTreeMap::new();
-        recent.insert(0, vec![(1, t1.clone())]);
-        recent.insert(1, vec![(1, t1)]);
-        let opts = ReaderOptions { use_union: false, ..Default::default() };
-        assert_eq!(r.decide(&sys, &cfg, &opts, &recent), ReadDecision::Abort);
     }
 
     #[test]

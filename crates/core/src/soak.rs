@@ -351,7 +351,6 @@ mod tests {
     use super::*;
     use crate::adversary::ByzStrategy;
     use crate::cluster::RegisterCluster;
-    use crate::reader::ReaderOptions;
     use crate::retry::RetryPolicy;
 
     /// The drift that motivated this module: an event the *valve* fires
@@ -442,14 +441,11 @@ mod tests {
 
     #[test]
     fn aborted_is_tallied_distinctly() {
-        // Union fallback disabled + heavy state corruption: replies split
-        // below the 2f+1 witness threshold and the single-attempt read
-        // aborts -> Aborted, not a timeout.
-        let mut c = RegisterCluster::bounded(1)
-            .seed(11)
-            .reader_options(ReaderOptions { use_union: false, ..ReaderOptions::default() })
-            .retry(RetryPolicy::none())
-            .build();
+        // Adversarial corruption of half the servers: replies and their
+        // histories split below the 2f+1 witness threshold in the local and
+        // the union graph alike, and the single-attempt read aborts ->
+        // Aborted, not a timeout.
+        let mut c = RegisterCluster::bounded(1).seed(11).retry(RetryPolicy::none()).build();
         let (w, r) = (c.client(0), c.client(1));
         assert!(c.put_outcome(w, (), 1).is_ok());
         let mut aborted = None;

@@ -39,8 +39,7 @@ pub enum Backend {
 /// The simulator consumes `seed`, `delay` and `batch`; the threaded
 /// runtime additionally maps virtual time onto the wall clock via
 /// `tick` (timer delays of `d` units fire after `d × tick`) and bounds its
-/// blocking behaviour with `pump_timeout` (one [`Substrate::pump`] wait)
-/// and `join_timeout` (graceful stop).
+/// blocking behaviour with `pump_timeout` (one [`Substrate::pump`] wait).
 #[derive(Clone, Copy, Debug)]
 pub struct SubstrateConfig {
     /// Seed for all substrate randomness.
@@ -51,8 +50,6 @@ pub struct SubstrateConfig {
     pub tick: Duration,
     /// Longest a single threaded `pump` blocks before reporting idle.
     pub pump_timeout: Duration,
-    /// Bound on waiting for worker threads to exit during stop/drop.
-    pub join_timeout: Duration,
     /// Per-link message coalescing policy (both substrates; disabled by
     /// default so seeded executions are unchanged).
     pub batch: BatchPolicy,
@@ -65,7 +62,6 @@ impl Default for SubstrateConfig {
             delay: DelayModel::default(),
             tick: Duration::from_micros(100),
             pump_timeout: Duration::from_millis(100),
-            join_timeout: Duration::from_secs(5),
             batch: BatchPolicy::disabled(),
         }
     }

@@ -38,7 +38,7 @@
 //! * **Shutdown**: `stop` (and `Drop`) delivers stop controls, halts the
 //!   timer wheel (discarding deferred work), and parks on an exit latch
 //!   that each worker signals on the way out — a condvar wait bounded by
-//!   `join_timeout`, not a join-poll.
+//!   `JOIN_TIMEOUT` (5 s), not a join-poll.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -58,6 +58,9 @@ use crate::nemesis::LinkFault;
 use crate::process::{Automaton, Ctx, ProcessId, ENV};
 use crate::substrate::{Backend, Outputs, Pumped, Substrate, SubstrateConfig};
 use crate::timer_wheel::{TimerWheel, TimerWheelThread};
+
+/// Bound on waiting for worker threads to exit during stop/drop.
+const JOIN_TIMEOUT: Duration = Duration::from_secs(5);
 
 enum Ctl<M, O> {
     /// One wire frame from `from`'s side of the directed link.
@@ -490,7 +493,6 @@ pub struct ThreadedCluster<M, O> {
     epoch: Instant,
     tick: Duration,
     pump_timeout: Duration,
-    join_timeout: Duration,
     stopped: bool,
 }
 
@@ -554,7 +556,6 @@ where
             epoch,
             tick: config.tick,
             pump_timeout: config.pump_timeout,
-            join_timeout: config.join_timeout,
             stopped: false,
         }
     }
@@ -597,7 +598,7 @@ impl<M, O> ThreadedCluster<M, O> {
         self.wheel.stop();
         // Park on the exit latch — each worker signals it on the way out —
         // instead of polling `is_finished`.
-        let all = self.latch.wait_all(Instant::now() + self.join_timeout);
+        let all = self.latch.wait_all(Instant::now() + JOIN_TIMEOUT);
         for h in self.handles.drain(..) {
             if all || h.is_finished() {
                 let _ = h.join();

@@ -146,7 +146,7 @@ impl<V, T> Wtsg<V, T> for IncrementalWtsg<V, T> {
 mod tests {
     use super::*;
     use crate::graph::WtsGraph;
-    use crate::select::{select_with_policy, SelectionPolicy};
+    use crate::select::select_return_value;
     use proptest::prelude::*;
     use sbft_labels::UnboundedLabeling;
 
@@ -265,10 +265,8 @@ mod tests {
             let (scratch, inc) = replay(&stream, &extra);
             prop_assert_eq!(canon(scratch.nodes()), canon(Wtsg::nodes(&inc)));
             for threshold in 1..=4usize {
-                let a = select_with_policy(
-                    &UnboundedLabeling, &scratch, threshold, SelectionPolicy::DominantSink);
-                let b = select_with_policy(
-                    &UnboundedLabeling, &inc, threshold, SelectionPolicy::DominantSink);
+                let a = select_return_value(&UnboundedLabeling, &scratch, threshold);
+                let b = select_return_value(&UnboundedLabeling, &inc, threshold);
                 prop_assert_eq!(a.map(|n| (n.ts, n.value)), b.map(|n| (n.ts, n.value)));
             }
         }

@@ -37,5 +37,5 @@ pub mod union;
 
 pub use graph::{Witness, WtsGraph, WtsNode, Wtsg};
 pub use incremental::IncrementalWtsg;
-pub use select::{select_max_weight, select_return_value, select_with_policy, SelectionPolicy};
+pub use select::select_return_value;
 pub use union::{build_union, HistoryEntry};

@@ -7,14 +7,13 @@
 //! or a concurrently written value, so any qualifying node is *safe*, but
 //! we prefer the dominant one so that sequential reads do not regress.
 //!
-//! The default policy [`select_return_value`] picks a **sink** among the
-//! qualifying candidates: a node that does not precede any other qualifying
-//! node (i.e. is not provably older than another returnable value). Ties —
+//! [`select_return_value`] picks a **sink** among the qualifying
+//! candidates: a node that does not precede any other qualifying node
+//! (i.e. is not provably older than another returnable value). Ties —
 //! possible because `≺` is partial and non-transitive — break by weight,
-//! then by the deterministic `(ts, value)` order. The alternative
-//! [`select_max_weight`] policy (weight only, ignoring precedence) is kept
-//! for the `ablate_selection` experiment; it is prone to returning the
-//! older of two qualifying values.
+//! then by the deterministic `(ts, value)` order. Picking by weight alone
+//! is the `max-weight` mutant (`mutants/max-weight.patch`): it returns the
+//! heavier, older of two qualifying values, and a regularity check kills it.
 
 use std::fmt::Debug;
 use std::hash::Hash;
@@ -23,39 +22,6 @@ use sbft_labels::LabelingSystem;
 
 use crate::graph::{WtsNode, Wtsg};
 
-/// Which selection rule a reader uses (ablation knob).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum SelectionPolicy {
-    /// Dominant sink among candidates (the faithful rule).
-    #[default]
-    DominantSink,
-    /// Highest weight, precedence ignored (ablation).
-    MaxWeight,
-}
-
-/// Select the node whose value a read should return, under `policy`.
-///
-/// Generic over any [`Wtsg`] node view — the from-scratch
-/// [`crate::WtsGraph`] and the delta-maintained [`crate::IncrementalWtsg`]
-/// both qualify.
-pub fn select_with_policy<'g, V, T, S, G>(
-    sys: &S,
-    graph: &'g G,
-    threshold: usize,
-    policy: SelectionPolicy,
-) -> Option<&'g WtsNode<V, T>>
-where
-    V: Clone + Eq + Ord + Hash + Debug,
-    T: Clone + Eq + Ord + Hash + Debug,
-    S: LabelingSystem<Label = T>,
-    G: Wtsg<V, T>,
-{
-    match policy {
-        SelectionPolicy::DominantSink => select_return_value(sys, graph, threshold),
-        SelectionPolicy::MaxWeight => select_max_weight(graph, threshold),
-    }
-}
-
 /// The faithful selection rule: among nodes with weight ≥ `threshold`,
 /// return a sink of the candidate sub-graph (a candidate that precedes no
 /// other candidate), breaking ties by `(weight, ts, value)` descending
@@ -63,6 +29,10 @@ where
 ///
 /// Returns `None` when no node reaches the threshold — the caller then
 /// falls back to the union graph or aborts (Figure 2a lines 14–19).
+///
+/// Generic over any [`Wtsg`] node view — the from-scratch
+/// [`crate::WtsGraph`] and the delta-maintained [`crate::IncrementalWtsg`]
+/// both qualify.
 pub fn select_return_value<'g, V, T, S, G>(
     sys: &S,
     graph: &'g G,
@@ -101,20 +71,6 @@ where
             .cmp(&b.best_recency)
             .then_with(|| b.weight().cmp(&a.weight()))
             .then_with(|| a.ts.cmp(&b.ts).then_with(|| a.value.cmp(&b.value)))
-    })
-}
-
-/// Ablation rule: pick the heaviest qualifying node, ignoring precedence.
-pub fn select_max_weight<V, T, G>(graph: &G, threshold: usize) -> Option<&WtsNode<V, T>>
-where
-    V: Clone + Eq + Ord + Hash + Debug,
-    T: Clone + Eq + Ord + Hash + Debug,
-    G: Wtsg<V, T>,
-{
-    graph.nodes().iter().filter(|n| n.weight() >= threshold).max_by(|a, b| {
-        a.weight()
-            .cmp(&b.weight())
-            .then_with(|| b.ts.cmp(&a.ts).then_with(|| b.value.cmp(&a.value)))
     })
 }
 
@@ -160,25 +116,6 @@ mod tests {
         ]);
         let n = select_return_value(&UnboundedLabeling, &g, 3).unwrap();
         assert_eq!(n.value, "new");
-    }
-
-    #[test]
-    fn max_weight_can_regress() {
-        // Old value witnessed by 4, new by 3: the ablation rule returns the
-        // *older* value — the behaviour the dominant-sink rule avoids.
-        let g = graph(vec![
-            w(0, "old", 1),
-            w(1, "old", 1),
-            w(2, "old", 1),
-            w(3, "old", 1),
-            w(4, "new", 2),
-            w(5, "new", 2),
-            w(6, "new", 2),
-        ]);
-        let sink = select_return_value(&UnboundedLabeling, &g, 3).unwrap();
-        let heavy = select_max_weight(&g, 3).unwrap();
-        assert_eq!(sink.value, "new");
-        assert_eq!(heavy.value, "old");
     }
 
     #[test]
@@ -233,13 +170,5 @@ mod tests {
         let g = WtsGraph::build(&UnboundedLabeling, ws);
         let n = select_return_value(&UnboundedLabeling, &g, 2).unwrap();
         assert_eq!(n.value, "new", "ts dominance decides before recency");
-    }
-
-    #[test]
-    fn policy_dispatch() {
-        let g = graph(vec![w(0, "a", 1), w(1, "a", 1)]);
-        let a = select_with_policy(&UnboundedLabeling, &g, 2, SelectionPolicy::DominantSink);
-        let b = select_with_policy(&UnboundedLabeling, &g, 2, SelectionPolicy::MaxWeight);
-        assert_eq!(a.unwrap().value, b.unwrap().value);
     }
 }
