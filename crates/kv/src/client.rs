@@ -2,7 +2,8 @@
 //!
 //! The register protocol's client bookkeeping — the bounded read-label
 //! pool, the `recent_labels` matrix, the `recent_vals` caches — is all
-//! per-register state, so it lives per key. Operations on *different*
+//! per-register state, so it lives per key, one slot of a [`KeySlab`] per
+//! key the client ever operated on. Operations on *different*
 //! keys are therefore independent and may run concurrently up to the
 //! configured pipeline depth ([`KvClient::with_pipeline`]); the default
 //! depth of 1 keeps the original one-op-at-a-time discipline. At most one
@@ -27,6 +28,7 @@ use sbft_net::{Automaton, Ctx, ProcessId, ENV};
 
 use crate::cluster::Keyed;
 use crate::messages::{Key, KvEvent, KvMsg};
+use crate::slab::KeySlab;
 
 /// A key-value client multiplexing per-key register clients.
 pub struct KvClient<B: LabelingSystem> {
@@ -35,8 +37,9 @@ pub struct KvClient<B: LabelingSystem> {
     opts: ReaderOptions,
     writer_id: WriterId,
     policy: RetryPolicy,
-    /// Per-key register-client state.
-    pub per_key: BTreeMap<Key, Client<B>>,
+    /// Per-key register-client state, created by the key's first operation
+    /// and never removed. Corruption walks it in ascending key order.
+    pub per_key: KeySlab<Client<B>>,
     /// Keys with an operation in flight (at most `max_inflight` of them,
     /// at most one per key).
     pub active: BTreeSet<Key>,
@@ -71,7 +74,7 @@ impl<B: LabelingSystem> KvClient<B> {
             opts,
             writer_id,
             policy,
-            per_key: BTreeMap::new(),
+            per_key: KeySlab::new(),
             active: BTreeSet::new(),
             max_inflight: 1,
             timer_routes: BTreeMap::new(),
@@ -120,22 +123,25 @@ impl<B: LabelingSystem> Automaton<KvMsg<Ts<B>>, KvEvent<Ts<B>>> for KvClient<B> 
         ctx: &mut Ctx<'_, KvMsg<Ts<B>>, KvEvent<Ts<B>>>,
     ) {
         let key = msg.key;
-        if from == ENV {
+        let client = if from == ENV {
             if self.active.contains(&key) || self.active.len() >= self.max_inflight {
                 return; // key busy, or the pipeline is full
             }
             self.active.insert(key);
             let (cfg, wid, opts, policy) = (self.cfg, self.writer_id, self.opts, self.policy);
             let fresh = || Client::with_retry(self.sys.clone(), cfg, wid, opts, policy);
-            self.per_key.entry(key).or_insert_with(fresh);
-        }
-        // A reply for a key with no operation in flight still reaches that
-        // key's client, so its label bookkeeping stays accurate; a reply for
-        // a key never operated on creates no client. A key outside `active`
-        // has an idle client — it leaves `active` on its client's terminal
-        // event, or together with `Client::corrupt`, which idles every
-        // client — and an idle client sends, arms and emits nothing.
-        let Some(client) = self.per_key.get_mut(&key) else { return };
+            self.per_key.get_or_insert_with(key, fresh)
+        } else {
+            // A reply for a key with no operation in flight still reaches
+            // that key's client, so its label bookkeeping stays accurate; a
+            // reply for a key never operated on creates no client. A key
+            // outside `active` has an idle client — it leaves `active` on
+            // its client's terminal event, or together with
+            // `Client::corrupt`, which idles every client — and an idle
+            // client sends, arms and emits nothing.
+            let Some(client) = self.per_key.get_mut(&key) else { return };
+            client
+        };
         let before = (ctx.armed_mut().len(), ctx.emitted().len());
         client.handle::<Keyed<B>>(key, from, msg.inner, ctx);
         self.settle(key, before, ctx);

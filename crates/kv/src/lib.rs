@@ -17,6 +17,8 @@
 //! * [`client::KvClient`] holds one register-client state per key
 //!   (read-label pools and `recent_vals` caches are per key, as the
 //!   protocol's bookkeeping requires).
+//! * Both keep those states in a [`slab::KeySlab`]: one hash probe per
+//!   message, walks in ascending key order.
 //! * [`cluster::KvCluster`] is the driver — `sbft-core`'s one cluster
 //!   driver over the [`cluster::Keyed`] envelope: blocking `put`/`get`,
 //!   one history recorder per key, the per-key regularity verdicts, and
@@ -41,7 +43,9 @@ pub mod cluster;
 pub mod messages;
 pub mod server;
 pub mod shard;
+pub mod slab;
 
 pub use cluster::{check_per_shard, KvCluster};
 pub use messages::{Key, KvEvent, KvMsg};
 pub use shard::{ShardRouter, ShardedClient, ShardedServer};
+pub use slab::KeySlab;

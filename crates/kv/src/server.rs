@@ -1,16 +1,15 @@
 //! The storage node: one register-server state per key, one process.
 //!
-//! A key is a register: the node looks the key's [`Server`] up and hands it
-//! the node's own context, and the register answers under the key through
-//! the [`Keyed`] envelope (the composition rule of `sbft_net::process`).
+//! A key is a register: the node looks the key's [`Server`] up — one hash
+//! probe into its [`KeySlab`] — and hands it the node's own context, and the
+//! register answers under the key through the [`Keyed`] envelope (the
+//! composition rule of `sbft_net::process`).
 //!
 //! With a disk attached the node persists every applied write as one
 //! `(key, value, ts)` record through a shared [`Journal`], which decides
 //! when the log has grown large enough to be worth replacing by a snapshot
 //! of the whole key map — so the durable cost of a write is O(1) amortized,
 //! as the paper's per-register server state is, not O(keys).
-
-use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -24,6 +23,7 @@ use sbft_storage::{ByteReader, Cadence, Codec, DiskHandle, Journal};
 
 use crate::cluster::Keyed;
 use crate::messages::{Key, KvEvent, KvMsg};
+use crate::slab::KeySlab;
 
 /// A server hosting the registers of every key it has ever been asked
 /// about. Unknown keys materialize in the genesis state on first contact —
@@ -31,8 +31,10 @@ use crate::messages::{Key, KvEvent, KvMsg};
 pub struct KvServer<B: LabelingSystem> {
     sys: Sys<B>,
     cfg: ClusterConfig,
-    /// Per-key register state.
-    pub registers: BTreeMap<Key, Server<B>>,
+    /// Per-key register state, one slot per key ever named in a message,
+    /// a recovered disk or a corruption — never removed. Snapshots and
+    /// corruption walk it in ascending key order.
+    pub registers: KeySlab<Server<B>>,
     /// Stable storage for the whole node (all keys share one disk).
     journal: Option<Journal>,
     /// Writes applied across all keys (persisted; diagnostics only).
@@ -45,7 +47,7 @@ const MIN_ENTRY_BYTES: usize = 8 + 4;
 impl<B: LabelingSystem> KvServer<B> {
     /// A storage node with no keys yet.
     pub fn new(sys: Sys<B>, cfg: ClusterConfig) -> Self {
-        Self { sys, cfg, registers: BTreeMap::new(), journal: None, writes_applied: 0 }
+        Self { sys, cfg, registers: KeySlab::new(), journal: None, writes_applied: 0 }
     }
 
     /// Attach stable storage (a fresh disk): every subsequently applied
@@ -80,14 +82,14 @@ impl<B: LabelingSystem> KvServer<B> {
     }
 
     /// The bytes of `(writes, Vec<(Key, Vec<u8>)>)` — a u32 entry count,
-    /// then per key a u32-length-prefixed register state — written in one
-    /// pass: each register encodes in place and its length is patched in
-    /// afterwards.
-    fn encode_state(writes: u64, registers: &BTreeMap<Key, Server<B>>, out: &mut Vec<u8>) {
+    /// then per key, in ascending key order, a u32-length-prefixed register
+    /// state — written in one pass: each register encodes in place and its
+    /// length is patched in afterwards.
+    fn encode_state(writes: u64, registers: &KeySlab<Server<B>>, out: &mut Vec<u8>) {
         writes.encode(out);
         let count = u32::try_from(registers.len()).expect("a node holds under 2^32 keys");
         count.encode(out);
-        for (key, reg) in registers {
+        for (key, reg) in registers.iter() {
             key.encode(out);
             let len_at = out.len();
             0u32.encode(out);
@@ -106,14 +108,14 @@ impl<B: LabelingSystem> KvServer<B> {
         sys: &Sys<B>,
         cfg: ClusterConfig,
         bytes: &[u8],
-    ) -> Option<(u64, BTreeMap<Key, Server<B>>)> {
+    ) -> Option<(u64, KeySlab<Server<B>>)> {
         let mut r = ByteReader::new(bytes);
         let writes = r.u64()?;
         let count = r.u32()? as usize;
         if count > r.remaining() / MIN_ENTRY_BYTES {
             return None;
         }
-        let mut registers = BTreeMap::new();
+        let mut registers = KeySlab::new();
         for _ in 0..count {
             let key = Key::decode(&mut r)?;
             let len = r.u32()? as usize;
@@ -144,7 +146,7 @@ impl<B: LabelingSystem> KvServer<B> {
             let mut r = ByteReader::new(rec);
             let Some(key) = Key::decode(&mut r) else { continue };
             let Some(rest) = r.take(r.remaining()) else { continue };
-            let reg = node.registers.entry(key).or_insert_with(|| Server::new(sys.clone(), cfg));
+            let reg = node.registers.get_or_insert_with(key, || Server::new(sys.clone(), cfg));
             if reg.replay_record(rest) {
                 node.writes_applied += 1;
             }
@@ -169,7 +171,7 @@ impl<B: LabelingSystem> Automaton<KvMsg<Ts<B>>, KvEvent<Ts<B>>> for KvServer<B> 
         let key = msg.key;
         let is_write = matches!(msg.inner, Msg::Write { .. });
         let register =
-            self.registers.entry(key).or_insert_with(|| Server::new(self.sys.clone(), self.cfg));
+            self.registers.get_or_insert_with(key, || Server::new(self.sys.clone(), self.cfg));
         register.handle::<Keyed<B>>(key, from, msg.inner, ctx);
         if is_write {
             // The register adopts every sanitized write unconditionally
@@ -194,7 +196,8 @@ impl<B: LabelingSystem> Automaton<KvMsg<Ts<B>>, KvEvent<Ts<B>>> for KvServer<B> 
     }
 
     fn corrupt(&mut self, rng: &mut StdRng) {
-        // Scramble every materialized key's register state...
+        // Scramble every materialized key's register state, in ascending
+        // key order...
         for register in self.registers.values_mut() {
             register.corrupt(rng);
         }
@@ -316,7 +319,7 @@ mod tests {
             // missing keys are fine (the protocol re-stabilizes them).
             let r = KvServer::<B>::recover(s.sys.clone(), s.cfg, disk);
             assert!(r.key_count() <= 4, "{fault:?} invented keys");
-            for (key, reg) in &r.registers {
+            for (key, reg) in r.registers.iter() {
                 assert!(
                     reg.value <= s.registers.get(key).map_or(u64::MAX, |o| o.value)
                         || reg.writes_applied <= s.registers[key].writes_applied,

@@ -169,8 +169,7 @@ proptest! {
                     bare.corrupt(&mut StdRng::seed_from_u64(seed));
                     node.corrupt(&mut StdRng::seed_from_u64(!seed));
                     node.registers
-                        .entry(key)
-                        .or_insert_with(|| Server::new(sys.clone(), cfg))
+                        .get_or_insert_with(key, || Server::new(sys.clone(), cfg))
                         .corrupt(&mut StdRng::seed_from_u64(seed));
                 }
                 Action::OtherKey => {

@@ -32,6 +32,8 @@
 //! over `n` servers the protocol instantiates `k ≥ n + 1` so that a quorum
 //! of server labels plus the writer's own label always fits in one `next()`.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -43,12 +45,17 @@ use crate::system::LabelingSystem;
 /// Invariants for *well-formed* labels (enforced by [`BoundedLabeling::sanitize`]):
 /// `sting < K`, `antistings` strictly increasing, `antistings.len() == k`,
 /// all antistings `< K`, and `sting ∉ antistings`.
+///
+/// A label is an immutable value, so its antistings body is shared:
+/// cloning a label (and every timestamp, message, history entry and graph
+/// node that carries one) bumps a reference count instead of copying `k`
+/// values.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct BoundedLabel {
     /// The sting value in `0..K`.
     pub sting: u32,
     /// Sorted, deduplicated antistings, `k` values in `0..K`.
-    pub antistings: Vec<u32>,
+    pub antistings: Arc<[u32]>,
 }
 
 impl std::fmt::Debug for BoundedLabel {
@@ -60,8 +67,8 @@ impl std::fmt::Debug for BoundedLabel {
 impl BoundedLabel {
     /// Construct a label without validation. Prefer
     /// [`BoundedLabeling::sanitize`] for untrusted inputs.
-    pub fn new(sting: u32, antistings: Vec<u32>) -> Self {
-        Self { sting, antistings }
+    pub fn new(sting: u32, anti: Vec<u32>) -> Self {
+        Self { sting, antistings: anti.into() }
     }
 
     /// Binary-search membership test in the (sorted) antistings set.
@@ -113,6 +120,18 @@ impl BoundedLabeling {
         let per_value = 32 - self.domain().leading_zeros() as usize;
         per_value * (self.k + 1)
     }
+
+    /// Whether `l` satisfies the five invariants of [`BoundedLabel`] — then
+    /// it is exactly the label [`LabelingSystem::sanitize`] would rebuild.
+    fn well_formed(&self, l: &BoundedLabel) -> bool {
+        let domain = self.domain();
+        let a = &l.antistings;
+        l.sting < domain
+            && a.len() == self.k
+            && a.windows(2).all(|w| w[0] < w[1])
+            && a.last().is_some_and(|&v| v < domain)
+            && !l.has_antisting(l.sting)
+    }
 }
 
 impl LabelingSystem for BoundedLabeling {
@@ -160,14 +179,19 @@ impl LabelingSystem for BoundedLabeling {
         // `anti` cannot contain `sting`: the sting avoided all seen stings
         // (they are in `excluded` via `anti`) and padding skipped it.
         debug_assert!(anti.binary_search(&sting).is_err());
-        BoundedLabel { sting, antistings: anti }
+        BoundedLabel { sting, antistings: anti.into() }
     }
 
     fn sanitize(&self, raw: BoundedLabel) -> BoundedLabel {
+        // Every honest label is already well-formed: pass it through, body
+        // and all.
+        if self.well_formed(&raw) {
+            return raw;
+        }
         let domain = self.domain();
         let sting = raw.sting % domain;
         let mut anti: Vec<u32> =
-            raw.antistings.into_iter().map(|v| v % domain).filter(|&v| v != sting).collect();
+            raw.antistings.iter().map(|v| v % domain).filter(|&v| v != sting).collect();
         anti.sort_unstable();
         anti.dedup();
         anti.truncate(self.k);
@@ -179,7 +203,7 @@ impl LabelingSystem for BoundedLabeling {
             }
             pad += 1;
         }
-        BoundedLabel { sting, antistings: anti }
+        BoundedLabel { sting, antistings: anti.into() }
     }
 
     fn genesis(&self) -> BoundedLabel {

@@ -15,8 +15,12 @@ use crate::mwmr::MwmrTimestamp;
 
 impl Codec for BoundedLabel {
     fn encode(&self, out: &mut Vec<u8>) {
+        // The bytes of `(u32, Vec<u32>)`: the sting, a u32 count, the values.
         self.sting.encode(out);
-        self.antistings.encode(out);
+        (self.antistings.len() as u32).encode(out);
+        for v in self.antistings.iter() {
+            v.encode(out);
+        }
     }
 
     fn decode(r: &mut ByteReader<'_>) -> Option<Self> {
@@ -24,7 +28,7 @@ impl Codec for BoundedLabel {
         let antistings = Vec::<u32>::decode(r)?;
         // No well-formedness check: an ill-formed label is legal arbitrary
         // state, repaired by `BoundedLabeling::sanitize` when used.
-        Some(BoundedLabel { sting, antistings })
+        Some(BoundedLabel::new(sting, antistings))
     }
 }
 

@@ -24,9 +24,10 @@ pub struct ReadLabelPool {
     n: usize,
     k: usize,
     last: Option<ReadLabel>,
-    /// `pending[server][label]` — true while `server` may still be
-    /// processing a message tagged with `label` (matrix entry = 1).
-    pending: Vec<Vec<bool>>,
+    /// The `n × k` matrix, row-major: `pending[server * k + label]` is true
+    /// while `server` may still be processing a message tagged with
+    /// `label` (matrix entry = 1).
+    pending: Vec<bool>,
     /// Cumulative count of label reuses (label chosen more than once),
     /// reported by experiment E5.
     reuses: u64,
@@ -39,7 +40,7 @@ impl ReadLabelPool {
     pub fn new(n: usize, k: usize) -> Self {
         assert!(k >= 2, "read-label pool needs k >= 2, got {k}");
         assert!(n >= 1, "read-label pool needs at least one server");
-        Self { n, k, last: None, pending: vec![vec![false; k]; n], reuses: 0, uses: vec![0; k] }
+        Self { n, k, last: None, pending: vec![false; n * k], reuses: 0, uses: vec![0; k] }
     }
 
     /// Number of servers tracked.
@@ -90,7 +91,7 @@ impl ReadLabelPool {
     pub fn mark_pending(&mut self, server: usize, label: ReadLabel) {
         let label = self.sanitize(label);
         if server < self.n {
-            self.pending[server][label as usize] = true;
+            self.pending[server * self.k + label as usize] = true;
         }
     }
 
@@ -99,28 +100,28 @@ impl ReadLabelPool {
     pub fn clear_pending(&mut self, server: usize, label: ReadLabel) {
         let label = self.sanitize(label);
         if server < self.n {
-            self.pending[server][label as usize] = false;
+            self.pending[server * self.k + label as usize] = false;
         }
     }
 
     /// Whether `server` may still hold an in-flight message tagged `label`.
     pub fn is_pending(&self, server: usize, label: ReadLabel) -> bool {
         let label = self.sanitize(label);
-        server < self.n && self.pending[server][label as usize]
+        server < self.n && self.pending[server * self.k + label as usize]
     }
 
     /// Number of servers with a pending entry for `label` (the column sum
     /// the Figure 3a line 06 wait condition inspects).
     pub fn pending_count(&self, label: ReadLabel) -> usize {
         let label = self.sanitize(label) as usize;
-        self.pending.iter().filter(|row| row[label]).count()
+        self.pending.iter().skip(label).step_by(self.k).filter(|&&p| p).count()
     }
 
     /// Servers whose column entry for `label` is clear — the candidates for
     /// the `safe` set of the current read.
     pub fn clear_servers(&self, label: ReadLabel) -> Vec<usize> {
         let label = self.sanitize(label) as usize;
-        (0..self.n).filter(|&s| !self.pending[s][label]).collect()
+        (0..self.n).filter(|&s| !self.pending[s * self.k + label]).collect()
     }
 
     /// Total label reuses so far (experiment E5 statistic).
@@ -137,10 +138,8 @@ impl ReadLabelPool {
     /// fault hitting the client's local state. `bits` is consumed
     /// row-major; missing bits default to `false`.
     pub fn corrupt_with(&mut self, mut bits: impl Iterator<Item = bool>) {
-        for row in &mut self.pending {
-            for cell in row.iter_mut() {
-                *cell = bits.next().unwrap_or(false);
-            }
+        for cell in &mut self.pending {
+            *cell = bits.next().unwrap_or(false);
         }
     }
 }
