@@ -103,8 +103,10 @@ impl Counter {
 /// neither. A frame lost whole (cut link, crashed destination) drops every
 /// message it carries, a duplicated frame delivers all of them twice, a
 /// delayed one delivers them once, later. Garbage a
-/// [`crate::corruption::FaultPlan`] places in transit was never sent: it
-/// is only delivered or dropped.
+/// [`crate::corruption::FaultPlan`] places in transit was never sent, yet
+/// it crosses its link's fault like any frame: it is only delivered or
+/// dropped. A timer firing is one event even when it reaches no automaton
+/// because its process crashed or restarted since arming it.
 pub trait Tally {
     /// Add `n` to one counter.
     fn add(&mut self, counter: Counter, n: u64);
@@ -137,7 +139,7 @@ pub trait Tally {
         }
     }
 
-    /// One protocol event (a frame arrival or a timer firing) was processed.
+    /// One protocol event (a frame arrival or a timer firing) came due.
     fn event(&mut self) {
         self.add(Counter::Events, 1);
     }

@@ -363,11 +363,6 @@ where
         self.crashed[pid] = true;
     }
 
-    /// Whether `pid` has crashed.
-    pub fn is_crashed(&self, pid: ProcessId) -> bool {
-        self.crashed[pid]
-    }
-
     /// Restart `pid` with a fresh automaton: crash *recovery* with state
     /// loss. The replacement starts from its initial state (its `on_start`
     /// runs if the simulation has started), pending timers armed by the old
@@ -397,12 +392,6 @@ where
         self.halted = true;
         self.queue.clear();
         self.outbound.discard();
-    }
-
-    /// Apply a transient fault to `pid`'s local state (delegates to the
-    /// automaton's [`Automaton::corrupt`]).
-    pub fn corrupt_process(&mut self, pid: ProcessId) {
-        self.procs[pid].corrupt(&mut self.rng);
     }
 
     /// Execute a [`crate::corruption::FaultPlan`]: scramble the listed
@@ -588,50 +577,26 @@ where
         self.now = (self.now + 1).max(ev.time);
         Some(self.process(ev.kind))
     }
-
-    /// Run until the queue drains or `max_events` were processed; returns
-    /// all outputs as `(time, pid, output)` triples.
-    pub fn run_until_quiet(&mut self, max_events: u64) -> Vec<(u64, ProcessId, O)> {
-        let mut collected = Vec::new();
-        let mut n = 0;
-        while n < max_events {
-            match self.step() {
-                Some(ev) => {
-                    n += 1;
-                    for o in ev.outputs {
-                        collected.push((ev.time, ev.pid, o));
-                    }
-                }
-                None => break,
-            }
-        }
-        collected
-    }
-
-    /// Run until some output satisfies `pred` (returning it) or the budget
-    /// runs out / the queue drains (returning `None`).
-    pub fn run_until<F: FnMut(ProcessId, &O) -> bool>(
-        &mut self,
-        mut pred: F,
-        max_events: u64,
-    ) -> Option<(u64, ProcessId, O)> {
-        let mut n = 0;
-        while n < max_events {
-            let ev = self.step()?;
-            n += 1;
-            for o in ev.outputs {
-                if pred(ev.pid, &o) {
-                    return Some((ev.time, ev.pid, o));
-                }
-            }
-        }
-        None
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::substrate::Substrate;
+
+    /// Every output until the queue drains or `max_events` events ran, as
+    /// `(time, pid, output)`.
+    fn drain<O: Clone + Debug + Send + 'static>(
+        sim: &mut Simulation<u32, O>,
+        max_events: u64,
+    ) -> Vec<(u64, ProcessId, O)> {
+        let mut out = Vec::new();
+        sim.pump_until(max_events, 1, &mut |time, pid, o| {
+            out.push((time, pid, o));
+            None::<()>
+        });
+        out
+    }
 
     /// Ping-pong automaton: replies with n-1 until zero, then outputs.
     struct PingPong;
@@ -659,7 +624,7 @@ mod tests {
     fn pingpong_terminates_with_output() {
         let mut sim = two_pingpong(7);
         sim.inject(0, 10);
-        let out = sim.run_until_quiet(10_000);
+        let out = drain(&mut sim, 10_000);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].2, 0);
         assert_eq!(sim.metrics().messages_delivered, 11); // inject + 10 hops
@@ -670,7 +635,7 @@ mod tests {
         let run = |seed| {
             let mut sim = two_pingpong(seed);
             sim.inject(0, 20);
-            sim.run_until_quiet(10_000);
+            drain(&mut sim, 10_000);
             (sim.now(), sim.metrics().messages_sent)
         };
         assert_eq!(run(3), run(3));
@@ -684,7 +649,7 @@ mod tests {
         let mut sim = two_pingpong(1);
         sim.crash(1);
         sim.inject(0, 5);
-        let out = sim.run_until_quiet(1_000);
+        let out = drain(&mut sim, 1_000);
         assert!(out.is_empty());
         assert!(sim.metrics().messages_dropped >= 1);
     }
@@ -694,11 +659,11 @@ mod tests {
         let mut sim = two_pingpong(1);
         sim.pause_channel(0, 1);
         sim.inject(0, 3); // 0 sends 2 to 1, but channel is held
-        let out = sim.run_until_quiet(1_000);
+        let out = drain(&mut sim, 1_000);
         assert!(out.is_empty());
         assert!(!sim.is_quiet() || sim.pending_events() == 0);
         sim.resume_channel(0, 1);
-        let out = sim.run_until_quiet(1_000);
+        let out = drain(&mut sim, 1_000);
         // 3 -> 2 -> 1 -> 0: the countdown reaches zero at process 1.
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].1, 1);
@@ -707,10 +672,10 @@ mod tests {
     }
 
     #[test]
-    fn run_until_finds_output() {
+    fn pump_until_finds_output() {
         let mut sim = two_pingpong(9);
         sim.inject(0, 6);
-        let hit = sim.run_until(|_, &o| o == 0, 10_000);
+        let hit = sim.pump_until(10_000, 1, &mut |_, _, o| (o == 0).then_some(()));
         assert!(hit.is_some());
     }
 
@@ -731,7 +696,7 @@ mod tests {
         for i in 0..5 {
             sim.inject(0, i);
         }
-        let out = sim.run_until_quiet(100);
+        let out = drain(&mut sim, 100);
         assert_eq!(out[0].2, vec![0, 1, 2, 3, 4]);
     }
 
@@ -739,7 +704,7 @@ mod tests {
     fn preload_models_stale_in_transit_messages() {
         let mut sim = two_pingpong(2);
         sim.preload_channel(1, 0, vec![0, 0]);
-        let out = sim.run_until_quiet(100);
+        let out = drain(&mut sim, 100);
         // Both stale messages trigger outputs at process 0.
         assert_eq!(out.len(), 2);
     }
@@ -749,10 +714,10 @@ mod tests {
         let mut sim = two_pingpong(5);
         sim.crash(1);
         sim.inject(0, 5);
-        assert!(sim.run_until_quiet(1_000).is_empty());
+        assert!(drain(&mut sim, 1_000).is_empty());
         sim.restart(1, Box::new(PingPong));
         sim.inject(0, 4);
-        let out = sim.run_until_quiet(1_000);
+        let out = drain(&mut sim, 1_000);
         assert_eq!(out.len(), 1, "recovered process participates again");
     }
 
@@ -778,7 +743,7 @@ mod tests {
         sim.add_process(Box::new(Armed));
         sim.start();
         sim.restart(0, Box::new(Inert));
-        let out = sim.run_until_quiet(100);
+        let out = drain(&mut sim, 100);
         assert!(out.is_empty(), "old incarnation's timer must not fire: {out:?}");
     }
 
@@ -800,12 +765,12 @@ mod tests {
         let mut sim = two_pingpong(8);
         sim.set_link_fault(0, 1, Some(LinkFault::cut()));
         sim.inject(0, 3); // 0's first hop toward 1 is dropped on the floor
-        let out = sim.run_until_quiet(1_000);
+        let out = drain(&mut sim, 1_000);
         assert!(out.is_empty());
         assert!(sim.is_quiet(), "dropped messages leave nothing pending");
         sim.set_link_fault(0, 1, None);
         sim.inject(0, 3);
-        let out = sim.run_until_quiet(1_000);
+        let out = drain(&mut sim, 1_000);
         assert_eq!(out.len(), 1, "healed link flows again");
     }
 
@@ -814,7 +779,7 @@ mod tests {
         let mut sim = two_pingpong(9);
         sim.set_link_fault(1, 0, Some(LinkFault::flaky(0.0, 1.0, 0)));
         sim.inject(0, 2); // 0 -> 1 (clean), 1 -> 0 (duplicated), msg 0 at 0 twice
-        let out = sim.run_until_quiet(1_000);
+        let out = drain(&mut sim, 1_000);
         assert_eq!(out.len(), 2, "duplicate of the final hop triggers a second output");
     }
 
@@ -987,7 +952,7 @@ mod tests {
         sim.add_process(Box::new(Fan));
         sim.add_process(Box::new(Echo));
         sim.inject(0, 1);
-        let out = sim.run_until_quiet(1_000);
+        let out = drain(&mut sim, 1_000);
         assert_eq!(out.len(), 1, "pending batch must flush on the tick watermark");
         assert!(sim.is_quiet());
         assert_eq!(sim.metrics().frames_delivered, 2); // inject + flushed frame
@@ -1002,7 +967,7 @@ mod tests {
             sim.add_process(Box::new(PingPong));
             sim.add_process(Box::new(PingPong));
             sim.inject(0, 12);
-            let outs = sim.run_until_quiet(10_000);
+            let outs = drain(&mut sim, 10_000);
             let m = sim.metrics();
             (outs, m.messages_delivered, m.frames_delivered)
         };
@@ -1020,7 +985,7 @@ mod tests {
         sim.add_process(Box::new(Echo));
         sim.crash(1);
         sim.inject(0, 8);
-        let out = sim.run_until_quiet(1_000);
+        let out = drain(&mut sim, 1_000);
         assert!(out.is_empty());
         assert_eq!(sim.metrics().messages_dropped, 8, "every batched message counts as dropped");
         assert!(sim.is_quiet());

@@ -1,52 +1,43 @@
 //! Real-thread runtime: one OS thread per process, crossbeam FIFO channels,
-//! event-driven end to end — no polling loop anywhere.
+//! event-driven end to end.
 //!
-//! This substrate exists for the wall-clock measurements (E15's threaded
-//! cells, the `kv-threaded-readheavy` benchmark workload) and to
-//! demonstrate that the sans-IO automata are substrate-independent. Each process owns an unbounded
-//! crossbeam channel as its inbox; since a crossbeam channel delivers any
-//! single producer's messages in send order, the per-pair FIFO property the
-//! protocol relies on holds. There is no determinism — correctness
-//! assertions belong on the simulator, throughput measurements here — but
-//! the full driver surface of [`crate::substrate::Substrate`] is supported.
+//! It exists for wall-clock measurements (E15's threaded cells, the
+//! `kv-threaded-readheavy` benchmark workload) and to show that the sans-IO
+//! automata do not depend on their substrate. Nothing here is
+//! deterministic, so correctness assertions belong on the simulator, but
+//! the whole [`Substrate`] surface is supported. The runtime
+//! adds three queues to the automata, and every wait is a blocking receive
+//! on one of them:
 //!
-//! Every wait in the runtime is a blocking wait on a channel or condvar;
-//! wakeups come from the peer that produced the work:
+//! * **Inboxes.** Each worker blocks in `recv()` on its own unbounded
+//!   channel. Deliveries, controls and timer firings all arrive there, so
+//!   the worker computes no deadline and never wakes without work. A
+//!   channel delivers each producer's messages in send order: the per-pair
+//!   FIFO the protocol assumes.
+//! * **One clock.** The cluster's [`TimerWheel`] holds every deadline —
+//!   timers, batch flushes, fault-delayed frames — as an action that sends
+//!   one `Ctl` into an inbox, and its `now_tick` is the cluster's time.
+//!   A firing carries the incarnation that armed it, so one armed before a
+//!   restart reaches no automaton.
+//! * **One output queue.** Workers send `(time, pid, output)` into one
+//!   channel and `pump` waits on it with `recv_timeout`, so
+//!   [`Pumped::Idle`] means no output for the whole window. Only workers
+//!   hold its senders: it disconnects when the last one exits, `pump` then
+//!   answers [`Pumped::Quiescent`], and `stop` waits for exactly that,
+//!   bounded by `JOIN_TIMEOUT`.
 //!
-//! * **Workers** block in `recv()` on their inbox. Everything that can
-//!   happen to a process — deliveries, control messages, *and timer
-//!   firings* — arrives as an inbox message, so the worker loop has no
-//!   deadline arithmetic and never spins.
-//! * **Timers**: a worker registers `set_timer(d, id)` with the shared
-//!   [`TimerWheel`] (one dedicated thread for the whole cluster, asleep
-//!   until the earliest deadline); at `d × tick` of wall clock the wheel
-//!   sends `Ctl::Timer` back into the worker's inbox. Firings carry the
-//!   worker's incarnation number: firings armed before a restart are
-//!   discarded on receipt, matching the simulator's incarnation rule.
-//! * **Outputs / pump**: workers send `(time, pid, output)` into one
-//!   shared hub; [`crate::substrate::Substrate::pump`] blocks directly on
-//!   it up to `pump_timeout`, so [`Pumped::Idle`] means provably
-//!   no-output-for-the-window rather than poll jitter.
-//! * **Link faults**: [`crate::link::Link`] decides a frame's fate on the
-//!   *sender* side. A delayed frame goes to the timer wheel as a per-link
-//!   deferred delivery instead of sleeping the worker, and while one is in
-//!   flight every later send on that link is deferred behind it.
-//! * **Crash recovery**: a restart control message replaces the worker's
-//!   automaton in place, bumps its incarnation (stale timer firings are
-//!   ignored on receipt), un-crashes it, and runs `on_start` — the inbox
-//!   channel and thread survive, so peers keep a working route.
-//! * **Shutdown**: `stop` (and `Drop`) delivers stop controls, halts the
-//!   timer wheel (discarding deferred work), and parks on an exit latch
-//!   that each worker signals on the way out — a condvar wait bounded by
-//!   `JOIN_TIMEOUT` (5 s), not a join-poll.
+//! Every frame, a worker's or a `FaultPlan`'s garbage, leaves through
+//! `Wire::ship`: the link-fault table decides its fate on the sender's
+//! side, and a delayed frame becomes a wheel entry, so only its link waits.
+//! What is counted is [`crate::link::Tally`]'s rule, the simulator's.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -82,6 +73,9 @@ enum Ctl<M, O> {
     Restart(Box<dyn Automaton<M, O>>),
     Stop,
 }
+
+/// One output on its way to `pump`: `(time, pid, output)`.
+type Output<O> = (u64, ProcessId, O);
 
 /// What the link-fault table decided for one send.
 enum SendPlan {
@@ -178,261 +172,34 @@ impl SharedMetrics {
     }
 }
 
-/// Single hub carrying every worker's outputs, so `pump` blocks on one
-/// wait instead of sweeping per-process queues.
-struct OutputHub<O> {
-    inner: Mutex<HubInner<O>>,
-    cond: Condvar,
-}
-
-struct HubInner<O> {
-    queue: VecDeque<(u64, ProcessId, O)>,
-    /// Waiting receivers; pushes skip the condvar syscall when zero.
-    waiting: usize,
-    /// Live worker count; when it hits zero, blocked receivers give up.
-    producers: usize,
-}
-
-impl<O> OutputHub<O> {
-    fn new(producers: usize) -> Self {
-        Self {
-            inner: Mutex::new(HubInner { queue: VecDeque::new(), waiting: 0, producers }),
-            cond: Condvar::new(),
-        }
-    }
-
-    fn push(&self, item: (u64, ProcessId, O)) {
-        let mut inner = self.inner.lock().expect("hub lock");
-        inner.queue.push_back(item);
-        if inner.waiting > 0 {
-            drop(inner);
-            // The driver's `pump` is the only waiter, so this wakes at most
-            // one thread.
-            self.cond.notify_all();
-        }
-    }
-
-    fn producer_gone(&self) {
-        let mut inner = self.inner.lock().expect("hub lock");
-        inner.producers = inner.producers.saturating_sub(1);
-        if inner.producers == 0 && inner.waiting > 0 {
-            drop(inner);
-            self.cond.notify_all();
-        }
-    }
-
-    /// Wait for the next output from any process, up to `deadline`.
-    fn recv_any(&self, deadline: Instant) -> Option<(u64, ProcessId, O)> {
-        let mut inner = self.inner.lock().expect("hub lock");
-        loop {
-            if let Some(item) = inner.queue.pop_front() {
-                return Some(item);
-            }
-            if inner.producers == 0 {
-                return None;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            inner.waiting += 1;
-            let (guard, _) = self.cond.wait_timeout(inner, deadline - now).expect("hub wait");
-            inner = guard;
-            inner.waiting -= 1;
-        }
-    }
-}
-
-/// Counts workers still running; `stop` parks here instead of join-polling.
-struct ExitLatch {
-    remaining: Mutex<usize>,
-    cond: Condvar,
-}
-
-impl ExitLatch {
-    fn new(n: usize) -> Self {
-        Self { remaining: Mutex::new(n), cond: Condvar::new() }
-    }
-
-    fn arrive(&self) {
-        let mut r = self.remaining.lock().expect("latch lock");
-        *r = r.saturating_sub(1);
-        if *r == 0 {
-            self.cond.notify_all();
-        }
-    }
-
-    /// Wait until every worker arrived or `deadline` passes; returns
-    /// whether all arrived.
-    fn wait_all(&self, deadline: Instant) -> bool {
-        let mut r = self.remaining.lock().expect("latch lock");
-        while *r > 0 {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let (guard, _) = self.cond.wait_timeout(r, deadline - now).expect("latch wait");
-            r = guard;
-        }
-        true
-    }
-}
-
-/// Everything one worker thread needs; grouped to keep the spawn loop flat.
-struct Worker<M, O> {
-    pid: ProcessId,
-    auto: Box<dyn Automaton<M, O>>,
-    rx: Receiver<Ctl<M, O>>,
-    /// Sender onto our own inbox, cloned into wheel actions for timers.
-    self_tx: Sender<Ctl<M, O>>,
+/// One thread's handle on the cluster's sending side: the inboxes, the
+/// link-fault table, the counters and the wheel are shared by every
+/// worker and the cluster handle, `wake_buf` is the thread's own. Worker
+/// sends and a `FaultPlan`'s garbage both leave through [`Wire::ship`].
+struct Wire<M, O> {
     peers: Vec<Sender<Ctl<M, O>>>,
-    out: Arc<OutputHub<O>>,
-    wheel: TimerWheel,
-    metrics: Arc<SharedMetrics>,
     links: Arc<LinkFaults>,
-    epoch: Instant,
-    tick: Duration,
-    rng: StdRng,
-    /// Bumped on restart; `Ctl::Timer` firings from older incarnations
-    /// are discarded on receipt (the simulator's incarnation rule).
-    incarnation: u64,
-    /// Peers with a parked receiver awaiting a wake at the end of the
-    /// current dispatch (reused across dispatches to avoid allocation).
+    metrics: Arc<SharedMetrics>,
+    wheel: TimerWheel,
+    /// Peers with a parked receiver awaiting a wake once the current burst
+    /// is published (reused across bursts to avoid allocation).
     wake_buf: Vec<ProcessId>,
-    /// This worker's pending outgoing link queues; while any message
-    /// waits there a `FlushLinks` wheel entry is outstanding.
-    outbound: Outbound<M>,
 }
 
-impl<M, O> Worker<M, O>
-where
-    M: Clone + std::fmt::Debug + Send + 'static,
-    O: Send + 'static,
-{
-    fn ticks(&self) -> u64 {
-        ticks_since(self.epoch, self.tick)
-    }
-
-    fn run(mut self, latch: Arc<ExitLatch>) {
-        struct Arrive(Arc<ExitLatch>);
-        impl Drop for Arrive {
-            fn drop(&mut self) {
-                self.0.arrive();
-            }
-        }
-        let _arrive = Arrive(Arc::clone(&latch));
-        let hub = Arc::clone(&self.out);
-        struct ProducerGone<O>(Arc<OutputHub<O>>);
-        impl<O> Drop for ProducerGone<O> {
-            fn drop(&mut self) {
-                self.0.producer_gone();
-            }
-        }
-        let _gone = ProducerGone(hub);
-
-        let mut crashed = false;
-        let now = self.ticks();
-        self.dispatch(now, |auto, ctx| auto.on_start(ctx));
-
-        // The whole loop is one blocking recv: deliveries, controls, and
-        // timer firings all arrive as inbox messages, so the worker never
-        // computes a deadline and never wakes without work.
-        loop {
-            match self.rx.recv() {
-                Err(_) | Ok(Ctl::Stop) => return,
-                Ok(Ctl::Crash) => {
-                    crashed = true;
-                    // Armed timers stay in the wheel; their firings are
-                    // discarded below while `crashed` (and by incarnation
-                    // after a restart) — same as the simulator consuming a
-                    // crashed pid's timer events silently.
-                }
-                Ok(Ctl::Corrupt) => {
-                    self.auto.corrupt(&mut self.rng);
-                }
-                Ok(Ctl::Restart(auto)) => {
-                    // Crash recovery with state loss: fresh automaton, new
-                    // incarnation (old firings die on receipt), inbox and
-                    // thread reused.
-                    self.auto = auto;
-                    crashed = false;
-                    self.incarnation += 1;
-                    let now = self.ticks();
-                    self.dispatch(now, |auto, ctx| auto.on_start(ctx));
-                }
-                Ok(Ctl::Timer { id, incarnation }) => {
-                    if crashed || incarnation != self.incarnation {
-                        continue;
-                    }
-                    self.metrics.event();
-                    let now = self.ticks();
-                    self.dispatch(now, |auto, ctx| auto.on_timer(id, ctx));
-                }
-                Ok(Ctl::FlushLinks) => {
-                    // Tick watermark: ship every pending link queue. Pending
-                    // batches are messages already in the channel, so they
-                    // flush even while this worker is crashed — a crashed
-                    // *destination* drops them on receipt, as usual.
-                    let now = self.ticks();
-                    for (_, to, frame) in self.outbound.flush(&mut self.metrics) {
-                        self.ship(to, frame, now);
-                    }
-                    self.wake_parked();
-                }
-                Ok(Ctl::Frame { from, frame }) => {
-                    self.metrics.arrived(&frame, !crashed);
-                    if !crashed {
-                        let now = self.ticks();
-                        self.dispatch(now, |auto, ctx| frame.apply(from, auto, ctx));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Run one callback, then flush its effects to peers/outputs/timers.
-    fn dispatch(&mut self, now: u64, f: impl FnOnce(&mut dyn Automaton<M, O>, &mut Ctx<'_, M, O>)) {
-        let mut ctx = Ctx::new(self.pid, now, &mut self.rng);
-        f(&mut *self.auto, &mut ctx);
-        let (outbox, outputs, set_timers) = ctx.drain();
-        for (to, msg) in outbox {
-            if to >= self.peers.len() {
-                self.metrics.dropped(1);
-                continue;
-            }
-            match self.outbound.send(self.pid, to, msg, &mut self.metrics) {
-                Sent::Ship(frame) => self.ship(to, frame, now),
-                Sent::Queued { arm_flush: true } => {
-                    let tx = self.self_tx.clone();
-                    self.wheel.register(now + self.outbound.policy().flush_ticks, move || {
-                        let _ = tx.send(Ctl::FlushLinks);
-                    });
-                }
-                Sent::Queued { arm_flush: false } => {}
-            }
-        }
-        self.wake_parked();
-        for o in outputs {
-            self.out.push((now, self.pid, o));
-        }
-        for (delay, id) in set_timers {
-            // Same arming rule as the simulator: fire at now + max(delay, 1).
-            let fire = now + delay.max(1);
-            let tx = self.self_tx.clone();
-            let incarnation = self.incarnation;
-            self.wheel.register(fire, move || {
-                let _ = tx.send(Ctl::Timer { id, incarnation });
-            });
-        }
-    }
-
-    /// Ship one wire frame to `to`, as its link's fault decides. Quiet
-    /// sends: the whole outbox is published first and parked peers are
-    /// woken once by [`Worker::wake_parked`], so a woken consumer cannot
-    /// preempt this worker while later outbox messages are still unsent.
-    fn ship(&mut self, to: ProcessId, frame: Frame<M>, now: u64) {
-        let from = self.pid;
-        match self.links.plan(from, to, now, &mut self.rng) {
+impl<M: Clone + Send + 'static, O: Send + 'static> Wire<M, O> {
+    /// Ship one wire frame on `(from, to)`, as its link's fault decides.
+    /// Quiet sends: a whole burst is published first and parked peers are
+    /// woken once by [`Wire::wake_parked`], so a woken consumer cannot
+    /// preempt the sender while later frames of the burst are still unsent.
+    fn ship(
+        &mut self,
+        from: ProcessId,
+        to: ProcessId,
+        frame: Frame<M>,
+        now: u64,
+        rng: &mut StdRng,
+    ) {
+        match self.links.plan(from, to, now, rng) {
             SendPlan::Direct { dup } => {
                 if dup {
                     let _ = self.peers[to].send_quiet(Ctl::Frame { from, frame: frame.clone() });
@@ -446,7 +213,7 @@ where
             SendPlan::Dropped => self.metrics.dropped(frame.len()),
             SendPlan::Defer { at, dup_at } => {
                 // Deferred delivery through the wheel: only this link
-                // waits; the worker moves straight on to its other
+                // waits; the sender moves straight on to its other
                 // destinations. The wheel fires in (tick, registration)
                 // order and each link's slots are strictly increasing,
                 // so per-link FIFO survives the detour.
@@ -466,32 +233,143 @@ where
         }
     }
 
-    /// Wake every peer whose receiver was parked when [`Worker::ship`]
+    /// Wake every peer whose receiver was parked when [`Wire::ship`]
     /// published to it.
     fn wake_parked(&mut self) {
         for to in self.wake_buf.drain(..) {
             self.peers[to].wake();
         }
     }
+
+    /// Have the wheel send `ctl` into `pid`'s inbox at tick `at`.
+    fn arm(&self, pid: ProcessId, at: u64, ctl: Ctl<M, O>) {
+        let tx = self.peers[pid].clone();
+        self.wheel.register(at, move || {
+            let _ = tx.send(ctl);
+        });
+    }
 }
 
-fn ticks_since(epoch: Instant, tick: Duration) -> u64 {
-    (epoch.elapsed().as_nanos() / tick.as_nanos().max(1)) as u64
+/// Everything one worker thread needs; grouped to keep the spawn loop flat.
+struct Worker<M, O> {
+    pid: ProcessId,
+    auto: Box<dyn Automaton<M, O>>,
+    rx: Receiver<Ctl<M, O>>,
+    wire: Wire<M, O>,
+    out: Sender<Output<O>>,
+    rng: StdRng,
+    /// Bumped on restart; `Ctl::Timer` firings from older incarnations
+    /// reach no automaton (the simulator's incarnation rule).
+    incarnation: u64,
+    /// This worker's pending outgoing link queues; while any message
+    /// waits there a `FlushLinks` wheel entry is outstanding.
+    outbound: Outbound<M>,
+}
+
+impl<M, O> Worker<M, O>
+where
+    M: Clone + std::fmt::Debug + Send + 'static,
+    O: Send + 'static,
+{
+    /// The worker loop. Returning drops `out`, this worker's sender on the
+    /// output channel; a panicking automaton drops it while unwinding.
+    fn run(mut self) {
+        let mut crashed = false;
+        self.dispatch(|auto, ctx| auto.on_start(ctx));
+
+        // The whole loop is one blocking recv: deliveries, controls, and
+        // timer firings all arrive as inbox messages, so the worker never
+        // computes a deadline and never wakes without work.
+        loop {
+            match self.rx.recv() {
+                Err(_) | Ok(Ctl::Stop) => return,
+                Ok(Ctl::Crash) => {
+                    crashed = true;
+                    // Armed timers stay in the wheel; their firings are
+                    // counted and discarded below while `crashed` (and by
+                    // incarnation after a restart), as on the simulator.
+                }
+                Ok(Ctl::Corrupt) => {
+                    self.auto.corrupt(&mut self.rng);
+                }
+                Ok(Ctl::Restart(auto)) => {
+                    // Crash recovery with state loss: fresh automaton, new
+                    // incarnation (old firings die on receipt), inbox and
+                    // thread reused.
+                    self.auto = auto;
+                    crashed = false;
+                    self.incarnation += 1;
+                    self.dispatch(|auto, ctx| auto.on_start(ctx));
+                }
+                Ok(Ctl::Timer { id, incarnation }) => {
+                    self.wire.metrics.event();
+                    if !crashed && incarnation == self.incarnation {
+                        self.dispatch(|auto, ctx| auto.on_timer(id, ctx));
+                    }
+                }
+                Ok(Ctl::FlushLinks) => {
+                    // Tick watermark: ship every pending link queue. Pending
+                    // batches are messages already in the channel, so they
+                    // flush even while this worker is crashed — a crashed
+                    // *destination* drops them on receipt, as usual.
+                    let now = self.wire.wheel.now_tick();
+                    for (from, to, frame) in self.outbound.flush(&mut self.wire.metrics) {
+                        self.wire.ship(from, to, frame, now, &mut self.rng);
+                    }
+                    self.wire.wake_parked();
+                }
+                Ok(Ctl::Frame { from, frame }) => {
+                    self.wire.metrics.arrived(&frame, !crashed);
+                    if !crashed {
+                        self.dispatch(|auto, ctx| frame.apply(from, auto, ctx));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Run one callback now, then flush its effects to peers/outputs/timers.
+    fn dispatch(&mut self, f: impl FnOnce(&mut dyn Automaton<M, O>, &mut Ctx<'_, M, O>)) {
+        let (me, now) = (self.pid, self.wire.wheel.now_tick());
+        let mut ctx = Ctx::new(me, now, &mut self.rng);
+        f(&mut *self.auto, &mut ctx);
+        let (outbox, outputs, set_timers) = ctx.drain();
+        for (to, msg) in outbox {
+            if to >= self.wire.peers.len() {
+                self.wire.metrics.dropped(1);
+                continue;
+            }
+            match self.outbound.send(me, to, msg, &mut self.wire.metrics) {
+                Sent::Ship(frame) => self.wire.ship(me, to, frame, now, &mut self.rng),
+                Sent::Queued { arm_flush: true } => {
+                    let at = now + self.outbound.policy().flush_ticks;
+                    self.wire.arm(me, at, Ctl::FlushLinks);
+                }
+                Sent::Queued { arm_flush: false } => {}
+            }
+        }
+        self.wire.wake_parked();
+        for o in outputs {
+            let _ = self.out.send((now, me, o));
+        }
+        for (delay, id) in set_timers {
+            // Same arming rule as the simulator: fire at now + max(delay, 1).
+            let timer = Ctl::Timer { id, incarnation: self.incarnation };
+            self.wire.arm(me, now + delay.max(1), timer);
+        }
+    }
 }
 
 /// A running cluster of automata on OS threads.
 pub struct ThreadedCluster<M, O> {
-    inboxes: Vec<Sender<Ctl<M, O>>>,
-    outputs: Arc<OutputHub<O>>,
+    /// The cluster's own handle on the shared sending side: its `peers`
+    /// are the workers' inboxes.
+    wire: Wire<M, O>,
+    outputs: Receiver<Output<O>>,
     handles: Vec<JoinHandle<()>>,
-    latch: Arc<ExitLatch>,
     wheel: TimerWheelThread,
-    metrics: Arc<SharedMetrics>,
-    links: Arc<LinkFaults>,
-    /// Driver-side RNG for fault-plan garbage generation.
+    /// Cluster-side RNG for fault-plan garbage and its link rolls.
     rng: StdRng,
-    epoch: Instant,
-    tick: Duration,
     pump_timeout: Duration,
     stopped: bool,
 }
@@ -504,57 +382,43 @@ where
     /// Spawn one thread per automaton; `config.seed` derives each thread's
     /// RNG.
     pub fn spawn_with(procs: Vec<Box<dyn Automaton<M, O>>>, config: &SubstrateConfig) -> Self {
-        let n = procs.len();
-        let mut inbox_tx = Vec::with_capacity(n);
-        let mut inbox_rx = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded::<Ctl<M, O>>();
-            inbox_tx.push(tx);
-            inbox_rx.push(rx);
-        }
-        let outputs = Arc::new(OutputHub::new(n));
+        let (inboxes, inbox_rx): (Vec<_>, Vec<_>) = procs.iter().map(|_| unbounded()).unzip();
+        // The cluster keeps no sender of its own: the channel disconnects
+        // when the last worker is gone.
+        let (out, outputs) = unbounded();
         let metrics = Arc::new(SharedMetrics::default());
         let links = Arc::new(LinkFaults::default());
-        let latch = Arc::new(ExitLatch::new(n));
-        let epoch = Instant::now();
-        let wheel = TimerWheel::spawn(epoch, config.tick);
-
-        let mut handles = Vec::with_capacity(n);
+        let wheel = TimerWheel::spawn(Instant::now(), config.tick);
+        let wire = || Wire {
+            peers: inboxes.clone(),
+            links: Arc::clone(&links),
+            metrics: Arc::clone(&metrics),
+            wheel: wheel.handle(),
+            wake_buf: Vec::new(),
+        };
+        let mut handles = Vec::with_capacity(procs.len());
         for ((pid, auto), rx) in procs.into_iter().enumerate().zip(inbox_rx) {
             let worker = Worker {
                 pid,
                 auto,
-                self_tx: inbox_tx[pid].clone(),
                 rx,
-                peers: inbox_tx.clone(),
-                out: Arc::clone(&outputs),
-                wheel: wheel.handle(),
-                metrics: Arc::clone(&metrics),
-                links: Arc::clone(&links),
-                epoch,
-                tick: config.tick,
+                wire: wire(),
+                out: out.clone(),
                 rng: StdRng::seed_from_u64(
                     config.seed ^ (pid as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
                 ),
                 incarnation: 0,
-                wake_buf: Vec::new(),
                 outbound: Outbound::new(config.batch),
             };
-            let latch = Arc::clone(&latch);
-            handles.push(std::thread::spawn(move || worker.run(latch)));
+            handles.push(std::thread::spawn(move || worker.run()));
         }
 
         Self {
-            inboxes: inbox_tx,
+            wire: wire(),
             outputs,
             handles,
-            latch,
             wheel,
-            metrics,
-            links,
             rng: StdRng::seed_from_u64(config.seed ^ 0xD1B5_4A32_D192_ED03),
-            epoch,
-            tick: config.tick,
             pump_timeout: config.pump_timeout,
             stopped: false,
         }
@@ -562,24 +426,24 @@ where
 
     /// Number of processes.
     pub fn len(&self) -> usize {
-        self.inboxes.len()
+        self.wire.peers.len()
     }
 
     /// Whether the cluster is empty.
     pub fn is_empty(&self) -> bool {
-        self.inboxes.is_empty()
+        self.wire.peers.is_empty()
     }
 
     /// Elapsed ticks since spawn (the cluster-wide clock).
     pub fn ticks(&self) -> u64 {
-        ticks_since(self.epoch, self.tick)
+        self.wire.wheel.now_tick()
     }
 
     /// Send a command to `pid` as the environment (`&self`: user threads
     /// may share the cluster, hence the tally through its own handle).
     fn send(&self, pid: ProcessId, msg: M) {
-        let frame = Outbound::solo(msg, &mut Arc::clone(&self.metrics));
-        let _ = self.inboxes[pid].send(Ctl::Frame { from: ENV, frame });
+        let frame = Outbound::solo(msg, &mut Arc::clone(&self.wire.metrics));
+        let _ = self.wire.peers[pid].send(Ctl::Frame { from: ENV, frame });
     }
 }
 
@@ -589,16 +453,22 @@ impl<M, O> ThreadedCluster<M, O> {
             return;
         }
         self.stopped = true;
-        for tx in &self.inboxes {
+        for tx in &self.wire.peers {
             let _ = tx.send(Ctl::Stop);
         }
         // Halt the wheel first: pending deferred deliveries and timer
         // firings are discarded (dropping their inbox-sender clones), per
         // the stop-discards-pending-work contract.
         self.wheel.stop();
-        // Park on the exit latch — each worker signals it on the way out —
-        // instead of polling `is_finished`.
-        let all = self.latch.wait_all(Instant::now() + JOIN_TIMEOUT);
+        // Only workers hold the output channel's senders, so its
+        // disconnect is the moment the last one exited; outputs still
+        // queued are discarded on the way.
+        let deadline = Instant::now() + JOIN_TIMEOUT;
+        let all = loop {
+            if let Err(e) = self.outputs.recv_deadline(deadline) {
+                break e == RecvTimeoutError::Disconnected;
+            }
+        };
         for h in self.handles.drain(..) {
             if all || h.is_finished() {
                 let _ = h.join();
@@ -636,55 +506,59 @@ where
         ThreadedCluster::send(self, pid, msg);
     }
 
-    /// Block directly on the shared output hub up to `pump_timeout`:
-    /// one wait, no sweeping, no sleep slices. [`Pumped::Idle`] therefore
-    /// certifies that no process emitted an output during the window.
+    /// One blocking receive on the output channel, up to `pump_timeout`.
+    /// [`Pumped::Idle`] therefore certifies that no process emitted an
+    /// output during the window, and [`Pumped::Quiescent`] that every
+    /// worker has exited (or the cluster was stopped).
     fn pump(&mut self) -> Pumped<O> {
-        if self.stopped || self.inboxes.is_empty() {
+        if self.stopped {
             return Pumped::Quiescent;
         }
-        match self.outputs.recv_any(Instant::now() + self.pump_timeout) {
-            Some((time, pid, o)) => Pumped::Event { time, pid, outputs: Outputs::One(o) },
-            None => Pumped::Idle,
+        match self.outputs.recv_timeout(self.pump_timeout) {
+            Ok((time, pid, o)) => Pumped::Event { time, pid, outputs: Outputs::One(o) },
+            Err(RecvTimeoutError::Timeout) => Pumped::Idle,
+            Err(RecvTimeoutError::Disconnected) => Pumped::Quiescent,
         }
     }
 
     fn metrics_snapshot(&self) -> NetMetrics {
-        self.metrics.snapshot()
+        self.wire.metrics.snapshot()
     }
 
+    /// Garbage already in transit on `(from, to)`: frames with a spoofed
+    /// sender that nobody sent, shipped on that link like any other frame.
     fn apply_fault(&mut self, plan: &FaultPlan, gen: &mut dyn FnMut(&mut StdRng) -> M) {
         for &pid in &plan.corrupt_processes {
-            if pid < self.inboxes.len() {
-                let _ = self.inboxes[pid].send(Ctl::Corrupt);
+            if pid < self.len() {
+                let _ = self.wire.peers[pid].send(Ctl::Corrupt);
             }
         }
+        let now = self.ticks();
         for &(from, to) in &plan.garbage_channels {
-            if to >= self.inboxes.len() {
+            if to >= self.len() {
                 continue;
             }
-            // Garbage already in transit on `(from, to)`: a frame with a
-            // spoofed sender that nobody sent.
             for _ in 0..plan.garbage_per_channel {
                 let frame = Frame::One(gen(&mut self.rng));
-                let _ = self.inboxes[to].send(Ctl::Frame { from, frame });
+                self.wire.ship(from, to, frame, now, &mut self.rng);
             }
         }
+        self.wire.wake_parked();
     }
 
     fn crash(&mut self, pid: ProcessId) {
-        let _ = self.inboxes[pid].send(Ctl::Crash);
+        let _ = self.wire.peers[pid].send(Ctl::Crash);
     }
 
     /// The control message lands FIFO after everything already in `pid`'s
     /// inbox, so the new incarnation sees only traffic sent after the
     /// restart was issued.
     fn restart(&mut self, pid: ProcessId, auto: Box<dyn Automaton<M, O>>) {
-        let _ = self.inboxes[pid].send(Ctl::Restart(auto));
+        let _ = self.wire.peers[pid].send(Ctl::Restart(auto));
     }
 
     fn set_link_fault(&mut self, from: ProcessId, to: ProcessId, fault: Option<LinkFault>) {
-        self.links.set(from, to, fault);
+        self.wire.links.set(from, to, fault);
     }
 
     fn stop(&mut self) {
@@ -783,6 +657,25 @@ mod tests {
         let mut cluster = spawn(vec![Box::new(Doubler), Box::new(Worker2)], 7);
         let _ = invoke(&mut cluster, Ping(1), 50);
         drop(cluster); // must terminate promptly, not hang
+    }
+
+    #[test]
+    fn a_cluster_whose_workers_all_exited_pumps_quiescent() {
+        /// Panics on the poison payload, as a buggy automaton would.
+        struct Brittle;
+        impl Automaton<Ping, u32> for Brittle {
+            fn on_message(&mut self, _: ProcessId, msg: Ping, _: &mut Ctx<'_, Ping, u32>) {
+                assert_ne!(msg.0, 666, "poisoned");
+            }
+        }
+        let mut cluster = spawn(vec![Box::new(Brittle), Box::new(Brittle)], 13);
+        cluster.inject(0, Ping(666));
+        cluster.inject(1, Ping(666));
+        // No output can surface again once both threads are gone, and
+        // pump must say so instead of reporting `Idle` forever.
+        let first_answer = (0..50).map(|_| cluster.pump()).find(|p| !matches!(p, Pumped::Idle));
+        assert!(matches!(first_answer, Some(Pumped::Quiescent)), "{first_answer:?}");
+        cluster.stop();
     }
 
     #[test]

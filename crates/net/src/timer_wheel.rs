@@ -1,172 +1,87 @@
-//! Shared hierarchical timer wheel for the threaded runtime.
+//! The threaded runtime's one clock: a deadline queue served by one thread.
 //!
-//! One dedicated thread serves every deadline in a [`ThreadedCluster`]
-//! (worker timers *and* fault-delayed link deliveries): it sleeps exactly
-//! until the earliest registered deadline and is woken early only when a
-//! new registration lands *before* the deadline it is currently sleeping
-//! toward, or on shutdown. Nothing in the wheel polls.
+//! A [`ThreadedCluster`] has one wheel for every deadline it holds: worker
+//! timers, link-batch flushes and fault-delayed deliveries. Deadlines are
+//! substrate *ticks* (the `u64` virtual time unit the simulator uses),
+//! mapped to the wall clock through the cluster's epoch and tick length.
 //!
-//! Deadlines are expressed in substrate *ticks* (the same `u64` virtual
-//! time unit the simulator uses); the wheel maps a tick to the wall clock
-//! through the cluster's epoch and tick length. Entries are hashed into a
-//! four-level wheel (64 slots per level, spans of 64^0..64^3 ticks, ~16.7M
-//! ticks of horizon) with an overflow list beyond that; a slot is a plain
-//! `Vec` and due entries are re-sorted by `(fire_tick, seq)` before firing,
-//! so firing order is **deadline order, registration order within a
-//! deadline** — regardless of how entries were hashed or cascaded.
+//! The wheel is one ordered map keyed by `(fire_tick, id)`, where `id` is
+//! the registration counter, so iteration order is firing order:
+//! **deadline order, registration order within a deadline**. An id → tick
+//! index lets [`TimerWheel::cancel`] find its entry; registering, revoking,
+//! collecting the due prefix and reading the next deadline are each
+//! O(log n).
 //!
-//! Each entry carries a boxed action run on the wheel thread when it fires.
-//! Actions must be short and non-blocking (in practice: one channel send
-//! plus a counter update). An action registered after [`TimerWheelThread::stop`]
-//! is silently discarded, matching the substrate contract that stopping
-//! discards pending work.
+//! The serving thread sleeps exactly until the earliest deadline (forever
+//! while the map is empty) and is woken early only by a registration
+//! earlier than that deadline, or by shutdown. Nothing polls. Each entry's
+//! action runs on the serving thread when it fires and must be short and
+//! non-blocking (in practice: one channel send plus a counter update). An
+//! action registered after [`TimerWheelThread::stop`] is dropped unrun,
+//! matching the substrate contract that stopping discards pending work.
 //!
 //! [`ThreadedCluster`]: crate::threaded::ThreadedCluster
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Slots per wheel level.
-const SLOTS: usize = 64;
-/// Wheel levels; level `l` has a slot span of `64^l` ticks.
-const LEVELS: usize = 4;
 
 /// Handle returned by [`TimerWheel::register`]; pass to
 /// [`TimerWheel::cancel`] to revoke a pending entry.
 pub type WheelId = u64;
 
-/// A deferred action: fires at `fire_tick`, ties break by `seq`
-/// (registration order).
-struct Entry {
-    fire_tick: u64,
-    seq: u64,
-    id: WheelId,
-    action: Box<dyn FnOnce() + Send>,
-}
+type Action = Box<dyn FnOnce() + Send>;
 
-/// The hashed hierarchical wheel proper. Slot index at level `l` is
-/// `(fire_tick / 64^l) % 64`; an entry lives at the lowest level whose
-/// span-from-now covers its deadline. Because indexing is absolute, an
-/// entry never needs to cascade — collection filters each touched slot by
-/// `fire_tick` and the final sort restores the global firing order.
+/// The deadline queue proper.
+#[derive(Default)]
 struct Wheel {
-    levels: Vec<Vec<Vec<Entry>>>,
-    overflow: Vec<Entry>,
-    /// Every entry with `fire_tick < floor` has already been collected.
-    floor: u64,
-    pending: usize,
-    seq: u64,
+    /// Pending actions by `(fire_tick, id)`: iteration order is firing order.
+    entries: BTreeMap<(u64, WheelId), Action>,
+    /// Each pending entry's deadline by id, so `cancel` can find its key.
+    ticks: HashMap<WheelId, u64>,
+    /// The id of the next registration.
     next_id: WheelId,
-    cancelled: HashSet<WheelId>,
-}
-
-/// `64^l`, the tick span of one slot at level `l`.
-fn span(level: usize) -> u64 {
-    1u64 << (6 * level as u32)
 }
 
 impl Wheel {
-    fn new() -> Self {
-        Self {
-            levels: (0..LEVELS).map(|_| (0..SLOTS).map(|_| Vec::new()).collect()).collect(),
-            overflow: Vec::new(),
-            floor: 0,
-            pending: 0,
-            seq: 0,
-            next_id: 0,
-            cancelled: HashSet::new(),
-        }
-    }
-
-    fn insert(&mut self, fire_tick: u64, action: Box<dyn FnOnce() + Send>) -> WheelId {
+    fn insert(&mut self, fire_tick: u64, action: Action) -> WheelId {
         let id = self.next_id;
         self.next_id += 1;
-        let entry = Entry { fire_tick, seq: self.seq, id, action };
-        self.seq += 1;
-        self.pending += 1;
-        let distance = fire_tick.saturating_sub(self.floor);
-        // Level l covers deadlines within 64^(l+1) ticks of the floor.
-        match (0..LEVELS).find(|&l| distance < span(l + 1)) {
-            Some(l) => self.levels[l][(fire_tick / span(l)) as usize % SLOTS].push(entry),
-            None => self.overflow.push(entry),
-        }
+        self.entries.insert((fire_tick, id), action);
+        self.ticks.insert(id, fire_tick);
         id
     }
 
     /// Remove a pending entry by id. Returns whether one was pending.
     fn cancel(&mut self, id: WheelId) -> bool {
-        if id >= self.next_id || self.cancelled.contains(&id) {
+        let Some(tick) = self.ticks.remove(&id) else {
             return false;
-        }
-        let lives =
-            self.levels.iter().flatten().flatten().chain(self.overflow.iter()).any(|e| e.id == id);
-        if lives {
-            self.cancelled.insert(id);
-            self.pending -= 1;
-        }
-        lives
+        };
+        self.entries.remove(&(tick, id));
+        true
     }
 
-    /// Drain every entry due at or before `now_tick`, in firing order.
-    fn collect_due(&mut self, now_tick: u64) -> Vec<Entry> {
-        if self.pending == 0 {
-            self.floor = self.floor.max(now_tick + 1);
-            return Vec::new();
+    /// Take every entry due at or before `now_tick`, in firing order.
+    fn collect_due(&mut self, now_tick: u64) -> BTreeMap<(u64, WheelId), Action> {
+        let later = match now_tick.checked_add(1) {
+            Some(next) => self.entries.split_off(&(next, 0)),
+            None => BTreeMap::new(),
+        };
+        let due = std::mem::replace(&mut self.entries, later);
+        for (_, id) in due.keys() {
+            self.ticks.remove(id);
         }
-        let mut due = Vec::new();
-        for (l, level) in self.levels.iter_mut().enumerate() {
-            // Only slots the clock has crossed since the floor can hold
-            // due entries; cap the walk at one full revolution.
-            let first = self.floor / span(l);
-            let last = now_tick / span(l);
-            let walk = (last.saturating_sub(first) + 1).min(SLOTS as u64);
-            for s in 0..walk {
-                let slot = &mut level[((first + s) as usize) % SLOTS];
-                let mut i = 0;
-                while i < slot.len() {
-                    if slot[i].fire_tick <= now_tick {
-                        due.push(slot.swap_remove(i));
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
-        }
-        let mut i = 0;
-        while i < self.overflow.len() {
-            if self.overflow[i].fire_tick <= now_tick {
-                due.push(self.overflow.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        self.floor = self.floor.max(now_tick + 1);
-        due.retain(|e| {
-            let cancelled = self.cancelled.remove(&e.id);
-            if !cancelled {
-                self.pending -= 1;
-            }
-            !cancelled
-        });
-        due.sort_unstable_by_key(|e| (e.fire_tick, e.seq));
         due
     }
 
     /// Earliest pending deadline, if any.
     fn next_fire_tick(&self) -> Option<u64> {
-        if self.pending == 0 {
-            return None;
-        }
-        self.levels
-            .iter()
-            .flatten()
-            .flatten()
-            .chain(self.overflow.iter())
-            .filter(|e| !self.cancelled.contains(&e.id))
-            .map(|e| e.fire_tick)
-            .min()
+        self.entries.first_key_value().map(|(&(tick, _), _)| tick)
+    }
+
+    fn pending(&self) -> usize {
+        self.entries.len()
     }
 }
 
@@ -207,7 +122,11 @@ impl TimerWheel {
     /// Spawn a wheel whose tick `t` fires at wall time `epoch + t × tick`.
     pub fn spawn(epoch: Instant, tick: Duration) -> TimerWheelThread {
         let shared = Arc::new(Shared {
-            state: Mutex::new(State { wheel: Wheel::new(), sleeping_until: None, shutdown: false }),
+            state: Mutex::new(State {
+                wheel: Wheel::default(),
+                sleeping_until: None,
+                shutdown: false,
+            }),
             cond: Condvar::new(),
         });
         let wheel = TimerWheel { shared, epoch, tick };
@@ -246,20 +165,19 @@ impl TimerWheel {
     }
 
     /// Revoke a pending registration. Returns `false` when the entry
-    /// already fired, was already cancelled, or never existed.
+    /// already fired, was already revoked, or never existed.
     pub fn cancel(&self, id: WheelId) -> bool {
-        let mut st = self.shared.state.lock().expect("wheel lock");
-        st.wheel.cancel(id)
+        self.shared.state.lock().expect("wheel lock").wheel.cancel(id)
     }
 
     /// Number of registered-but-unfired entries.
     pub fn pending(&self) -> usize {
-        self.shared.state.lock().expect("wheel lock").wheel.pending
+        self.shared.state.lock().expect("wheel lock").wheel.pending()
     }
 
     /// The serving loop: park until the earliest deadline (or forever when
     /// idle), wake early only on an earlier registration or shutdown, then
-    /// run every due action in `(fire_tick, seq)` order.
+    /// run every due action in `(fire_tick, id)` order.
     fn serve(&self) {
         let mut st = self.shared.state.lock().expect("wheel lock");
         loop {
@@ -269,8 +187,8 @@ impl TimerWheel {
             let due = st.wheel.collect_due(self.now_tick());
             if !due.is_empty() {
                 drop(st);
-                for e in due {
-                    (e.action)();
+                for action in due.into_values() {
+                    action();
                 }
                 st = self.shared.state.lock().expect("wheel lock");
                 continue;
@@ -301,7 +219,7 @@ impl TimerWheel {
         st.shutdown = true;
         // Pending actions are discarded, releasing whatever they captured
         // (inbox senders in particular).
-        st.wheel = Wheel::new();
+        st.wheel = Wheel::default();
         self.shared.cond.notify_all();
     }
 }
@@ -332,6 +250,8 @@ impl Drop for TimerWheelThread {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection;
+    use proptest::prelude::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::mpsc;
 
@@ -403,7 +323,7 @@ mod tests {
         let w = t.handle();
         let fired = Arc::new(AtomicUsize::new(0));
         let (f1, f2) = (Arc::clone(&fired), Arc::clone(&fired));
-        let cancel_me = w.register(3, move || {
+        let revoke_me = w.register(3, move || {
             f1.fetch_add(100, Ordering::SeqCst);
         });
         let (tx, rx) = mpsc::channel();
@@ -411,47 +331,110 @@ mod tests {
             f2.fetch_add(1, Ordering::SeqCst);
             let _ = tx.send(());
         });
-        assert!(w.cancel(cancel_me), "entry was pending");
-        assert!(!w.cancel(cancel_me), "double-cancel reports false");
+        assert!(w.cancel(revoke_me), "entry was pending");
+        assert!(!w.cancel(revoke_me), "double-cancel reports false");
         rx.recv_timeout(Duration::from_secs(5)).expect("survivor fires");
-        assert_eq!(fired.load(Ordering::SeqCst), 1, "cancelled entry must not fire");
+        assert_eq!(fired.load(Ordering::SeqCst), 1, "a revoked entry must not fire");
         assert_eq!(w.pending(), 0);
     }
 
+    /// The `(tick, id)` keys `collect_due(now)` hands back, in firing order.
+    fn collect(wheel: &mut Wheel, now: u64) -> Vec<(u64, WheelId)> {
+        wheel.collect_due(now).into_keys().collect()
+    }
+
     #[test]
-    fn distant_deadlines_hash_into_high_levels_and_overflow() {
-        // Pure wheel-structure test (no thread): entries across every
-        // level and the overflow list all collect, in order.
-        let mut wheel = Wheel::new();
+    fn distant_deadlines_fire_in_deadline_order() {
+        // Pure wheel-structure test (no thread): deadlines from one tick to
+        // 2^40 ticks out all collect, in deadline order.
+        let mut wheel = Wheel::default();
         let ticks = [1u64, 63, 64, 4_000, 300_000, 20_000_000, 1 << 40];
-        for &t in &ticks {
-            wheel.insert(t, Box::new(|| {}));
-        }
-        assert_eq!(wheel.pending, ticks.len());
+        let ids: Vec<WheelId> = ticks.iter().map(|&t| wheel.insert(t, Box::new(|| {}))).collect();
+        assert_eq!(wheel.pending(), ticks.len());
         assert_eq!(wheel.next_fire_tick(), Some(1));
-        let due = wheel.collect_due(u64::MAX - 1);
-        let order: Vec<u64> = due.iter().map(|e| e.fire_tick).collect();
-        let mut want = ticks.to_vec();
+        let mut want: Vec<(u64, WheelId)> = ticks.into_iter().zip(ids).collect();
         want.sort_unstable();
-        assert_eq!(order, want);
-        assert_eq!(wheel.pending, 0);
+        assert_eq!(collect(&mut wheel, u64::MAX - 1), want);
+        assert_eq!(wheel.pending(), 0);
         assert_eq!(wheel.next_fire_tick(), None);
     }
 
     #[test]
     fn partial_collection_leaves_future_entries_pending() {
-        let mut wheel = Wheel::new();
-        wheel.insert(5, Box::new(|| {}));
-        wheel.insert(10, Box::new(|| {}));
-        wheel.insert(700, Box::new(|| {})); // level 1
-        let due = wheel.collect_due(7);
-        assert_eq!(due.len(), 1);
-        assert_eq!(due[0].fire_tick, 5);
-        assert_eq!(wheel.pending, 2);
+        let mut wheel = Wheel::default();
+        let a = wheel.insert(5, Box::new(|| {}));
+        let b = wheel.insert(10, Box::new(|| {}));
+        let c = wheel.insert(700, Box::new(|| {}));
+        assert_eq!(collect(&mut wheel, 7), vec![(5, a)]);
+        assert_eq!(wheel.pending(), 2);
         assert_eq!(wheel.next_fire_tick(), Some(10));
-        let due = wheel.collect_due(1000);
-        let order: Vec<u64> = due.iter().map(|e| e.fire_tick).collect();
-        assert_eq!(order, vec![10, 700]);
+        assert_eq!(collect(&mut wheel, 1000), vec![(10, b), (700, c)]);
+        assert!(!wheel.cancel(c), "a fired entry cannot be revoked");
+    }
+
+    /// One step of a wheel script.
+    #[derive(Debug)]
+    enum Op {
+        Insert(u64),
+        Cancel(WheelId),
+        Collect(u64),
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 200 })]
+
+        /// The wheel against a sorted-`Vec` model of its pending entries:
+        /// the same ids, the same firing order by `(tick, id)`, each fired
+        /// action the one registered under its id, and the same answers from
+        /// `cancel` (pending, fired, revoked twice, never registered),
+        /// `pending()` and `next_fire_tick()` after every step.
+        #[test]
+        fn wheel_matches_a_sorted_vec_model(
+            script in collection::vec(
+                prop_oneof![
+                    (0u64..40).prop_map(Op::Insert),
+                    (0u64..48).prop_map(Op::Cancel),
+                    (0u64..40).prop_map(Op::Collect),
+                ],
+                0..80,
+            ),
+        ) {
+            let mut wheel = Wheel::default();
+            let mut model: Vec<(u64, WheelId)> = Vec::new();
+            let mut registered: WheelId = 0;
+            let ran = Arc::new(Mutex::new(Vec::new()));
+            for op in script {
+                match op {
+                    Op::Insert(tick) => {
+                        let ran = Arc::clone(&ran);
+                        let id = wheel.insert(tick, Box::new(move || ran.lock().unwrap().push(registered)));
+                        prop_assert_eq!(id, registered, "ids are the registration counter");
+                        model.push((tick, id));
+                        model.sort_unstable();
+                        registered += 1;
+                    }
+                    Op::Cancel(id) => {
+                        let pending = model.iter().position(|&(_, m)| m == id);
+                        prop_assert_eq!(wheel.cancel(id), pending.is_some(), "cancel({}) of {:?}", id, model);
+                        if let Some(i) = pending {
+                            model.remove(i);
+                        }
+                    }
+                    Op::Collect(now) => {
+                        let cut = model.partition_point(|&(t, _)| t <= now);
+                        let want: Vec<(u64, WheelId)> = model.drain(..cut).collect();
+                        let due = wheel.collect_due(now);
+                        prop_assert_eq!(due.keys().copied().collect::<Vec<_>>(), want.clone());
+                        ran.lock().unwrap().clear();
+                        due.into_values().for_each(|action| action());
+                        let ids: Vec<WheelId> = want.iter().map(|&(_, id)| id).collect();
+                        prop_assert_eq!(ran.lock().unwrap().clone(), ids, "actions ran out of order");
+                    }
+                }
+                prop_assert_eq!(wheel.pending(), model.len());
+                prop_assert_eq!(wheel.next_fire_tick(), model.first().map(|&(t, _)| t));
+            }
+        }
     }
 
     #[test]

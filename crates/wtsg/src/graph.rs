@@ -180,13 +180,6 @@ where
         Wtsg::candidates(self, threshold)
     }
 
-    /// Whether node `i` has an edge to node `j`. Edges are generated in
-    /// lexicographic `(i, j)` order by [`WtsGraph::build`], so this is a
-    /// binary search.
-    pub fn has_edge(&self, i: usize, j: usize) -> bool {
-        self.edges.binary_search(&(i, j)).is_ok()
-    }
-
     /// Total weight across nodes (equals the number of distinct
     /// `(server, ts, value)` testimonies).
     pub fn total_weight(&self) -> usize {

@@ -4,19 +4,18 @@
 //! assumes.
 
 use std::collections::BTreeMap;
+use std::time::Duration;
 
 use proptest::collection;
 use proptest::prelude::*;
-use rand::rngs::StdRng;
 use sbft::datalink::DatalinkSim;
 use sbft::labels::{BoundedLabeling, MwmrLabeling};
 use sbft::net::corruption::FaultPlan;
 use sbft::net::{
-    AnySubstrate, Automaton, AutomatonFactory, Backend, BatchPolicy, CorruptionSeverity, Ctx,
-    LinkFault, NemesisOpts, NemesisRunner, NemesisSchedule, ProcessId, Substrate, SubstrateConfig,
-    ThreadedCluster, ENV,
+    AnySubstrate, Automaton, Backend, BatchPolicy, CorruptionSeverity, Ctx, LinkFault, NemesisOpts,
+    NemesisSchedule, ProcessId, Substrate, SubstrateConfig, ThreadedCluster, ENV,
 };
-use sbft::register::adversary::random_message;
+use sbft::register::adversary::ByzStrategy;
 use sbft::register::client::Client;
 use sbft::register::cluster::{Op, RegisterCluster};
 use sbft::register::config::ClusterConfig;
@@ -252,15 +251,7 @@ fn chaos_trace(seed: u64) -> (Vec<(u64, String)>, Vec<String>, u64, u64) {
         ..NemesisOpts::default()
     };
     let schedule = NemesisSchedule::random(seed, &opts);
-    let cfg = c.cfg;
-    let sys = c.sys.clone();
-    let make_honest: AutomatonFactory<M, E> = Box::new(move |_pid| {
-        Box::new(Server::<B>::new(sys.clone(), cfg)) as Box<dyn Automaton<M, E>>
-    });
-    let sys_g = c.sys.clone();
-    let garbage = Box::new(move |rng: &mut StdRng| random_message::<B>(&sys_g, &cfg, rng));
-    let runner: NemesisRunner<M, E> =
-        NemesisRunner::new(schedule, make_honest, None, None, garbage);
+    let runner = c.nemesis_runner(schedule, Vec::new(), ByzStrategy::Silent);
 
     let mut soak = Soak::new(&mut c, (), runner);
     let mut outcomes = Vec::new();
@@ -361,13 +352,63 @@ fn garbage_cell(backend: Backend, plan: &FaultPlan) -> (u64, u64) {
     (m.messages_sent, m.messages_delivered)
 }
 
+/// Ship `n` garbage messages on `(2, 0)` while that link is cut, and return
+/// `(sent, delivered, dropped)` once the substrate has stopped (on threads,
+/// `stop` returns after every worker drained its inbox up to the stop).
+fn garbage_over_cut_link(backend: Backend, n: usize) -> (u64, u64, u64) {
+    let procs: Vec<Box<dyn Automaton<u64, (ProcessId, u64)>>> =
+        vec![Box::new(Sink), Box::new(Sink), Box::new(Volley)];
+    let mut sub = AnySubstrate::spawn(backend, procs, &SubstrateConfig::seeded(9));
+    sub.set_link_fault(2, 0, Some(LinkFault::cut()));
+    let plan = FaultPlan {
+        corrupt_processes: vec![],
+        garbage_channels: vec![(2, 0)],
+        garbage_per_channel: n,
+    };
+    sub.apply_fault(&plan, &mut |_rng| 7);
+    sub.pump_until(u64::MAX, 1, &mut |_t, _pid, _out| None::<()>);
+    sub.stop();
+    let m = sub.metrics_snapshot();
+    (m.messages_sent, m.messages_delivered, m.messages_dropped)
+}
+
+/// Arms one timer of `self.0` ticks on start and outputs when it fires.
+struct Alarm(u64);
+
+impl Automaton<u64, (ProcessId, u64)> for Alarm {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, u64, (ProcessId, u64)>) {
+        ctx.set_timer(self.0, 0);
+    }
+    fn on_timer(&mut self, _id: u64, ctx: &mut Ctx<'_, u64, (ProcessId, u64)>) {
+        ctx.output((ctx.me, self.0));
+    }
+    fn on_message(&mut self, _: ProcessId, _: u64, _: &mut Ctx<'_, u64, (ProcessId, u64)>) {}
+}
+
+/// Crash process 0 before its alarm rings, wait for process 1's later
+/// alarm, and return `events_processed` once the substrate has stopped.
+fn timer_into_crashed_process(backend: Backend) -> u64 {
+    let procs: Vec<Box<dyn Automaton<u64, (ProcessId, u64)>>> =
+        vec![Box::new(Alarm(50)), Box::new(Alarm(100))];
+    let config = SubstrateConfig::seeded(9).with_tick(Duration::from_millis(1));
+    let mut sub = AnySubstrate::spawn(backend, procs, &config);
+    sub.crash(0);
+    // The wheel fires in deadline order, so by the time 1's alarm
+    // surfaces 0's firing sits in 0's inbox, ahead of `stop`'s control.
+    let woke = sub.pump_until(u64::MAX, 50, &mut |_t, pid, _out| (pid == 1).then_some(()));
+    assert_eq!(woke, Some(()), "{backend:?}: the live alarm must ring");
+    sub.stop();
+    sub.metrics_snapshot().events_processed
+}
+
 /// Link-fault accounting parity: a dropped message still counts as sent, a
 /// duplicate is one send with two deliveries, and a delayed message is one
 /// send with one delivery — identically on the simulator and on threads,
 /// and per whole frame when the link batches (a dropped frame drops every
 /// message it carries, a duplicated one delivers all of them twice).
-/// Garbage preloaded by a `FaultPlan` was never sent: it is only delivered.
-/// Fault rates of 0.0/1.0 make the cells deterministic even though the two
+/// Garbage preloaded by a `FaultPlan` was never sent: it is only delivered,
+/// or dropped when it crosses a cut link. A timer firing into a crashed
+/// process is still one event. Fault rates of 0.0/1.0 make the cells deterministic even though the two
 /// backends consume different RNG streams.
 #[test]
 fn link_fault_accounting_agrees_across_substrates() {
@@ -408,6 +449,16 @@ fn link_fault_accounting_agrees_across_substrates() {
     let thr = garbage_cell(Backend::Threaded, &plan);
     assert_eq!(sim, thr, "garbage: (sent, delivered) diverged across backends");
     assert_eq!(sim, (0, plan.garbage_total() as u64), "garbage is delivered, never sent");
+
+    let sim = garbage_over_cut_link(Backend::Sim, 5);
+    let thr = garbage_over_cut_link(Backend::Threaded, 5);
+    assert_eq!(sim, thr, "garbage over a cut link: (sent, delivered, dropped) diverged");
+    assert_eq!(sim, (0, 0, 5), "garbage crosses the link's fault like any frame");
+
+    let sim = timer_into_crashed_process(Backend::Sim);
+    let thr = timer_into_crashed_process(Backend::Threaded);
+    assert_eq!(sim, thr, "timer into a crashed process: events_processed diverged");
+    assert_eq!(sim, 2, "both firings are events, the crashed process's included");
 }
 
 /// One durable run under a scripted Crash → CrashRecover schedule:
@@ -430,8 +481,7 @@ fn durable_recover_trace(
         (2, NemesisEvent::Crash(2)),
         (3, NemesisEvent::CrashRecover { pid: 2, fault: DiskFault::StaleSnapshot }),
     ]);
-    let mut runner =
-        c.nemesis_runner(schedule, Vec::new(), sbft::register::adversary::ByzStrategy::Silent);
+    let mut runner = c.nemesis_runner(schedule, Vec::new(), ByzStrategy::Silent);
     for v in 1..=6u64 {
         c.write(w, v).unwrap();
     }
