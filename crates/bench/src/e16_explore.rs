@@ -60,6 +60,10 @@ pub struct ExploreCell {
     pub max_depth: usize,
     /// Violations found.
     pub violations: usize,
+    /// Stopped at its first violation on several workers: where the sweep
+    /// stopped, and so every count above and the depth of the violation
+    /// found, depends on which worker got there first.
+    pub raced: bool,
     /// Wall-clock milliseconds of the exploration (shrinking excluded).
     pub wall_ms: f64,
     /// Human verdict for the table.
@@ -69,6 +73,15 @@ pub struct ExploreCell {
 }
 
 impl ExploreCell {
+    /// A count as the tables print it: `—` when the cell [`raced`](Self::raced).
+    fn count(&self, n: impl ToString) -> String {
+        if self.raced {
+            "—".into()
+        } else {
+            n.to_string()
+        }
+    }
+
     /// Schedules per wall-clock second.
     pub fn schedules_per_sec(&self) -> f64 {
         if self.wall_ms > 0.0 {
@@ -121,6 +134,7 @@ fn verdict(
     scenario: &RegisterScenario,
     violations: &[Violation],
     jobs: usize,
+    raced: bool,
 ) -> (String, Option<Violation>) {
     let Some(v) = violations.first() else {
         let missed = scenario.name() == VIOLATING;
@@ -128,11 +142,11 @@ fn verdict(
         return (clean.into(), None);
     };
     let min = shrink(scenario, v, jobs);
+    let found = if raced { String::new() } else { format!(" (depth {})", v.schedule.len()) };
     match replay(scenario, &min.schedule) {
         ReplayOutcome::Violation { .. } => (
             format!(
-                "counterexample found (depth {}), shrunk to {} events, replay verified",
-                v.schedule.len(),
+                "counterexample found{found}, shrunk to {} events, replay verified",
                 min.schedule.len()
             ),
             Some(min),
@@ -146,7 +160,8 @@ pub fn cell(scenario: &RegisterScenario, config: &ExplorerConfig) -> ExploreCell
     let t0 = std::time::Instant::now();
     let report = explore(scenario, config);
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let (verdict, counterexample) = verdict(scenario, &report.violations, config.jobs);
+    let raced = config.stop_on_violation && config.jobs > 1;
+    let (verdict, counterexample) = verdict(scenario, &report.violations, config.jobs, raced);
     ExploreCell {
         scenario: scenario.name().to_string(),
         prune: config.prune,
@@ -157,6 +172,7 @@ pub fn cell(scenario: &RegisterScenario, config: &ExplorerConfig) -> ExploreCell
         transitions: report.stats.transitions,
         max_depth: report.stats.max_depth,
         violations: report.violations.len(),
+        raced,
         wall_ms,
         verdict,
         counterexample,
@@ -221,11 +237,11 @@ pub fn run(quick: bool, jobs: usize, scenario: Option<&str>) -> Result<E16Outcom
             c.scenario.clone(),
             if c.prune { "on" } else { "off" }.into(),
             c.branch_depth.to_string(),
-            c.schedules.to_string(),
-            c.pruned.to_string(),
-            c.transitions.to_string(),
-            c.max_depth.to_string(),
-            c.violations.to_string(),
+            c.count(c.schedules),
+            c.count(c.pruned),
+            c.count(c.transitions),
+            c.count(c.max_depth),
+            c.count(c.violations),
             c.verdict.clone(),
         ]);
     }
@@ -276,8 +292,8 @@ pub fn sweep_table(cells: &[ExploreCell]) -> Table {
         t.row(vec![
             c.scenario.clone(),
             c.jobs.to_string(),
-            c.schedules.to_string(),
-            c.transitions.to_string(),
+            c.count(c.schedules),
+            c.count(c.transitions),
             format!("{:.0}", c.schedules_per_sec()),
             c.verdict.clone(),
         ]);
@@ -385,6 +401,13 @@ mod tests {
     #[test]
     fn quick_sweep_is_clean_deterministic_and_rediscovers_theorem1() {
         let cells = sweep(true);
+        // Two runs print the same table, bar the one-shot rates.
+        let printed = |cells: &[ExploreCell]| {
+            let t = sweep_table(cells);
+            let cols = ["scenario", "jobs", "schedules", "transitions", "verdict"];
+            (0..t.len()).map(|r| cols.map(|h| t.cell(r, t.col(h)).to_string())).collect::<Vec<_>>()
+        };
+        assert_eq!(printed(&cells), printed(&sweep(true)));
         // (3 clean scenarios + the rediscovery) × 2 worker counts.
         assert_eq!(cells.len(), 8);
         for c in &cells {

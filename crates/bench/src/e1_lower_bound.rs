@@ -20,7 +20,7 @@
 //!    `n = 5f + 1`.
 
 use sbft_core::cluster::RegisterCluster;
-use sbft_core::reader::ReaderOptions;
+use sbft_explorer::scenario::Tm1rReader;
 use sbft_labels::LabelingSystem;
 
 use crate::table::{pct, Table};
@@ -45,17 +45,14 @@ pub fn scripted_run(n: usize, slow_idx: usize, seed: u64) -> E1Run {
     let corrupt_idx = n - 2; // the transiently corrupted correct server s4
     assert!(slow_idx < corrupt_idx);
 
-    let mut c = RegisterCluster::bounded_with_n(n, f)
-        .scripted(byz_idx)
-        .clients(2)
-        .reader_options(ReaderOptions { forced_return: true, ..Default::default() })
-        .seed(seed)
-        .build();
+    let mut c =
+        RegisterCluster::bounded_with_n(n, f).scripted(byz_idx).clients(2).seed(seed).build();
     let genesis = c.sys.genesis();
     c.scripted_server(byz_idx).expect("scripted").ts_reply = Some(genesis.clone());
 
     let w = c.client(0);
     let r = c.client(1);
+    c.sim.restart(r, Box::new(Tm1rReader::new(c.sys.clone(), c.cfg, r as u32)));
 
     // The corrupted server is slow through both writes (it keeps its
     // pre-write timestamp, like s4 in the proof).
@@ -158,5 +155,23 @@ mod tests {
         assert_ne!(t.cell(1, viol), "0", "expected violations at n = 5f");
         assert_eq!(t.cell(2, viol), "0", "scripted n = 6 must be clean");
         assert_eq!(t.cell(3, viol), "0", "sweep at n = 6 must be clean");
+    }
+
+    /// Pin: the `harness e1 --quick` and `harness e1` tables. The
+    /// simulator is deterministic, so any drift here is a behaviour change
+    /// of the TM_1R reader or of the adversary.
+    #[test]
+    fn quick_and_full_tables_are_pinned() {
+        let head = "n,mode,runs,violations,rate,example read\n";
+        for (seeds, runs) in [(3, "3"), (10, "10")] {
+            let want = format!(
+                "{head}\
+                 5,scripted proof schedule,1,1,100%,Some(999)\n\
+                 5,randomized slow-server sweep,{runs},{runs},100%,Some(999)\n\
+                 6,scripted proof schedule,1,0,0%,Some(2)\n\
+                 6,randomized slow-server sweep,{runs},0,0%,None\n"
+            );
+            assert_eq!(run(seeds).to_csv(), want, "run({seeds})");
+        }
     }
 }

@@ -24,7 +24,7 @@ use sbft_net::{Automaton, Ctx, ProcessId, ENV};
 use crate::cluster::{Envelope, Plain};
 use crate::config::ClusterConfig;
 use crate::messages::{ClientEvent, Msg, ValTs, Value};
-use crate::reader::{ReadDecision, ReadPhase, ReaderOptions};
+use crate::reader::{ReadDecision, ReadPhase};
 use crate::retry::RetryPolicy;
 use crate::writer::WritePhase;
 use crate::{Sys, Ts};
@@ -52,14 +52,6 @@ enum Phase<B: LabelingSystem> {
     Idle,
     Writing(WritePhase<B>),
     Reading(ReadPhase<B>),
-    /// Atomic extension: propagating a decided read value before
-    /// returning it (see [`ReaderOptions::write_back`]).
-    WritingBack {
-        value: Value,
-        ts: Ts<B>,
-        via_union: bool,
-        answered: std::collections::BTreeSet<ProcessId>,
-    },
     /// Waiting out a retry backoff before re-entering the operation.
     BackingOff(RetryOp),
 }
@@ -68,7 +60,6 @@ enum Phase<B: LabelingSystem> {
 pub struct Client<B: LabelingSystem> {
     sys: Sys<B>,
     cfg: ClusterConfig,
-    opts: ReaderOptions,
     /// This client's writer identity (stamped into write timestamps).
     pub writer_id: WriterId,
     /// Bounded read-label pool + `recent_labels` matrix.
@@ -76,16 +67,6 @@ pub struct Client<B: LabelingSystem> {
     /// `recent_vals` — per server, recently seen `(value, ts)` pairs.
     pub recent_vals: BTreeMap<ProcessId, Vec<ValTs<Ts<B>>>>,
     phase: Phase<B>,
-    /// Completed-operation counters (diagnostics).
-    pub writes_done: u64,
-    /// Write phase-1 restarts forced by in-flight transient garbage.
-    pub writes_retried: u64,
-    /// Completed reads.
-    pub reads_done: u64,
-    /// Aborted reads.
-    pub reads_aborted: u64,
-    /// Policy-driven retries (abort re-entries and deadline re-entries).
-    pub policy_retries: u64,
     policy: RetryPolicy,
     /// Attempt number of the in-flight operation (1-based; 0 when idle).
     attempt: u32,
@@ -96,8 +77,8 @@ pub struct Client<B: LabelingSystem> {
 
 impl<B: LabelingSystem> Client<B> {
     /// A clean client with the given writer identity.
-    pub fn new(sys: Sys<B>, cfg: ClusterConfig, writer_id: WriterId, opts: ReaderOptions) -> Self {
-        Self::with_retry(sys, cfg, writer_id, opts, RetryPolicy::none())
+    pub fn new(sys: Sys<B>, cfg: ClusterConfig, writer_id: WriterId) -> Self {
+        Self::with_retry(sys, cfg, writer_id, RetryPolicy::none())
     }
 
     /// A clean client with an explicit retry/timeout/backoff policy.
@@ -105,23 +86,16 @@ impl<B: LabelingSystem> Client<B> {
         sys: Sys<B>,
         cfg: ClusterConfig,
         writer_id: WriterId,
-        opts: ReaderOptions,
         policy: RetryPolicy,
     ) -> Self {
         let pool = ReadLabelPool::new(cfg.n, cfg.read_labels);
         Self {
             sys,
             cfg,
-            opts,
             writer_id,
             pool,
             recent_vals: BTreeMap::new(),
             phase: Phase::Idle,
-            writes_done: 0,
-            writes_retried: 0,
-            reads_done: 0,
-            reads_aborted: 0,
-            policy_retries: 0,
             policy,
             attempt: 0,
             epoch: 0,
@@ -171,7 +145,6 @@ impl<B: LabelingSystem> Client<B> {
         self.epoch += 1; // the failed attempt's timers are now stale
         if self.attempt < self.policy.max_attempts {
             self.attempt += 1;
-            self.policy_retries += 1;
             self.phase = Phase::BackingOff(op);
             let delay = self.policy.backoff(self.attempt, ctx.rng());
             ctx.set_timer(delay, timer_id(TIMER_KIND_BACKOFF, self.epoch));
@@ -203,7 +176,6 @@ impl<B: LabelingSystem> Client<B> {
                 ctx.broadcast(self.cfg.server_ids(), W::wrap(key, Msg::CompleteRead { label }));
                 RetryOp::Read
             }
-            Phase::WritingBack { .. } => RetryOp::Read,
         };
         self.fail_or_retry::<W>(key, op, true, ctx);
     }
@@ -253,24 +225,10 @@ impl<B: LabelingSystem> Client<B> {
         }
         match decision {
             ReadDecision::Return { value, ts, via_union } => {
-                if self.opts.write_back {
-                    // Atomic extension: propagate the decided pair before
-                    // returning (kills new/old inversions, E12).
-                    self.phase = Phase::WritingBack {
-                        value,
-                        ts: ts.clone(),
-                        via_union,
-                        answered: Default::default(),
-                    };
-                    ctx.broadcast(self.cfg.server_ids(), W::wrap(key, Msg::Write { value, ts }));
-                    return;
-                }
-                self.reads_done += 1;
                 self.op_done();
                 ctx.output(W::emit(key, ClientEvent::ReadDone { value, ts, via_union }));
             }
             ReadDecision::Abort => {
-                self.reads_aborted += 1;
                 if self.policy.max_attempts > 1 {
                     // Transitory phase: retry silently instead of surfacing
                     // the abort; the stabilization argument guarantees a
@@ -325,36 +283,14 @@ impl<B: LabelingSystem> Client<B> {
                 }
             }
             Msg::WriteAck { ts, ack } => {
-                if let Phase::WritingBack { value, ts: wts, via_union, answered } = &mut self.phase
-                {
-                    // Write-back completion: n − f answers on the exact
-                    // pair (ACK or NACK — servers adopt either way).
-                    let _ = ack;
-                    if self.cfg.is_server(from) && &ts == wts {
-                        answered.insert(from);
-                        if answered.len() >= self.cfg.quorum() {
-                            let ev = ClientEvent::ReadDone {
-                                value: *value,
-                                ts: wts.clone(),
-                                via_union: *via_union,
-                            };
-                            self.reads_done += 1;
-                            self.op_done();
-                            ctx.output(W::emit(key, ev));
-                        }
-                    }
-                    return;
-                }
                 if let Phase::Writing(w) = &mut self.phase {
                     match w.on_write_ack(&self.cfg, from, &ts, ack) {
                         crate::writer::WriteProgress::Done => {
                             let value = w.value;
-                            self.writes_done += 1;
                             self.op_done();
                             ctx.output(W::emit(key, ClientEvent::WriteDone { value, ts }));
                         }
                         crate::writer::WriteProgress::Retry => {
-                            self.writes_retried += 1;
                             ctx.broadcast(self.cfg.server_ids(), W::wrap(key, Msg::GetTs));
                         }
                         crate::writer::WriteProgress::Pending => {}
@@ -401,7 +337,7 @@ impl<B: LabelingSystem> Client<B> {
                 }
                 if let Phase::Reading(r) = &mut self.phase {
                     if r.quorum_reached(&self.cfg) {
-                        let d = r.decide(&self.sys, &self.cfg, &self.opts, &self.recent_vals);
+                        let d = r.decide(&self.sys, &self.cfg, &self.recent_vals);
                         let safe: Vec<ProcessId> = r.safe.iter().copied().collect();
                         decided = Some((d, safe, r.label));
                     }
@@ -488,12 +424,7 @@ mod tests {
 
     fn client() -> Client<B> {
         let cfg = ClusterConfig::stabilizing(1);
-        Client::new(
-            MwmrLabeling::new(BoundedLabeling::new(cfg.label_k())),
-            cfg,
-            7,
-            ReaderOptions::default(),
-        )
+        Client::new(MwmrLabeling::new(BoundedLabeling::new(cfg.label_k())), cfg, 7)
     }
 
     fn deliver(c: &mut Client<B>, from: ProcessId, msg: M) -> (Vec<(ProcessId, M)>, Vec<E>) {
@@ -537,7 +468,6 @@ mod tests {
         assert_eq!(done.len(), 1);
         assert!(matches!(done[0], ClientEvent::WriteDone { value: 5, .. }));
         assert!(!c.is_busy());
-        assert_eq!(c.writes_done, 1);
     }
 
     #[test]
@@ -573,7 +503,7 @@ mod tests {
         }
         assert_eq!(events.len(), 1);
         assert!(matches!(events[0], ClientEvent::ReadDone { value: 9, via_union: false, .. }));
-        assert_eq!(c.reads_done, 1);
+        assert!(!c.is_busy());
     }
 
     #[test]

@@ -43,7 +43,6 @@ use crate::byzclient::{ByzClient, ByzReaderStrategy};
 use crate::client::Client;
 use crate::config::{ClusterConfig, ShardRouter};
 use crate::messages::{ClientEvent, Msg, Value};
-use crate::reader::ReaderOptions;
 use crate::retry::RetryPolicy;
 use crate::server::Server;
 use crate::spec::{HistoryRecorder, OpKind, RegularityError};
@@ -377,18 +376,11 @@ pub struct ClusterBuilder<B: LabelingSystem> {
     byz: BTreeMap<usize, ByzStrategy>,
     scripted: Vec<usize>,
     hostile_clients: Vec<ByzReaderStrategy>,
-    reader_opts: ReaderOptions,
 }
 
 impl<B: LabelingSystem> From<BuilderCore<B>> for ClusterBuilder<B> {
     fn from(core: BuilderCore<B>) -> Self {
-        Self {
-            core,
-            byz: BTreeMap::new(),
-            scripted: Vec::new(),
-            hostile_clients: Vec::new(),
-            reader_opts: ReaderOptions::default(),
-        }
+        Self { core, byz: BTreeMap::new(), scripted: Vec::new(), hostile_clients: Vec::new() }
     }
 }
 
@@ -430,12 +422,6 @@ impl<B: LabelingSystem> ClusterBuilder<B> {
         self
     }
 
-    /// Reader protocol variants (TM_1R forced return, atomic write-back).
-    pub fn reader_options(mut self, opts: ReaderOptions) -> Self {
-        self.reader_opts = opts;
-        self
-    }
-
     /// The automata in pid order: servers, correct clients, hostile clients.
     fn procs(&self, disks: Option<&DiskSet>) -> Vec<Proc<Plain<B>>> {
         let (sys, cfg) = (self.core.sys(), self.core.cfg);
@@ -460,7 +446,6 @@ impl<B: LabelingSystem> ClusterBuilder<B> {
                 sys.clone(),
                 cfg,
                 cfg.client_pid(c) as u32,
-                self.reader_opts,
                 self.core.retry,
             )));
         }

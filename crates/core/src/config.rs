@@ -82,8 +82,9 @@ impl ClusterConfig {
     }
 
     /// `k` for the bounded labeling system: the writer computes `next()`
-    /// over up to `n − f` received labels, so any `k ≥ n` is safe; we use
-    /// `n + 1` to also absorb the writer's own cached label.
+    /// over exactly the `n − f` labels its GET_TS quorum returned (it
+    /// caches no label of its own), so any `k ≥ n − f` suffices; the value
+    /// is `n + 1`, a margin of `f + 1` above that.
     pub fn label_k(&self) -> usize {
         (self.n + 1).max(2)
     }

@@ -23,8 +23,6 @@
 //!   components of the Theorem 1 lower-bound execution.
 //! * [`byzclient`] — Byzantine *reader* strategies (the paper's §VI claim
 //!   that one-phase reads make hostile readers harmless).
-//! * [`swmr`] — the typed single-writer facade of the §IV-B protocol
-//!   (unique writer capability enforced at the type level).
 //! * [`spec`] — execution recording and the MWMR-regularity checker.
 //! * [`cluster`] — the one cluster driver: one-call assembly on either
 //!   substrate plus blocking-style operation helpers, generic over how an
@@ -59,7 +57,6 @@ pub mod retry;
 pub mod server;
 pub mod soak;
 pub mod spec;
-pub mod swmr;
 pub mod writer;
 
 pub use cluster::{OpOutcome, RegisterCluster};

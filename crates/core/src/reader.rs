@@ -29,32 +29,12 @@ use crate::config::ClusterConfig;
 use crate::messages::{ValTs, Value};
 use crate::{Sys, Ts};
 
-/// The reader's protocol variants; the default is the paper's read.
+// Unused: kept only because the frozen `benchmark/src/assemble.rs` passes
+// it to `KvClient::with_retry`; it goes with the `[benchmark]` unfreeze
+// (ROADMAP item 3).
+#[doc(hidden)]
 #[derive(Clone, Copy, Debug, Default)]
-pub struct ReaderOptions {
-    /// Model the paper's TM_1R protocol class (Theorem 1): a one-phase
-    /// read that must **return** — when no node reaches `2f + 1`
-    /// witnesses it falls back to a majority-of-correct decision (`f + 1`
-    /// witnesses, then any dominant node) instead of aborting. Used only
-    /// by the lower-bound experiment E1.
-    pub forced_return: bool,
-    /// **Atomic-register extension** (not in the paper): before returning,
-    /// a read writes its decided `(value, ts)` back to the servers and
-    /// waits for an `n − f` quorum of acknowledgements. This propagates
-    /// the returned pair to ≥ `3f + 1` correct servers, preventing the
-    /// new/old inversion that regular registers permit between reads
-    /// concurrent with a write (experiment E12). The price: reads become
-    /// two-phase and *mutate* server state — surrendering the paper's §VI
-    /// guarantee that Byzantine readers are harmless.
-    pub write_back: bool,
-}
-
-impl ReaderOptions {
-    /// The atomic-register configuration: regular reads + write-back.
-    pub fn atomic() -> Self {
-        Self { write_back: true, ..Self::default() }
-    }
-}
+pub struct ReaderOptions {}
 
 /// What a finished read decided.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -137,25 +117,27 @@ impl<B: LabelingSystem> ReadPhase<B> {
         self.replies.len() >= cfg.quorum()
     }
 
+    /// The local WTsG's return value at `threshold` witnesses (Figure 2a
+    /// line 09 at `2f + 1`), if any node reaches it.
+    pub fn decide_local(&self, sys: &Sys<B>, threshold: usize) -> Option<ReadDecision<B>> {
+        let node = select_return_value(sys, &self.graph, threshold)?;
+        Some(ReadDecision::Return { value: node.value, ts: node.ts.clone(), via_union: false })
+    }
+
     /// The decision of Figure 2a lines 09–19: local WTsG, then the union
     /// WTsG over `recent_vals`, else abort.
     pub fn decide(
         &self,
         sys: &Sys<B>,
         cfg: &ClusterConfig,
-        opts: &ReaderOptions,
         recent_vals: &BTreeMap<ProcessId, Vec<ValTs<Ts<B>>>>,
     ) -> ReadDecision<B> {
         let threshold = cfg.witness_threshold();
         // The local graph is already up to date: `on_reply` maintained it
         // delta-by-delta, so the common case (a clean quorum) decides with
         // no graph construction at all.
-        if let Some(node) = select_return_value(sys, &self.graph, threshold) {
-            return ReadDecision::Return {
-                value: node.value,
-                ts: node.ts.clone(),
-                via_union: false,
-            };
+        if let Some(local) = self.decide_local(sys, threshold) {
+            return local;
         }
 
         let current = self.replies.iter().map(|(&s, (v, t))| Witness::new(s, *v, t.clone()));
@@ -174,20 +156,6 @@ impl<B: LabelingSystem> ReadPhase<B> {
                 ts: node.ts.clone(),
                 via_union: true,
             };
-        }
-        if opts.forced_return {
-            // TM_1R semantics: the read must return. Fall back to the
-            // majority-of-correct bar (f + 1 witnesses pins one correct
-            // server), then to any dominant node at all.
-            for thr in [cfg.f + 1, 1] {
-                if let Some(node) = select_return_value(sys, &self.graph, thr) {
-                    return ReadDecision::Return {
-                        value: node.value,
-                        ts: node.ts.clone(),
-                        via_union: false,
-                    };
-                }
-            }
         }
         ReadDecision::Abort
     }
@@ -252,7 +220,7 @@ mod tests {
             r.on_reply(&sys, &cfg, s, 42, t.clone(), 0);
         }
         assert!(r.quorum_reached(&cfg));
-        let d = r.decide(&sys, &cfg, &ReaderOptions::default(), &BTreeMap::new());
+        let d = r.decide(&sys, &cfg, &BTreeMap::new());
         assert_eq!(d, ReadDecision::Return { value: 42, ts: t, via_union: false });
     }
 
@@ -269,7 +237,7 @@ mod tests {
         }
         // One Byzantine server echoes the honest ts with a forged value.
         r.on_reply(&sys, &cfg, 4, 666, t.clone(), 0);
-        let d = r.decide(&sys, &cfg, &ReaderOptions::default(), &BTreeMap::new());
+        let d = r.decide(&sys, &cfg, &BTreeMap::new());
         assert_eq!(d, ReadDecision::Return { value: 42, ts: t, via_union: false });
     }
 
@@ -295,7 +263,7 @@ mod tests {
         let mut recent = BTreeMap::new();
         recent.insert(0, vec![(1, t1.clone())]);
         recent.insert(1, vec![(1, t1.clone())]);
-        let d = r.decide(&sys, &cfg, &ReaderOptions::default(), &recent);
+        let d = r.decide(&sys, &cfg, &recent);
         assert_eq!(d, ReadDecision::Return { value: 1, ts: t1, via_union: true });
     }
 
@@ -309,7 +277,7 @@ mod tests {
             // Five servers, five different corrupted pairs.
             r.on_reply(&sys, &cfg, s, 100 + s as u64, sys.arbitrary(&mut rng), 0);
         }
-        let d = r.decide(&sys, &cfg, &ReaderOptions::default(), &BTreeMap::new());
+        let d = r.decide(&sys, &cfg, &BTreeMap::new());
         assert_eq!(d, ReadDecision::Abort);
     }
 
@@ -330,7 +298,7 @@ mod tests {
         for s in 3..6 {
             r.on_reply(&sys, &cfg, s, 2, t2.clone(), 0);
         }
-        let d = r.decide(&sys, &cfg, &ReaderOptions::default(), &BTreeMap::new());
+        let d = r.decide(&sys, &cfg, &BTreeMap::new());
         assert_eq!(d, ReadDecision::Return { value: 2, ts: t2, via_union: false });
     }
 }

@@ -12,7 +12,6 @@ use sbft_core::adversary::random_message;
 use sbft_core::client::Client;
 use sbft_core::config::ClusterConfig;
 use sbft_core::messages::{ClientEvent, Msg};
-use sbft_core::reader::ReaderOptions;
 use sbft_core::server::Server;
 use sbft_core::{Sys, Ts};
 use sbft_labels::{BoundedLabeling, MwmrLabeling};
@@ -89,7 +88,7 @@ proptest! {
     #[test]
     fn client_survives_arbitrary_input(script in steps()) {
         let (sys, cfg) = sys_cfg();
-        let mut client = Client::<B>::new(sys.clone(), cfg, 42, ReaderOptions::default());
+        let mut client = Client::<B>::new(sys.clone(), cfg, 42);
         let mut rng = StdRng::seed_from_u64(1);
         let mut invocations = 0u64;
         let mut terminals = 0u64;
@@ -118,23 +117,5 @@ proptest! {
         }
         prop_assert!(terminals <= invocations,
             "at most one terminal event per accepted invocation");
-    }
-
-    /// The write-back (atomic) client variant under the same fuzz.
-    #[test]
-    fn atomic_client_survives_arbitrary_input(script in steps()) {
-        let (sys, cfg) = sys_cfg();
-        let mut client = Client::<B>::new(sys.clone(), cfg, 42, ReaderOptions::atomic());
-        let mut rng = StdRng::seed_from_u64(2);
-        for (sender, seed, corrupt) in script {
-            if corrupt {
-                client.corrupt(&mut rng);
-            }
-            let from = if sender % 7 == 0 { ENV } else { sender as usize % (cfg.n + 2) };
-            let msg = pick_msg(&sys, &cfg, seed);
-            let mut ctx: Ctx<'_, Msg<Ts<B>>, ClientEvent<Ts<B>>> =
-                Ctx::detached(cfg.client_pid(0), 0, &mut rng);
-            client.on_message(from, msg, &mut ctx);
-        }
     }
 }

@@ -22,11 +22,14 @@
 //! consumes no randomness, so the schedule alone (not the RNG stream)
 //! determines the execution — exactly what key-sequence replay requires.
 
+use rand::rngs::StdRng;
 use sbft_core::adversary::ByzStrategy;
+use sbft_core::client::Client;
 use sbft_core::cluster::{Op, RegisterCluster, SimSubstrate};
-use sbft_core::reader::ReaderOptions;
+use sbft_core::reader::{ReadDecision, ReadPhase};
+use sbft_core::{ClientEvent, ClusterConfig, Msg, Sys, Ts};
 use sbft_labels::{BoundedLabeling, LabelingSystem};
-use sbft_net::{DelayModel, EventKey};
+use sbft_net::{Automaton, Ctx, DelayModel, EventKey, ProcessId};
 
 use crate::{Scenario, ScenarioRun, StepResult};
 
@@ -128,6 +131,81 @@ impl Scenario for RegisterScenario {
     }
 }
 
+/// A reader of the paper's TM_1R protocol class (Theorem 1): a one-phase
+/// read that must **return**. It hosts a plain [`Client`] and, where that
+/// client aborts (no node reached `2f + 1` witnesses, locally or in the
+/// union graph), returns instead from the same read's accepted replies:
+/// the dominant node with `f + 1` witnesses (the majority-of-correct bar),
+/// else any dominant node at all. Theorem 1 says no such reader implements
+/// a regular register at `n ≤ 5f`; E1 and the `theorem1-n*` scenarios
+/// seat it to show where.
+pub struct Tm1rReader<B: LabelingSystem> {
+    inner: Client<B>,
+    sys: Sys<B>,
+    cfg: ClusterConfig,
+    /// A shadow of the inner client's current read: the servers it sent
+    /// READ and the replies it then accepted, so the fallback sees exactly
+    /// what that read saw.
+    read: Option<ReadPhase<B>>,
+}
+
+impl<B: LabelingSystem> Tm1rReader<B> {
+    /// A clean TM_1R reader with the given writer identity.
+    pub fn new(sys: Sys<B>, cfg: ClusterConfig, writer_id: u32) -> Self {
+        Self { inner: Client::new(sys.clone(), cfg, writer_id), sys, cfg, read: None }
+    }
+
+    /// Whether an operation is in flight.
+    pub fn is_busy(&self) -> bool {
+        self.inner.is_busy()
+    }
+}
+
+impl<B: LabelingSystem> Automaton<Msg<Ts<B>>, ClientEvent<Ts<B>>> for Tm1rReader<B> {
+    fn on_message(
+        &mut self,
+        from: ProcessId,
+        msg: Msg<Ts<B>>,
+        ctx: &mut Ctx<'_, Msg<Ts<B>>, ClientEvent<Ts<B>>>,
+    ) {
+        if let (Some(read), Msg::Reply { value, ts, label, .. }) = (&mut self.read, &msg) {
+            let label = self.inner.pool.sanitize(*label);
+            read.on_reply(&self.sys, &self.cfg, from, *value, ts.clone(), label);
+        }
+        let (sent, emitted) = (ctx.sent().len(), ctx.emitted().len());
+        self.inner.on_message(from, msg, ctx);
+        // The inner client has no retry policy, so it arms no timer and a
+        // read starts only here, under a label other than the last read's
+        // (Figure 3a line 01). A server joins the read's safe set when it
+        // is sent READ.
+        for (to, m) in &ctx.sent()[sent..] {
+            let (Msg::Flush { label } | Msg::Read { label }) = m else { continue };
+            let read = match &mut self.read {
+                Some(read) if read.label == *label => read,
+                slot => slot.insert(ReadPhase::new(*label)),
+            };
+            if matches!(m, Msg::Read { .. }) {
+                read.on_flush_ack(&self.cfg, *to, *label);
+            }
+        }
+        let Some(read) = &self.read else { return };
+        for out in &mut ctx.emitted_mut()[emitted..] {
+            if matches!(out, ClientEvent::ReadAborted) {
+                let mut thresholds = [self.cfg.f + 1, 1].into_iter();
+                let forced = thresholds.find_map(|t| read.decide_local(&self.sys, t));
+                if let Some(ReadDecision::Return { value, ts, via_union }) = forced {
+                    *out = ClientEvent::ReadDone { value, ts, via_union };
+                }
+            }
+        }
+    }
+
+    fn corrupt(&mut self, rng: &mut StdRng) {
+        self.inner.corrupt(rng);
+        self.read = None;
+    }
+}
+
 /// A running register scenario: a sim-backed cluster whose recorder grows
 /// as the explorer completes operations.
 pub struct RegisterRun {
@@ -200,7 +278,6 @@ fn theorem1(n: usize, seed: u64) -> RegisterRun {
     let mut c = RegisterCluster::bounded_with_n(n, 1)
         .scripted(byz_idx)
         .clients(2)
-        .reader_options(ReaderOptions { forced_return: true, ..Default::default() })
         .seed(seed)
         .delay(DelayModel::unit())
         .build();
@@ -209,6 +286,7 @@ fn theorem1(n: usize, seed: u64) -> RegisterRun {
 
     let w = c.client(0);
     let r = c.client(1);
+    c.sim.restart(r, Box::new(Tm1rReader::new(c.sys.clone(), c.cfg, r as u32)));
 
     // The to-be-corrupted server sleeps through both writes, keeping its
     // pre-write state (the proof's s4).

@@ -34,7 +34,6 @@ use crate::slab::KeySlab;
 pub struct KvClient<B: LabelingSystem> {
     sys: Sys<B>,
     cfg: ClusterConfig,
-    opts: ReaderOptions,
     writer_id: WriterId,
     policy: RetryPolicy,
     /// Per-key register-client state, created by the key's first operation
@@ -56,22 +55,22 @@ pub struct KvClient<B: LabelingSystem> {
 
 impl<B: LabelingSystem> KvClient<B> {
     /// A clean client.
-    pub fn new(sys: Sys<B>, cfg: ClusterConfig, writer_id: WriterId, opts: ReaderOptions) -> Self {
-        Self::with_retry(sys, cfg, writer_id, opts, RetryPolicy::none())
+    pub fn new(sys: Sys<B>, cfg: ClusterConfig, writer_id: WriterId) -> Self {
+        Self::with_retry(sys, cfg, writer_id, ReaderOptions::default(), RetryPolicy::none())
     }
 
     /// A clean client whose per-key register clients all follow `policy`.
+    /// The [`ReaderOptions`] argument is field-less and ignored.
     pub fn with_retry(
         sys: Sys<B>,
         cfg: ClusterConfig,
         writer_id: WriterId,
-        opts: ReaderOptions,
+        _: ReaderOptions,
         policy: RetryPolicy,
     ) -> Self {
         Self {
             sys,
             cfg,
-            opts,
             writer_id,
             policy,
             per_key: KeySlab::new(),
@@ -128,8 +127,8 @@ impl<B: LabelingSystem> Automaton<KvMsg<Ts<B>>, KvEvent<Ts<B>>> for KvClient<B> 
                 return; // key busy, or the pipeline is full
             }
             self.active.insert(key);
-            let (cfg, wid, opts, policy) = (self.cfg, self.writer_id, self.opts, self.policy);
-            let fresh = || Client::with_retry(self.sys.clone(), cfg, wid, opts, policy);
+            let (cfg, wid, policy) = (self.cfg, self.writer_id, self.policy);
+            let fresh = || Client::with_retry(self.sys.clone(), cfg, wid, policy);
             self.per_key.get_or_insert_with(key, fresh)
         } else {
             // A reply for a key with no operation in flight still reaches
@@ -178,12 +177,7 @@ mod tests {
 
     fn client() -> KvClient<B> {
         let cfg = ClusterConfig::stabilizing(1);
-        KvClient::new(
-            MwmrLabeling::new(BoundedLabeling::new(cfg.label_k())),
-            cfg,
-            7,
-            ReaderOptions::default(),
-        )
+        KvClient::new(MwmrLabeling::new(BoundedLabeling::new(cfg.label_k())), cfg, 7)
     }
 
     fn deliver(

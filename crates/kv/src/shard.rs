@@ -176,7 +176,6 @@ mod tests {
     use rand::SeedableRng;
     use sbft_core::config::ClusterConfig;
     use sbft_core::messages::Msg;
-    use sbft_core::reader::ReaderOptions;
     use sbft_labels::{BoundedLabeling, MwmrLabeling};
 
     type B = BoundedLabeling;
@@ -188,7 +187,7 @@ mod tests {
     fn sharded_client(shards: usize) -> ShardedClient<B> {
         let cfg = ClusterConfig::stabilizing(1);
         let sys = MwmrLabeling::new(BoundedLabeling::new(cfg.label_k()));
-        let inner = KvClient::new(sys, cfg, 7, ReaderOptions::default());
+        let inner = KvClient::new(sys, cfg, 7);
         ShardedClient::new(inner, router(shards))
     }
 

@@ -7,7 +7,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sbft_core::config::ClusterConfig;
 use sbft_core::messages::Msg;
-use sbft_core::reader::ReaderOptions;
 use sbft_core::{Sys, Ts};
 use sbft_kv::client::KvClient;
 use sbft_kv::messages::{Key, KvEvent, KvMsg};
@@ -51,7 +50,7 @@ fn node(keys: impl Iterator<Item = Key>) -> KvServer<B> {
 /// A client that started one read per key, in the order given.
 fn client(keys: impl Iterator<Item = Key>) -> KvClient<B> {
     let (sys, cfg) = sys_cfg();
-    let mut client = KvClient::new(sys, cfg, 7, ReaderOptions::default()).with_pipeline(KEYS.len());
+    let mut client = KvClient::new(sys, cfg, 7).with_pipeline(KEYS.len());
     for key in keys {
         deliver(&mut client, cfg.n, ENV, KvMsg::new(key, Msg::InvokeRead));
     }

@@ -29,8 +29,8 @@
 //!
 //! A label occupies `O(k log k)` bits (`k+1` values of `log₂ K` bits each),
 //! matching the paper's "bounded logical timestamps" claim. For a register
-//! over `n` servers the protocol instantiates `k ≥ n + 1` so that a quorum
-//! of server labels plus the writer's own label always fits in one `next()`.
+//! over `n` servers the protocol instantiates `k = n + 1`, so the `n − f`
+//! labels of a write's GET_TS quorum always fit in one `next()`.
 
 use std::sync::Arc;
 

@@ -9,8 +9,9 @@
 //! host's context.** The host marks how much is queued, lets the hosted
 //! automaton write its effects straight into the [`Ctx`] it was given, and
 //! afterwards re-addresses in place what was added since the mark
-//! ([`Ctx::sent_mut`], [`Ctx::armed_mut`]; [`Ctx::me`] is a plain field the
-//! host may set for the call). No second context, no copy of the effects.
+//! ([`Ctx::sent_mut`], [`Ctx::armed_mut`], [`Ctx::emitted_mut`]; [`Ctx::me`]
+//! is a plain field the host may set for the call). No second context, no
+//! copy of the effects.
 
 use rand::rngs::StdRng;
 
@@ -61,6 +62,12 @@ impl<'a, M, O> Ctx<'a, M, O> {
     /// Outputs emitted so far.
     pub fn emitted(&self) -> &[O] {
         &self.outputs
+    }
+
+    /// The emitted outputs, which a host automaton may rewrite or hold
+    /// back (remove) past its mark.
+    pub fn emitted_mut(&mut self) -> &mut Vec<O> {
+        &mut self.outputs
     }
 
     /// Timers armed so far, as `(delay, id)`, re-numberable in place by a

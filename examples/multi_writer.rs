@@ -14,7 +14,6 @@ use sbft::net::DelayModel;
 use sbft::register::cluster::{ClusterBuilder, Op, RegisterCluster};
 use sbft::register::config::ClusterConfig;
 use sbft::register::messages::ClientEvent;
-use sbft::register::reader::ReaderOptions;
 
 fn main() {
     const WRITERS: usize = 3;
@@ -26,7 +25,6 @@ fn main() {
             .clients(WRITERS + 1)
             .seed(77)
             .delay(DelayModel::uniform(1, 40)) // wide asynchrony
-            .reader_options(ReaderOptions::default())
             .build();
     let reader = cluster.client(WRITERS);
 

@@ -24,7 +24,7 @@
 #         by the specification (regularity checker, stable windows, a
 #         lemma's bound, termination) — every integration test binary, the
 #         experiment modules of sbft-bench, sbft-explorer, sbft-baseline,
-#         and the cluster / soak / swmr tests of sbft-core and sbft-kv;
+#         and the cluster / soak tests of sbft-core and sbft-kv;
 #   unit  everything else: one automaton or data structure driven by hand.
 #
 # Output: one markdown row per mutant (kills per class with the first
@@ -81,7 +81,7 @@ class_of() {
   local name=$1 leaf=${1##*::}
   if [[ $leaf == *pinned* || $leaf == golden* ]]; then
     echo pin
-  elif [[ $name =~ ^(tests/|crates/[a-z]+/tests/|sbft_bench::(e[0-9]+_[a-z0-9_]+|ablations)::|sbft_explorer::|sbft_baseline::|sbft_(core|kv)::(cluster|soak|swmr)::) ]]; then
+  elif [[ $name =~ ^(tests/|crates/[a-z]+/tests/|sbft_bench::(e[0-9]+_[a-z0-9_]+|ablations)::|sbft_explorer::|sbft_baseline::|sbft_(core|kv)::(cluster|soak)::) ]]; then
     echo spec
   else
     echo unit

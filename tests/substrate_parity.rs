@@ -20,7 +20,6 @@ use sbft::register::client::Client;
 use sbft::register::cluster::{Op, RegisterCluster};
 use sbft::register::config::ClusterConfig;
 use sbft::register::messages::{ClientEvent, Msg};
-use sbft::register::reader::ReaderOptions;
 use sbft::register::server::Server;
 use sbft::register::{RetryPolicy, Soak, Ts};
 
@@ -37,12 +36,7 @@ fn spawn_threaded(f: usize, clients: usize, seed: u64) -> (ClusterConfig, Thread
     }
     for i in 0..clients {
         let pid = cfg.client_pid(i);
-        procs.push(Box::new(Client::<B>::new(
-            sys.clone(),
-            cfg,
-            pid as u32,
-            ReaderOptions::default(),
-        )));
+        procs.push(Box::new(Client::<B>::new(sys.clone(), cfg, pid as u32)));
     }
     (cfg, ThreadedCluster::spawn_with(procs, &SubstrateConfig::seeded(seed)))
 }
