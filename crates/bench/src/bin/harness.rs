@@ -131,7 +131,6 @@ fn main() {
     }
     if want("e10") {
         emit(e10_datalink::run(seeds, if quick { 20 } else { 50 }));
-        emit(e10_datalink::run_substrate(seeds.min(3), if quick { 8 } else { 16 }));
     }
     if want("e11") {
         emit(e11_byzantine_readers::run(seeds.min(5), ops.min(6)));

@@ -3,9 +3,7 @@
 //! content to exact FIFO delivery, with a dirty prefix bounded by the
 //! channel capacity. Sweeps the capacity bound `c`.
 
-use sbft_datalink::automata::run_on_substrate;
 use sbft_datalink::DatalinkSim;
-use sbft_net::Backend;
 
 use crate::table::{f1, pct, Table};
 
@@ -52,74 +50,6 @@ pub fn run_cell(capacity: usize, seeds: u64, payloads: usize) -> E10Cell {
     }
 }
 
-/// One substrate-hosted measurement: the data-link endpoints as timer
-/// driven automata behind a lossy relay, on the chosen backend.
-#[derive(Clone, Debug)]
-pub struct E10SubstrateCell {
-    /// Backend the automata ran on.
-    pub backend: Backend,
-    /// Channel capacity bound.
-    pub capacity: usize,
-    /// Per-message drop probability at the relay.
-    pub loss: f64,
-    /// Runs delivering the exact stream FIFO.
-    pub exact: usize,
-    /// Seeds run.
-    pub seeds: usize,
-    /// Mean messages sent per payload delivered (retransmission cost).
-    pub msgs_per_payload: f64,
-}
-
-/// Run the substrate-hosted data-link cell (timer-driven retransmission
-/// over a lossy relay) for `seeds` seeds.
-pub fn run_substrate_cell(
-    backend: Backend,
-    capacity: usize,
-    loss: f64,
-    seeds: u64,
-    payloads: usize,
-) -> E10SubstrateCell {
-    let stream: Vec<u64> = (1..=payloads as u64).map(|i| 20_000 + i).collect();
-    let mut exact = 0;
-    let mut msgs = 0.0;
-    for seed in 0..seeds {
-        let rep = run_on_substrate(backend, capacity, loss, seed, &stream, false, 1_000_000);
-        if rep.matches(&stream) {
-            exact += 1;
-        }
-        msgs += rep.metrics.messages_sent as f64 / payloads as f64;
-    }
-    E10SubstrateCell {
-        backend,
-        capacity,
-        loss,
-        exact,
-        seeds: seeds as usize,
-        msgs_per_payload: msgs / seeds as f64,
-    }
-}
-
-/// The substrate comparison table: same protocol, both runtimes.
-pub fn run_substrate(seeds: u64, payloads: usize) -> Table {
-    let mut t = Table::new(
-        "E10b: data-link on the Substrate runtimes (lossy relay, timer retransmission)",
-        &["backend", "capacity", "loss", "exact FIFO", "msgs/payload"],
-    );
-    for backend in [Backend::Sim, Backend::Threaded] {
-        for (c, loss) in [(1usize, 0.0), (2, 0.2), (4, 0.4)] {
-            let cell = run_substrate_cell(backend, c, loss, seeds, payloads);
-            t.row(vec![
-                format!("{backend:?}"),
-                cell.capacity.to_string(),
-                format!("{loss:.1}"),
-                pct(cell.exact, cell.seeds),
-                f1(cell.msgs_per_payload),
-            ]);
-        }
-    }
-    t
-}
-
 /// The E10 table.
 pub fn run(seeds: u64, payloads: usize) -> Table {
     let mut t = Table::new(
@@ -159,12 +89,27 @@ mod tests {
         assert!(cell.mean_lost <= (2 * 3 + 2) as f64, "{cell:?}");
     }
 
+    /// Pin: the `harness e10 --quick` and `harness e10` tables. The
+    /// simulator is deterministic, so any drift here is a behaviour change
+    /// of the data-link protocol or of the lossy channel.
     #[test]
-    fn substrate_cell_exact_on_both_backends() {
-        for backend in [Backend::Sim, Backend::Threaded] {
-            let cell = run_substrate_cell(backend, 2, 0.2, 2, 8);
-            assert_eq!(cell.exact, cell.seeds, "{cell:?}");
-            assert!(cell.msgs_per_payload > 0.0, "{cell:?}");
-        }
+    fn tables_are_pinned() {
+        let head = "capacity,seeds,converged,mean spurious,mean lost,mean steps\n";
+        let quick = format!(
+            "{head}\
+             1,3,100%,0.0,0.0,146.0\n\
+             2,3,100%,0.3,0.3,207.3\n\
+             4,3,100%,0.3,0.3,359.3\n\
+             8,3,100%,0.3,0.3,663.0\n"
+        );
+        assert_eq!(run(3, 20).to_csv(), quick, "run(3, 20)");
+        let full = format!(
+            "{head}\
+             1,10,100%,0.0,0.0,395.6\n\
+             2,10,100%,0.4,0.1,556.1\n\
+             4,10,100%,0.2,0.5,923.5\n\
+             8,10,100%,0.3,0.2,1666.7\n"
+        );
+        assert_eq!(run(10, 50).to_csv(), full, "run(10, 50)");
     }
 }

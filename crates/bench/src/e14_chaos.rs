@@ -80,17 +80,12 @@ fn run_seed(backend: Backend, seed: u64, strat: ByzStrategy) -> SoakReport {
         .backend(backend)
         .retry(RetryPolicy::chaos())
         .build_any();
-    let total_procs = c.cfg.n + 2;
-    let opts = NemesisOpts {
-        servers: c.cfg.n,
-        total_procs,
-        byz_seats: vec![byz_seat],
-        ..NemesisOpts::default()
-    };
+    let opts =
+        NemesisOpts { servers: c.cfg.n, byz_seats: vec![byz_seat], ..NemesisOpts::default() };
     let schedule = NemesisSchedule::random(seed, &opts);
     let runner = c
         .nemesis_runner(schedule, vec![byz_seat], strat)
-        .cure_mode(CureMode::Amnesiac { total_procs, severity: CorruptionSeverity::Light });
+        .cure_mode(CureMode::Amnesiac(CorruptionSeverity::Light));
     let report = Soak::new(&mut c, (), runner).run();
     c.stop();
     report

@@ -95,7 +95,6 @@ fn run_seed(spec: &E17Spec, seed: u64, strat: ByzStrategy) -> SoakReport {
         .backend(spec.backend)
         .retry(RetryPolicy::chaos())
         .build_any();
-    let total_procs = spec.n + 2;
     let mopts = MobileOpts::new(spec.n, spec.f)
         .round_len(spec.round_len)
         .move_prob(spec.move_prob)
@@ -104,7 +103,7 @@ fn run_seed(spec: &E17Spec, seed: u64, strat: ByzStrategy) -> SoakReport {
     let schedule = mobile_schedule(seed, &mopts);
     let runner = c
         .nemesis_runner(schedule, seats, strat)
-        .cure_mode(CureMode::Amnesiac { total_procs, severity: CorruptionSeverity::Heavy });
+        .cure_mode(CureMode::Amnesiac(CorruptionSeverity::Heavy));
     let report = Soak::new(&mut c, (), runner).run();
     c.stop();
     report

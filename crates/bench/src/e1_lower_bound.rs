@@ -19,9 +19,8 @@
 //!    server chosen per seed — violation frequency at `n = 5f` vs zero at
 //!    `n = 5f + 1`.
 
-use sbft_core::cluster::RegisterCluster;
-use sbft_explorer::scenario::Tm1rReader;
-use sbft_labels::LabelingSystem;
+use sbft_explorer::scenario::theorem1_adversary;
+use sbft_net::DelayModel;
 
 use crate::table::{pct, Table};
 
@@ -40,42 +39,11 @@ pub struct E1Run {
 /// `slow_idx` during the victim read. `slow_idx` must be a correct,
 /// uncorrupted server (index `< n - 2`).
 pub fn scripted_run(n: usize, slow_idx: usize, seed: u64) -> E1Run {
-    let f = 1;
-    let byz_idx = n - 1; // the scripted Byzantine s5
-    let corrupt_idx = n - 2; // the transiently corrupted correct server s4
-    assert!(slow_idx < corrupt_idx);
-
-    let mut c =
-        RegisterCluster::bounded_with_n(n, f).scripted(byz_idx).clients(2).seed(seed).build();
-    let genesis = c.sys.genesis();
-    c.scripted_server(byz_idx).expect("scripted").ts_reply = Some(genesis.clone());
-
-    let w = c.client(0);
+    // Server n - 1 is the scripted Byzantine s5, n - 2 the transiently
+    // corrupted correct server s4.
+    assert!(slow_idx < n - 2);
+    let mut c = theorem1_adversary(n, seed, DelayModel::default());
     let r = c.client(1);
-    c.sim.restart(r, Box::new(Tm1rReader::new(c.sys.clone(), c.cfg, r as u32)));
-
-    // The corrupted server is slow through both writes (it keeps its
-    // pre-write timestamp, like s4 in the proof).
-    c.sim.pause_process_channels(corrupt_idx);
-    c.write(w, 1).expect("w0 terminates: quorum without the slow server");
-    let ts1 = c.write(w, 2).expect("w1 terminates");
-
-    // Release the held traffic and let it drain *before* planting the
-    // corruption (the adversary corrupts the server at this point of the
-    // execution, after whatever it happened to receive).
-    c.sim.resume_process_channels(corrupt_idx);
-    c.settle(100_000);
-
-    // Adversarial foresight: the transient corruption plants a timestamp
-    // dominating ts1 (the proof's `ts2 > ts1`), with a garbage value.
-    let ts2 = c.sys.next_for(u32::MAX, std::slice::from_ref(&ts1));
-    {
-        let srv = c.server_state(corrupt_idx).expect("honest server");
-        srv.value = 999;
-        srv.ts = ts2.clone();
-        srv.old_vals.clear();
-    }
-    c.scripted_server(byz_idx).expect("scripted").read_reply = Some((999, ts2));
 
     // The victim read: the corrupted server answers again, a correct
     // up-to-date server is slow instead.

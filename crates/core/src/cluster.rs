@@ -770,8 +770,7 @@ where
             Box::new(move |_pid| W::byzantine_server(&sys, cfg, strat));
         let sys = self.sys.clone();
         let garbage = Box::new(move |rng: &mut StdRng| W::garbage(&sys, &cfg, rng));
-        let runner =
-            NemesisRunner::new_multi(schedule, make_honest, Some(make_byz), byz_seats, garbage);
+        let runner = NemesisRunner::new(schedule, make_honest, make_byz, byz_seats, garbage);
         match &self.disks {
             Some(disks) => {
                 let (disks, sys) = (disks.clone(), self.sys.clone());

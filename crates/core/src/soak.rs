@@ -371,7 +371,7 @@ mod tests {
             NemesisSchedule::scripted(vec![(1_000_000, NemesisEvent::MoveByz { from: 5, to: 2 })]);
         let runner = c
             .nemesis_runner(schedule, vec![5], ByzStrategy::Equivocate)
-            .cure_mode(CureMode::Amnesiac { total_procs: 8, severity: CorruptionSeverity::Heavy });
+            .cure_mode(CureMode::Amnesiac(CorruptionSeverity::Heavy));
         let mut soak = Soak::new(&mut c, (), runner);
         let (wout, rout) = soak.round();
         assert!(wout.is_ok() && rout.is_ok());

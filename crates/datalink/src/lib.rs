@@ -45,14 +45,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod automata;
 pub mod lossy;
 pub mod protocol;
 pub mod sim;
 
-pub use automata::{
-    run_on_substrate, DlEvent, DlMsg, DlRunReport, LossyRelay, ReceiverAuto, SenderAuto,
-};
 pub use lossy::LossyChannel;
 pub use protocol::{DlReceiver, DlSender, Label};
 pub use sim::{ConvergenceReport, DatalinkSim};

@@ -265,21 +265,27 @@ fn concurrent_write_read(seed: u64) -> RegisterRun {
     RegisterRun { cluster: c }
 }
 
-/// The E1 adversary with the victim read left in flight: scripted
-/// Byzantine at `n-1`, server `n-2` slow through two writes then
-/// transiently corrupted to hold value 999 under a timestamp dominating
-/// both, and the Byzantine server scripted to echo the same pair. The E1
-/// script then hand-pauses one up-to-date server during the read; here the
-/// explorer instead searches the delivery orders for one where the read
-/// quorum assembles around the corrupted pair.
-fn theorem1(n: usize, seed: u64) -> RegisterRun {
+/// The Theorem 1 adversary at `n` servers, `f = 1`, up to the victim
+/// read: a scripted Byzantine server at `n - 1`, a [`Tm1rReader`] seated
+/// at client 1, server `n - 2` slow through two writes by client 0 and
+/// then transiently corrupted to hold value 999 under a timestamp `ts2`
+/// dominating both (adversarial foresight over the deterministic
+/// execution), and the Byzantine server scripted to corroborate
+/// `(999, ts2)`. E1 then hand-pauses one up-to-date server during the
+/// read; the `theorem1-n*` scenarios instead search the delivery orders
+/// for one where the read quorum assembles around the corrupted pair.
+pub fn theorem1_adversary(
+    n: usize,
+    seed: u64,
+    delay: DelayModel,
+) -> RegisterCluster<B, SimSubstrate<B>> {
     let byz_idx = n - 1;
     let corrupt_idx = n - 2;
     let mut c = RegisterCluster::bounded_with_n(n, 1)
         .scripted(byz_idx)
         .clients(2)
         .seed(seed)
-        .delay(DelayModel::unit())
+        .delay(delay)
         .build();
     let genesis = c.sys.genesis();
     c.scripted_server(byz_idx).expect("scripted").ts_reply = Some(genesis);
@@ -293,11 +299,14 @@ fn theorem1(n: usize, seed: u64) -> RegisterRun {
     c.sim.pause_process_channels(corrupt_idx);
     c.write(w, 1).expect("w0 terminates without the slow server");
     let ts1 = c.write(w, 2).expect("w1 terminates");
+    // Release the held traffic and let it drain *before* planting the
+    // corruption (the adversary corrupts the server at this point of the
+    // execution, after whatever it happened to receive).
     c.sim.resume_process_channels(corrupt_idx);
     c.settle(100_000);
 
-    // Adversarial foresight: plant a timestamp dominating ts1 with a
-    // garbage value, and script the Byzantine server to corroborate it.
+    // Plant a timestamp dominating ts1 with a garbage value (the proof's
+    // `ts2 > ts1`), and script the Byzantine server to corroborate it.
     let ts2 = c.sys.next_for(u32::MAX, std::slice::from_ref(&ts1));
     {
         let srv = c.server_state(corrupt_idx).expect("honest server");
@@ -306,8 +315,14 @@ fn theorem1(n: usize, seed: u64) -> RegisterRun {
         srv.old_vals.clear();
     }
     c.scripted_server(byz_idx).expect("scripted").read_reply = Some((999, ts2));
+    c
+}
 
-    // The victim read goes to the explorer with every channel open.
+/// [`theorem1_adversary`] with the victim read left in flight, every
+/// channel open, for the explorer.
+fn theorem1(n: usize, seed: u64) -> RegisterRun {
+    let mut c = theorem1_adversary(n, seed, DelayModel::unit());
+    let r = c.client(1);
     c.invoke(r, (), Op::Read);
     RegisterRun { cluster: c }
 }

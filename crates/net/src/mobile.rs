@@ -33,6 +33,9 @@ use rand::{Rng, SeedableRng};
 use crate::nemesis::{NemesisEvent, NemesisSchedule};
 use crate::process::ProcessId;
 
+/// First round boundary; gives the cluster time to converge first.
+const FIRST_ROUND: u64 = 1_000;
+
 /// Whether the `f` roaming seats move together or independently.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MovementMode {
@@ -69,8 +72,6 @@ pub struct MobileOpts {
     pub move_prob: f64,
     /// Movement discipline.
     pub mode: MovementMode,
-    /// First round boundary; gives the cluster time to converge first.
-    pub start_after: u64,
     /// No movement after this time (the driver's soak horizon).
     pub horizon: u64,
 }
@@ -78,7 +79,7 @@ pub struct MobileOpts {
 impl MobileOpts {
     /// Defaults for an `n`-server cluster with `f` roaming seats: seats
     /// start on the last `f` servers, rounds of 2 500 time units, always
-    /// moving (`move_prob = 1.0`), coordinated.
+    /// moving (`move_prob = 1.0`), coordinated, until `t = 20 000`.
     pub fn new(servers: usize, f: usize) -> Self {
         assert!(f < servers, "need at least one honest server");
         Self {
@@ -87,7 +88,6 @@ impl MobileOpts {
             round_len: 2_500,
             move_prob: 1.0,
             mode: MovementMode::Coordinated,
-            start_after: 1_000,
             horizon: 20_000,
         }
     }
@@ -119,7 +119,7 @@ impl MobileOpts {
 
 /// Compile a seeded mobile-Byzantine movement configuration into a
 /// [`NemesisSchedule`] of [`NemesisEvent::MoveByz`] events at round
-/// boundaries.
+/// boundaries, the first at `t = 1 000`.
 ///
 /// Destinations are drawn uniformly from servers that are neither a
 /// current seat nor already chosen this round, so the seat set never
@@ -136,7 +136,7 @@ pub fn mobile_schedule(seed: u64, opts: &MobileOpts) -> NemesisSchedule {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x4D4F_4249_4C45_425A);
     let mut seats: BTreeSet<ProcessId> = opts.seats.iter().copied().collect();
     let mut events = Vec::new();
-    let mut t = opts.start_after;
+    let mut t = FIRST_ROUND;
     while t <= opts.horizon {
         // Fixed draw pattern per round (see module docs): movement coins
         // first, destination draws second.

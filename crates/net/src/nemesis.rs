@@ -9,7 +9,7 @@
 //! model, since a restarted process is just one whose memory was
 //! corrupted to an initial state), partitions, per-link loss /
 //! duplication / delay spikes, transient [`FaultPlan`] corruption, and
-//! runtime relocation of the Byzantine strategy between servers (the
+//! runtime movement of the Byzantine seats between servers (the
 //! mobile-Byzantine regime of Bonomi–Del Pozzo–Potop-Butucaru,
 //! arXiv:1505.06865).
 //!
@@ -26,12 +26,12 @@
 //!
 //! A [`NemesisSchedule`] is a sorted list of `(time, event)` pairs —
 //! scripted, or generated from a seed by [`NemesisSchedule::random`]
-//! with min-gap/duration knobs that keep disturbance windows serialized
-//! (at most one open at a time, so `f` stays respected between
-//! recoveries). A [`NemesisRunner`] owns the schedule plus the automaton
-//! factories needed for restarts and fires every due event through the
-//! [`Substrate`] trait, so the same chaos runs on the simulator and on
-//! real threads.
+//! with fixed window lengths and gaps that keep disturbance windows
+//! serialized (at most one open at a time, so `f` stays respected
+//! between recoveries). A [`NemesisRunner`] owns the schedule plus the
+//! automaton factories needed for restarts and fires every due event
+//! through the [`Substrate`] trait, so the same chaos runs on the
+//! simulator and on real threads.
 
 use std::collections::{BTreeSet, VecDeque};
 
@@ -84,7 +84,7 @@ impl LinkFault {
 ///
 /// Disturbances ([`NemesisEvent::Crash`], [`NemesisEvent::Partition`],
 /// [`NemesisEvent::LinkFault`], [`NemesisEvent::Corrupt`],
-/// [`NemesisEvent::RelocateByz`]) open a *disturbance window* in the
+/// [`NemesisEvent::MoveByz`]) open a *disturbance window* in the
 /// runner's bookkeeping; recoveries ([`NemesisEvent::Restart`],
 /// [`NemesisEvent::CrashRecover`], [`NemesisEvent::Heal`],
 /// [`NemesisEvent::LinkHeal`]) close one.
@@ -139,16 +139,10 @@ pub enum NemesisEvent {
         /// The other endpoint.
         b: ProcessId,
     },
-    /// Execute a transient-fault plan (state scrambling + channel garbage).
-    Corrupt(FaultPlan),
-    /// Move the Byzantine strategy to server `to`: the *first* current
-    /// seat restarts cured (per the runner's [`CureMode`]) and `to`
-    /// restarts as a fresh adversary. The single-seat legacy event; pair
-    /// it with a recovery ([`NemesisEvent::Heal`]) in scripted schedules.
-    RelocateByz {
-        /// The new Byzantine seat.
-        to: ProcessId,
-    },
+    /// Transiently corrupt one process: scramble its state and load its
+    /// outgoing channels with garbage (a light [`FaultPlan::targeting`],
+    /// built over the substrate's processes when the event fires).
+    Corrupt(ProcessId),
     /// Mobile-Byzantine seat movement: the adversary leaves server `from`
     /// (which rejoins cured per the runner's [`CureMode`]) and occupies
     /// server `to`. Instantaneous — the runner closes its own disturbance
@@ -176,7 +170,6 @@ impl NemesisEvent {
             NemesisEvent::LinkFault { .. } => "link-fault",
             NemesisEvent::LinkHeal { .. } => "link-heal",
             NemesisEvent::Corrupt(_) => "corrupt",
-            NemesisEvent::RelocateByz { .. } => "relocate-byz",
             NemesisEvent::MoveByz { .. } => "move-byz",
         }
     }
@@ -189,7 +182,6 @@ impl NemesisEvent {
                 | NemesisEvent::Partition { .. }
                 | NemesisEvent::LinkFault { .. }
                 | NemesisEvent::Corrupt(_)
-                | NemesisEvent::RelocateByz { .. }
                 | NemesisEvent::MoveByz { .. }
         )
     }
@@ -210,64 +202,39 @@ pub enum CureMode {
     /// re-corrupted to an arbitrary configuration (and its outgoing
     /// channels loaded with garbage), so the rejoiner must re-run
     /// stabilization from scratch — the mobile-Byzantine model's cured
-    /// servers mapped onto the source paper's transient faults.
-    Amnesiac {
-        /// Total process count (servers + clients) for the fault plan.
-        total_procs: usize,
-        /// How aggressively the rejoiner's state is scrambled.
-        severity: CorruptionSeverity,
-    },
+    /// servers mapped onto the source paper's transient faults. Carries
+    /// how aggressively the rejoiner's state is scrambled.
+    Amnesiac(CorruptionSeverity),
 }
+
+/// No generated event fires before this time.
+const START_AFTER: u64 = 500;
+/// How long each generated disturbance window stays open before its
+/// recovery.
+const FAULT_LEN: u64 = 1_200;
+/// Quiet time between a recovery and the next generated disturbance. Long
+/// enough for a write to complete (Assumption 1 between windows), so state
+/// lost to consecutive restarts cannot accumulate past `f`.
+const MIN_GAP: u64 = 2_200;
+/// Fault parameters of generated `LinkFault` windows.
+const FLAKY: LinkFault = LinkFault { drop_rate: 0.3, dup_rate: 0.2, extra_delay: 15 };
 
 /// Knobs for [`NemesisSchedule::random`].
 #[derive(Clone, Debug)]
 pub struct NemesisOpts {
     /// Server pids are `0..servers`; all targets are drawn from here.
     pub servers: usize,
-    /// Total process count (servers + clients) for corruption plans.
-    pub total_procs: usize,
     /// Current Byzantine seats (up to `f` of them). Never targeted by
     /// crash/corrupt windows (so at most one *honest* server is disturbed
     /// at a time); movement windows relocate one of them.
     pub byz_seats: Vec<ProcessId>,
-    /// No event fires before this time.
-    pub start_after: u64,
-    /// No disturbance opens after `horizon - fault_len`.
+    /// No disturbance opens after `horizon` minus the window length.
     pub horizon: u64,
-    /// How long each disturbance window stays open before its recovery.
-    pub fault_len: u64,
-    /// Quiet time between a recovery and the next disturbance. Must be
-    /// long enough for a write to complete (Assumption 1 between
-    /// windows), or state lost to consecutive restarts can accumulate
-    /// past `f`.
-    pub min_gap: u64,
-    /// Severity of `Corrupt` windows.
-    pub severity: CorruptionSeverity,
-    /// Fault parameters of `LinkFault` windows.
-    pub link_fault: LinkFault,
-    /// Disk faults for crash windows. When non-empty, every generated
-    /// `Crash` recovers via [`NemesisEvent::CrashRecover`] cycling through
-    /// this list (damaged-disk reboot); when empty, crashes recover via
-    /// the legacy state-losing [`NemesisEvent::Restart`]. The rotation is
-    /// indexed by crash-window count, not the rng, so the event *times*
-    /// and targets of a seed are identical either way.
-    pub disk_faults: Vec<DiskFault>,
 }
 
 impl Default for NemesisOpts {
     fn default() -> Self {
-        Self {
-            servers: 6,
-            total_procs: 8,
-            byz_seats: Vec::new(),
-            start_after: 500,
-            horizon: 18_000,
-            fault_len: 1_200,
-            min_gap: 2_200,
-            severity: CorruptionSeverity::Light,
-            link_fault: LinkFault::flaky(0.3, 0.2, 15),
-            disk_faults: DiskFault::ALL.to_vec(),
-        }
+        Self { servers: 6, byz_seats: Vec::new(), horizon: 18_000 }
     }
 }
 
@@ -285,36 +252,33 @@ impl NemesisSchedule {
     }
 
     /// A seeded random schedule: serialized disturbance windows of
-    /// `opts.fault_len`, separated by `opts.min_gap`, cycling through the
-    /// five window templates (crash+restart, partition+heal,
+    /// `FAULT_LEN`, separated by `MIN_GAP`, cycling through the five
+    /// window templates (crash+crash-recover, partition+heal,
     /// link-fault+link-heal, corrupt+heal, move-byz) so that any schedule
     /// long enough for five windows fires five distinct disturbance
     /// kinds. Targets are drawn uniformly from the honest servers; the
     /// generator tracks the full Byzantine seat *set* across movements,
-    /// so crash/corrupt windows never land on a current seat.
+    /// so crash/corrupt windows never land on a current seat. Crash
+    /// windows reboot from disk with [`DiskFault::ALL`] applied in
+    /// rotation, indexed by crash-window count rather than the rng.
     pub fn random(seed: u64, opts: &NemesisOpts) -> Self {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x4E45_4D45_5349_5321);
         let mut seats: BTreeSet<ProcessId> = opts.byz_seats.iter().copied().collect();
         let mut events = Vec::new();
-        let mut t = opts.start_after;
+        let mut t = START_AFTER;
         let mut template = 0usize;
         let mut crash_windows = 0usize;
-        while t + opts.fault_len <= opts.horizon {
+        while t + FAULT_LEN <= opts.horizon {
             let target = Self::pick_honest(&mut rng, opts.servers, &seats);
-            let recover_at = t + opts.fault_len;
+            let recover_at = t + FAULT_LEN;
             match template % 5 {
                 0 => {
                     events.push((t, NemesisEvent::Crash(target)));
                     // Every crash is paired with a recovery at
-                    // `t + fault_len ≤ horizon` — no server is ever left
+                    // `t + FAULT_LEN ≤ horizon` — no server is ever left
                     // down past the schedule (pinned by a property test).
-                    if opts.disk_faults.is_empty() {
-                        events.push((recover_at, NemesisEvent::Restart(target)));
-                    } else {
-                        let fault = opts.disk_faults[crash_windows % opts.disk_faults.len()];
-                        events
-                            .push((recover_at, NemesisEvent::CrashRecover { pid: target, fault }));
-                    }
+                    let fault = DiskFault::ALL[crash_windows % DiskFault::ALL.len()];
+                    events.push((recover_at, NemesisEvent::CrashRecover { pid: target, fault }));
                     crash_windows += 1;
                 }
                 1 => {
@@ -323,15 +287,11 @@ impl NemesisSchedule {
                 }
                 2 => {
                     let peer = Self::pick_peer(&mut rng, opts.servers, target);
-                    events.push((
-                        t,
-                        NemesisEvent::LinkFault { a: target, b: peer, fault: opts.link_fault },
-                    ));
+                    events.push((t, NemesisEvent::LinkFault { a: target, b: peer, fault: FLAKY }));
                     events.push((recover_at, NemesisEvent::LinkHeal { a: target, b: peer }));
                 }
                 3 => {
-                    let plan = FaultPlan::targeting(&[target], opts.total_procs, opts.severity);
-                    events.push((t, NemesisEvent::Corrupt(plan)));
+                    events.push((t, NemesisEvent::Corrupt(target)));
                     events.push((recover_at, NemesisEvent::Heal));
                 }
                 _ => {
@@ -347,7 +307,7 @@ impl NemesisSchedule {
                         // close the window but leave the fault installed).
                         events.push((
                             t,
-                            NemesisEvent::LinkFault { a: target, b: peer, fault: opts.link_fault },
+                            NemesisEvent::LinkFault { a: target, b: peer, fault: FLAKY },
                         ));
                         events.push((recover_at, NemesisEvent::LinkHeal { a: target, b: peer }));
                     } else {
@@ -357,12 +317,12 @@ impl NemesisSchedule {
                         seats.insert(target);
                         // Movement is instantaneous and self-recovering;
                         // no paired event, but the next window still waits
-                        // out fault_len + min_gap like every other kind.
+                        // out FAULT_LEN + MIN_GAP like every other kind.
                     }
                 }
             }
             template += 1;
-            t = recover_at + opts.min_gap;
+            t = recover_at + MIN_GAP;
         }
         Self::scripted(events)
     }
@@ -444,7 +404,7 @@ pub struct Fired {
 pub struct NemesisRunner<M, O> {
     pending: VecDeque<(u64, NemesisEvent)>,
     make_honest: AutomatonFactory<M, O>,
-    make_byz: Option<AutomatonFactory<M, O>>,
+    make_byz: AutomatonFactory<M, O>,
     make_recovered: Option<RecoveryFactory<M, O>>,
     garbage: Box<dyn FnMut(&mut StdRng) -> M + Send>,
     byz_seats: BTreeSet<ProcessId>,
@@ -464,29 +424,16 @@ pub struct NemesisRunner<M, O> {
 }
 
 impl<M, O> NemesisRunner<M, O> {
-    /// Build a runner with at most one initial Byzantine seat.
-    /// `make_byz`/`byz_at` describe the current seat (both `None` for an
-    /// all-honest cluster); `garbage` generates in-transit junk for
-    /// `Corrupt` events and amnesiac cures. For the mobile model with
-    /// multiple roaming seats use [`NemesisRunner::new_multi`].
+    /// Build a runner tracking a mobile-Byzantine seat *set* (up to `f`
+    /// concurrently roaming seats; empty for an all-honest cluster).
+    /// `make_byz` spawns the adversary on a seat; `garbage` generates
+    /// in-transit junk for `Corrupt` events and amnesiac cures. Cure mode
+    /// defaults to [`CureMode::Clean`]; chain [`NemesisRunner::cure_mode`]
+    /// for amnesiac rejoins.
     pub fn new(
         schedule: NemesisSchedule,
         make_honest: AutomatonFactory<M, O>,
-        make_byz: Option<AutomatonFactory<M, O>>,
-        byz_at: Option<ProcessId>,
-        garbage: Box<dyn FnMut(&mut StdRng) -> M + Send>,
-    ) -> Self {
-        Self::new_multi(schedule, make_honest, make_byz, byz_at.into_iter().collect(), garbage)
-    }
-
-    /// Build a runner tracking a full mobile-Byzantine seat *set* (up to
-    /// `f` concurrently roaming seats). Cure mode defaults to
-    /// [`CureMode::Clean`]; chain [`NemesisRunner::cure_mode`] for
-    /// amnesiac rejoins.
-    pub fn new_multi(
-        schedule: NemesisSchedule,
-        make_honest: AutomatonFactory<M, O>,
-        make_byz: Option<AutomatonFactory<M, O>>,
+        make_byz: AutomatonFactory<M, O>,
         byz_seats: Vec<ProcessId>,
         garbage: Box<dyn FnMut(&mut StdRng) -> M + Send>,
     ) -> Self {
@@ -619,17 +566,7 @@ impl<M, O> NemesisRunner<M, O> {
                 sub.set_link_fault(b, a, None);
                 self.close_window(now);
             }
-            NemesisEvent::Corrupt(plan) => {
-                sub.apply_fault(&plan, &mut *self.garbage);
-            }
-            NemesisEvent::RelocateByz { to } => {
-                // Legacy single-seat relocation: moves the lowest current
-                // seat. The paired `Heal` in scripted schedules closes
-                // the window, so no self-close here.
-                if let Some(&from) = self.byz_seats.iter().next() {
-                    self.move_seat(sub, from, to, now);
-                }
-            }
+            NemesisEvent::Corrupt(victim) => self.corrupt(sub, victim, CorruptionSeverity::Light),
             NemesisEvent::MoveByz { from, to } => {
                 self.move_seat(sub, from, to, now);
                 // Movement is instantaneous: the vacated server is back
@@ -657,28 +594,35 @@ impl<M, O> NemesisRunner<M, O> {
         self.byz_seats.remove(&from);
         let honest = (self.make_honest)(from);
         sub.restart(from, honest);
-        if let CureMode::Amnesiac { total_procs, severity } = self.cure {
+        if let CureMode::Amnesiac(severity) = self.cure {
             // The cured server rejoins from an *arbitrary* configuration,
             // not genesis: hit it with a targeted transient corruption so
             // it has to re-run stabilization for real.
-            let plan = FaultPlan::targeting(&[from], total_procs, severity);
-            sub.apply_fault(&plan, &mut *self.garbage);
+            self.corrupt(sub, from, severity);
         }
         self.cures.push((now, from));
-        if let Some(make_byz) = &mut self.make_byz {
-            let byz = make_byz(to);
-            sub.restart(to, byz);
-            self.byz_seats.insert(to);
-        }
+        let byz = (self.make_byz)(to);
+        sub.restart(to, byz);
+        self.byz_seats.insert(to);
+    }
+
+    /// Scramble `victim` and load its outgoing channels with garbage.
+    fn corrupt<S: Substrate<M, O>>(
+        &mut self,
+        sub: &mut S,
+        victim: ProcessId,
+        severity: CorruptionSeverity,
+    ) {
+        let plan = FaultPlan::targeting(&[victim], sub.process_count(), severity);
+        sub.apply_fault(&plan, &mut *self.garbage);
     }
 
     fn spawn_for(&mut self, pid: ProcessId) -> Box<dyn Automaton<M, O>> {
         if self.byz_seats.contains(&pid) {
-            if let Some(make_byz) = &mut self.make_byz {
-                return make_byz(pid);
-            }
+            (self.make_byz)(pid)
+        } else {
+            (self.make_honest)(pid)
         }
-        (self.make_honest)(pid)
     }
 
     fn close_window(&mut self, now: u64) {

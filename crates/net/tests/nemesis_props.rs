@@ -56,17 +56,8 @@ fn replay(initial: &[ProcessId], servers: usize, sched: &NemesisSchedule) -> BTr
             NemesisEvent::LinkHeal { a, b } => {
                 assert_eq!(cut_link.take(), Some((*a, *b)), "link heal mispaired");
             }
-            NemesisEvent::Corrupt(plan) => {
-                for p in &plan.corrupt_processes {
-                    assert!(!seats.contains(p), "corrupt targeted seat {p}");
-                }
-            }
-            NemesisEvent::RelocateByz { to } => {
-                // Legacy event: moves the lowest seat.
-                if let Some(&from) = seats.iter().next() {
-                    seats.remove(&from);
-                    assert!(seats.insert(*to), "relocation collided on {to}");
-                }
+            NemesisEvent::Corrupt(p) => {
+                assert!(!seats.contains(p), "corrupt targeted seat {p}");
             }
             NemesisEvent::MoveByz { from, to } => {
                 assert!(seats.remove(from), "moved a non-seat {from}");
@@ -91,7 +82,6 @@ proptest! {
         let byz_seats: Vec<ProcessId> = (servers - f..servers).collect();
         let opts = NemesisOpts {
             servers,
-            total_procs: servers + 2,
             byz_seats: byz_seats.clone(),
             ..NemesisOpts::default()
         };
@@ -108,7 +98,6 @@ proptest! {
         let byz_seats: Vec<ProcessId> = (servers - f..servers).collect();
         let opts = NemesisOpts {
             servers,
-            total_procs: servers + 2,
             byz_seats,
             ..NemesisOpts::default()
         };
@@ -121,28 +110,18 @@ proptest! {
         }
     }
 
-    /// Every generated `Crash` is paired with a later `Restart` or
-    /// `CrashRecover` for the same server, no later than the horizon —
-    /// i.e. no server is ever left permanently down, with or without
-    /// durable-disk recovery in the fault pool.
+    /// Every generated `Crash` is paired with a later `CrashRecover` for
+    /// the same server, no later than the horizon — i.e. no server is ever
+    /// left permanently down.
     #[test]
-    fn every_crash_pairs_with_recovery_within_horizon(
-        seed in 0u64..200,
-        f in 0usize..3,
-        durable in any::<bool>(),
-    ) {
+    fn every_crash_pairs_with_recovery_within_horizon(seed in 0u64..200, f in 0usize..3) {
         let servers = 11usize;
         let byz_seats: Vec<ProcessId> = (servers - f..servers).collect();
-        let mut opts = NemesisOpts {
+        let opts = NemesisOpts {
             servers,
-            total_procs: servers + 2,
             byz_seats,
             ..NemesisOpts::default()
         };
-        if !durable {
-            // An empty fault pool degrades crash windows to plain restarts.
-            opts.disk_faults.clear();
-        }
         let sched = NemesisSchedule::random(seed, &opts);
         let mut down: Option<(u64, ProcessId)> = None;
         for (t, ev) in sched.events() {
@@ -151,14 +130,10 @@ proptest! {
                     assert!(down.is_none(), "crash while a server was already down");
                     down = Some((*t, *p));
                 }
-                NemesisEvent::Restart(p) => {
-                    prop_assert!(!durable, "durable schedules must use CrashRecover");
-                    let (t0, p0) = down.take().expect("restart without a crash");
-                    assert_eq!(p0, *p);
-                    assert!(*t > t0 && *t <= opts.horizon, "recovery outside horizon");
+                NemesisEvent::Restart(_) => {
+                    prop_assert!(false, "durable schedules must use CrashRecover");
                 }
                 NemesisEvent::CrashRecover { pid, .. } => {
-                    prop_assert!(durable, "CrashRecover needs a non-empty fault pool");
                     let (t0, p0) = down.take().expect("crash-recover without a crash");
                     assert_eq!(p0, *pid);
                     assert!(*t > t0 && *t <= opts.horizon, "recovery outside horizon");

@@ -23,7 +23,6 @@ fn run_rejoin(backend: Backend, seed: u64) {
         .backend(backend)
         .retry(RetryPolicy::chaos())
         .build_any();
-    let total_procs = c.cfg.n + 2;
     // On threads the movement is fired by the round bound below, never by
     // the wall clock: a clock-fired event could land between this loop's
     // `fire` and the round's own, after which the mid-round assertions
@@ -36,7 +35,7 @@ fn run_rejoin(backend: Backend, seed: u64) {
         NemesisSchedule::scripted(vec![(move_at, NemesisEvent::MoveByz { from: byz_seat, to: 2 })]);
     let runner = c
         .nemesis_runner(schedule, vec![byz_seat], ByzStrategy::Equivocate)
-        .cure_mode(CureMode::Amnesiac { total_procs, severity: CorruptionSeverity::Heavy });
+        .cure_mode(CureMode::Amnesiac(CorruptionSeverity::Heavy));
 
     let mut soak = Soak::new(&mut c, (), runner);
     assert!(soak.tracker.is_open(), "pre-movement write must complete and open a window");
@@ -115,12 +114,11 @@ fn vacated_seat_restarts_honest() {
         .seed(3)
         .retry(RetryPolicy::chaos())
         .build();
-    let total_procs = c.cfg.n + 2;
     let schedule =
         NemesisSchedule::scripted(vec![(1_000, NemesisEvent::MoveByz { from: byz_seat, to: 0 })]);
     let mut runner = c
         .nemesis_runner(schedule, vec![byz_seat], ByzStrategy::StaleReplay)
-        .cure_mode(CureMode::Amnesiac { total_procs, severity: CorruptionSeverity::Light });
+        .cure_mode(CureMode::Amnesiac(CorruptionSeverity::Light));
 
     let w = c.client(0);
     assert!(c.server_state(byz_seat).is_none(), "seat starts Byzantine");

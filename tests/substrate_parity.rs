@@ -4,7 +4,8 @@
 //! assumes.
 
 use std::collections::BTreeMap;
-use std::time::Duration;
+use std::ops::RangeInclusive;
+use std::time::{Duration, Instant};
 
 use proptest::collection;
 use proptest::prelude::*;
@@ -17,7 +18,7 @@ use sbft::net::{
 };
 use sbft::register::adversary::ByzStrategy;
 use sbft::register::client::Client;
-use sbft::register::cluster::{Op, RegisterCluster};
+use sbft::register::cluster::{AnyRegisterSubstrate, Op, RegisterCluster};
 use sbft::register::config::ClusterConfig;
 use sbft::register::messages::{ClientEvent, Msg};
 use sbft::register::server::Server;
@@ -238,12 +239,7 @@ fn threaded_crash_mid_operation_still_terminates() {
 fn chaos_trace(seed: u64) -> (Vec<(u64, String)>, Vec<String>, u64, u64) {
     let mut c =
         RegisterCluster::bounded(1).clients(2).seed(seed).retry(RetryPolicy::chaos()).build();
-    let opts = NemesisOpts {
-        servers: c.cfg.n,
-        total_procs: c.cfg.n + 2,
-        horizon: 6_000,
-        ..NemesisOpts::default()
-    };
+    let opts = NemesisOpts { servers: c.cfg.n, horizon: 6_000, ..NemesisOpts::default() };
     let schedule = NemesisSchedule::random(seed, &opts);
     let runner = c.nemesis_runner(schedule, Vec::new(), ByzStrategy::Silent);
 
@@ -455,11 +451,41 @@ fn link_fault_accounting_agrees_across_substrates() {
     assert_eq!(sim, 2, "both firings are events, the crashed process's included");
 }
 
+/// Write each of `values` from client 0 and, after each, wait until every
+/// server but `down` holds it on disk (each applied write is exactly one
+/// append or one snapshot). A write completes on a quorum of acks, and on
+/// threads a quiet output channel says nothing about a slow server's
+/// inbox; the next write's label is computed from the timestamps its first
+/// n − f repliers hold, so a server still one write behind would change
+/// the bytes every disk gets.
+fn write_everywhere(
+    c: &mut RegisterCluster<BoundedLabeling, AnyRegisterSubstrate<BoundedLabeling>>,
+    values: RangeInclusive<u64>,
+    down: Option<ProcessId>,
+) {
+    let disks = c.disks.clone().expect("durable cluster has disks");
+    let persisted = |pid| {
+        let st = disks.get(pid).stats();
+        st.appends + st.snapshots
+    };
+    let w = c.client(0);
+    let deadline = Instant::now() + Duration::from_secs(60);
+    for v in values {
+        let before: Vec<u64> = (0..c.cfg.n).map(persisted).collect();
+        c.write(w, v).unwrap();
+        while (0..c.cfg.n).any(|pid| Some(pid) != down && persisted(pid) == before[pid]) {
+            assert!(Instant::now() < deadline, "write {v} never landed on every running server");
+            c.settle(200_000);
+        }
+    }
+}
+
 /// One durable run under a scripted Crash → CrashRecover schedule:
-/// blocking ops with a full settle between steps make the per-server
-/// message order — and therefore every disk's byte content — a function
-/// of the seed alone, on either backend. Returns the per-server disk
-/// digests, the spec verdict, and the recovery (cure) log.
+/// blocking ops, a full settle between steps and every write on every
+/// running disk before the next make the per-server message order — and
+/// therefore every disk's byte content — a function of the seed alone, on
+/// either backend. Returns the per-server disk digests, the spec verdict,
+/// and the recovery (cure) log.
 fn durable_recover_trace(
     backend: Backend,
     seed: u64,
@@ -468,7 +494,7 @@ fn durable_recover_trace(
     use sbft::storage::DiskFault;
     let mut c =
         RegisterCluster::bounded(1).clients(2).durable().seed(seed).backend(backend).build_any();
-    let (w, r) = (c.client(0), c.client(1));
+    let r = c.client(1);
     let schedule = NemesisSchedule::scripted(vec![
         (0, NemesisEvent::Crash(0)),
         (1, NemesisEvent::CrashRecover { pid: 0, fault: DiskFault::LostSuffix }),
@@ -476,31 +502,23 @@ fn durable_recover_trace(
         (3, NemesisEvent::CrashRecover { pid: 2, fault: DiskFault::StaleSnapshot }),
     ]);
     let mut runner = c.nemesis_runner(schedule, Vec::new(), ByzStrategy::Silent);
-    for v in 1..=6u64 {
-        c.write(w, v).unwrap();
-    }
+    write_everywhere(&mut c, 1..=6, None);
     c.settle(200_000);
     // Crash 0, write through the gap, reboot it from its damaged disk.
     runner.fire_next(&mut c.sim);
     c.settle(200_000);
-    for v in 7..=9u64 {
-        c.write(w, v).unwrap();
-    }
+    write_everywhere(&mut c, 7..=9, Some(0));
     c.settle(200_000);
     runner.fire_next(&mut c.sim);
     c.settle(200_000);
     // Same dance for server 2 with a different fault kind.
     runner.fire_next(&mut c.sim);
     c.settle(200_000);
-    for v in 10..=12u64 {
-        c.write(w, v).unwrap();
-    }
+    write_everywhere(&mut c, 10..=12, Some(2));
     c.settle(200_000);
     runner.fire_next(&mut c.sim);
     c.settle(200_000);
-    for v in 13..=20u64 {
-        c.write(w, v).unwrap();
-    }
+    write_everywhere(&mut c, 13..=20, None);
     let got = c.read(r).expect("read terminates after recoveries").value;
     assert_eq!(got, 20, "{backend:?}");
     c.settle(200_000);
