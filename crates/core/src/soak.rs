@@ -226,7 +226,7 @@ where
 
     /// One round: fire, write, read, and the fast-forward valve.
     pub fn round(&mut self) -> RoundOutcome<W::Base> {
-        let before = self.cluster.now();
+        let before = self.mark();
         self.fire();
         let out = self.write_read();
         self.valve(before);
@@ -334,10 +334,17 @@ where
         out
     }
 
-    /// If the substrate clock did not move since `before`, fast-forward the
-    /// next nemesis event so the soak always terminates.
-    fn valve(&mut self, before: u64) {
-        if self.cluster.now() == before && !self.runner.done() {
+    /// The substrate's clock and its count of processed events.
+    fn mark(&self) -> (u64, u64) {
+        (self.cluster.now(), self.cluster.metrics().events_processed)
+    }
+
+    /// If the substrate neither moved its clock nor processed an event
+    /// since `before`, fast-forward the next nemesis event so the soak
+    /// always terminates. The clock alone is not enough: on threads it
+    /// counts wheel ticks, and a whole round can fit in one.
+    fn valve(&mut self, before: (u64, u64)) {
+        if self.mark() == before && !self.runner.done() {
             self.runner.fire_next(&mut self.cluster.sim);
         }
     }
@@ -376,8 +383,8 @@ mod tests {
         let (wout, rout) = soak.round();
         assert!(wout.is_ok() && rout.is_ok());
         assert!(!soak.runner.done(), "the clock must not have reached the movement");
-        // A stalled clock: `before` is now.
-        soak.valve(soak.cluster.now());
+        // A stalled round: `before` is the current mark.
+        soak.valve(soak.mark());
         assert!(soak.runner.done(), "the valve fires the movement");
         assert!(soak.tracker.is_open(), "nothing has fed the tracker yet");
 

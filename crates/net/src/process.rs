@@ -37,9 +37,49 @@ pub struct Ctx<'a, M, O> {
     pub(crate) rng: &'a mut StdRng,
 }
 
+/// The three effect buffers a runtime keeps across callbacks. Each
+/// callback's [`Ctx`] borrows them empty ([`Ctx::lend`]) and hands them back
+/// full ([`Ctx::give_back`]); the runtime drains them in place, so a
+/// callback that sends reuses their capacity instead of allocating anew.
+pub(crate) struct Buffers<M, O> {
+    pub(crate) outbox: Vec<(ProcessId, M)>,
+    pub(crate) outputs: Vec<O>,
+    pub(crate) timers: Vec<(u64, u64)>,
+}
+
+impl<M, O> Default for Buffers<M, O> {
+    fn default() -> Self {
+        Self { outbox: Vec::new(), outputs: Vec::new(), timers: Vec::new() }
+    }
+}
+
 impl<'a, M, O> Ctx<'a, M, O> {
     pub(crate) fn new(me: ProcessId, now: u64, rng: &'a mut StdRng) -> Self {
         Self { me, now, outbox: Vec::new(), outputs: Vec::new(), timers: Vec::new(), rng }
+    }
+
+    /// A context whose effects land in `bufs`' (drained) buffers.
+    pub(crate) fn lend(
+        me: ProcessId,
+        now: u64,
+        rng: &'a mut StdRng,
+        bufs: &mut Buffers<M, O>,
+    ) -> Self {
+        Self {
+            me,
+            now,
+            outbox: std::mem::take(&mut bufs.outbox),
+            outputs: std::mem::take(&mut bufs.outputs),
+            timers: std::mem::take(&mut bufs.timers),
+            rng,
+        }
+    }
+
+    /// Return the lent buffers, now holding this callback's effects.
+    pub(crate) fn give_back(self, bufs: &mut Buffers<M, O>) {
+        bufs.outbox = self.outbox;
+        bufs.outputs = self.outputs;
+        bufs.timers = self.timers;
     }
 
     /// Build a context outside any substrate — for unit-testing automata

@@ -21,7 +21,7 @@ use crate::channel::{ChannelMap, DelayModel, Scheduled};
 use crate::link::{Outbound, Sent, Tally};
 use crate::metrics::NetMetrics;
 use crate::nemesis::LinkFault;
-use crate::process::{Automaton, Ctx, ProcessId, ENV};
+use crate::process::{Automaton, Buffers, Ctx, ProcessId, ENV};
 
 /// Simulator construction parameters.
 #[derive(Clone, Debug, Default)]
@@ -152,6 +152,8 @@ pub struct Simulation<M, O> {
     /// Pending link batches. While it holds any, one `Flush` event is
     /// queued — so `is_quiet` never lies about liveness.
     outbound: Outbound<M>,
+    /// Effect buffers lent to every callback's context.
+    bufs: Buffers<M, O>,
 }
 
 impl<M, O> Simulation<M, O>
@@ -174,6 +176,7 @@ where
             started: false,
             halted: false,
             outbound: Outbound::new(config.batch),
+            bufs: Buffers::default(),
         }
     }
 
@@ -225,16 +228,14 @@ where
         f: impl FnOnce(&mut dyn Automaton<M, O>, &mut Ctx<'_, M, O>),
     ) -> Vec<O> {
         let mut rng = std::mem::replace(&mut self.rng, StdRng::seed_from_u64(0));
-        let mut ctx = Ctx::new(pid, self.now, &mut rng);
+        let mut bufs = std::mem::take(&mut self.bufs);
+        let mut ctx = Ctx::lend(pid, self.now, &mut rng, &mut bufs);
         f(&mut *self.procs[pid], &mut ctx);
-        let (outbox, outputs, timers) = (
-            std::mem::take(&mut ctx.outbox),
-            std::mem::take(&mut ctx.outputs),
-            std::mem::take(&mut ctx.timers),
-        );
-        drop(ctx);
+        ctx.give_back(&mut bufs);
         self.rng = rng;
-        self.absorb(pid, outbox, timers);
+        self.absorb(pid, &mut bufs.outbox, &mut bufs.timers);
+        let outputs = std::mem::take(&mut bufs.outputs);
+        self.bufs = bufs;
         outputs
     }
 
@@ -261,8 +262,13 @@ where
     }
 
     /// Collect effects from a finished callback into the event queue.
-    fn absorb(&mut self, pid: ProcessId, outbox: Vec<(ProcessId, M)>, timers: Vec<(u64, u64)>) {
-        for (to, msg) in outbox {
+    fn absorb(
+        &mut self,
+        pid: ProcessId,
+        outbox: &mut Vec<(ProcessId, M)>,
+        timers: &mut Vec<(u64, u64)>,
+    ) {
+        for (to, msg) in outbox.drain(..) {
             if to == ENV || to >= self.procs.len() {
                 self.metrics.dropped(1);
                 continue;
@@ -275,7 +281,7 @@ where
                 Sent::Queued { arm_flush: false } => {}
             }
         }
-        for (delay, id) in timers {
+        for (delay, id) in timers.drain(..) {
             let incarnation = self.incarnation[pid];
             self.push(self.now + delay.max(1), EventKind::Timer { pid, id, incarnation });
         }

@@ -5,7 +5,8 @@
 //! inject transient faults, and read [`NetMetrics`]. The two
 //! implementations are the deterministic discrete-event [`Simulation`]
 //! (virtual time, replayable schedules) and the [`ThreadedCluster`]
-//! (one OS thread per process, wall-clock time measured in ticks).
+//! (one worker thread per core hosting the processes, wall-clock time
+//! measured in ticks).
 //! Scenario drivers written against [`Substrate`] run the same protocol
 //! unchanged on either — correctness work on the simulator, wall-clock
 //! measurements on threads — selected at runtime through [`Backend`] and

@@ -1,19 +1,30 @@
-//! Real-thread runtime: one OS thread per process, crossbeam FIFO channels,
-//! event-driven end to end.
+//! Real-thread runtime: the processes share one worker thread per core,
+//! crossbeam FIFO channels, event-driven end to end.
 //!
 //! It exists for wall-clock measurements (E15's threaded cells, the
 //! `kv-threaded-readheavy` benchmark workload) and to show that the sans-IO
 //! automata do not depend on their substrate. Nothing here is
 //! deterministic, so correctness assertions belong on the simulator, but
-//! the whole [`Substrate`] surface is supported. The runtime
-//! adds three queues to the automata, and every wait is a blocking receive
-//! on one of them:
+//! the whole [`Substrate`] surface is supported.
+//!
+//! **Workers.** The cluster runs `W = min(available_parallelism, n)`
+//! worker threads, and worker `p mod W` hosts process `p`: it keeps the
+//! process's automaton, RNG, incarnation, crashed flag and outgoing link
+//! queues, and runs one callback at a time. `W` follows the CPU affinity
+//! mask, so a run pinned to one core hosts every process on one worker.
+//! A panicking automaton unwinds its worker and so ends every process that
+//! worker hosts; honest automata never panic.
+//!
+//! The runtime adds three queues to the automata, and every wait is a
+//! blocking receive on one of them:
 //!
 //! * **Inboxes.** Each worker blocks in `recv()` on its own unbounded
-//!   channel. Deliveries, controls and timer firings all arrive there, so
-//!   the worker computes no deadline and never wakes without work. A
-//!   channel delivers each producer's messages in send order: the per-pair
-//!   FIFO the protocol assumes.
+//!   channel. Deliveries, controls and timer firings all arrive there,
+//!   each naming the process it is for, so the worker computes no deadline
+//!   and never wakes without work. Every frame goes through its
+//!   destination's inbox, a co-hosted sender's too (that send wakes
+//!   nobody), and a channel delivers each producer's messages in send
+//!   order: the per-pair FIFO the protocol assumes.
 //! * **One clock.** The cluster's [`TimerWheel`] holds every deadline —
 //!   timers, batch flushes, fault-delayed frames — as an action that sends
 //!   one `Ctl` into an inbox, and its `now_tick` is the cluster's time.
@@ -46,31 +57,35 @@ use crate::corruption::FaultPlan;
 use crate::link::{Counter, Link, Outbound, Sent, Tally};
 use crate::metrics::NetMetrics;
 use crate::nemesis::LinkFault;
-use crate::process::{Automaton, Ctx, ProcessId, ENV};
+use crate::process::{Automaton, Buffers, Ctx, ProcessId, ENV};
 use crate::substrate::{Backend, Outputs, Pumped, Substrate, SubstrateConfig};
 use crate::timer_wheel::{TimerWheel, TimerWheelThread};
 
 /// Bound on waiting for worker threads to exit during stop/drop.
 const JOIN_TIMEOUT: Duration = Duration::from_secs(5);
 
+/// One inbox message; all but `Stop` name the process they are for.
 enum Ctl<M, O> {
-    /// One wire frame from `from`'s side of the directed link.
+    /// One wire frame from `from`'s side of the directed link `(from, to)`.
     Frame {
         from: ProcessId,
+        to: ProcessId,
         frame: Frame<M>,
     },
     /// A timer firing routed back from the wheel; `incarnation` tags the
-    /// worker lifetime that armed it so stale firings die on receipt.
+    /// process lifetime that armed it so stale firings die on receipt.
     Timer {
+        pid: ProcessId,
         id: u64,
         incarnation: u64,
     },
-    /// Tick-watermark flush of the worker's own pending link batches,
+    /// Tick-watermark flush of the process's own pending link batches,
     /// routed back from the wheel (batching only).
-    FlushLinks,
-    Corrupt,
-    Crash,
-    Restart(Box<dyn Automaton<M, O>>),
+    FlushLinks(ProcessId),
+    Corrupt(ProcessId),
+    Crash(ProcessId),
+    Restart(ProcessId, Box<dyn Automaton<M, O>>),
+    /// Ends the worker (sent once to each).
     Stop,
 }
 
@@ -177,20 +192,30 @@ impl SharedMetrics {
 /// worker and the cluster handle, `wake_buf` is the thread's own. Worker
 /// sends and a `FaultPlan`'s garbage both leave through [`Wire::ship`].
 struct Wire<M, O> {
-    peers: Vec<Sender<Ctl<M, O>>>,
+    /// One inbox per worker; process `p` lives on worker `p % inboxes.len()`.
+    inboxes: Vec<Sender<Ctl<M, O>>>,
+    /// How many processes the cluster runs.
+    procs: usize,
     links: Arc<LinkFaults>,
     metrics: Arc<SharedMetrics>,
     wheel: TimerWheel,
-    /// Peers with a parked receiver awaiting a wake once the current burst
-    /// is published (reused across bursts to avoid allocation).
-    wake_buf: Vec<ProcessId>,
+    /// Workers with a parked receiver awaiting a wake once the current
+    /// burst is published (reused across bursts to avoid allocation).
+    wake_buf: Vec<usize>,
 }
 
 impl<M: Clone + Send + 'static, O: Send + 'static> Wire<M, O> {
+    /// The inbox of the worker hosting `pid`.
+    fn inbox(&self, pid: ProcessId) -> &Sender<Ctl<M, O>> {
+        &self.inboxes[pid % self.inboxes.len()]
+    }
+
     /// Ship one wire frame on `(from, to)`, as its link's fault decides.
-    /// Quiet sends: a whole burst is published first and parked peers are
-    /// woken once by [`Wire::wake_parked`], so a woken consumer cannot
-    /// preempt the sender while later frames of the burst are still unsent.
+    /// Quiet sends: a whole burst is published first and each parked
+    /// worker is woken once by [`Wire::wake_parked`], so a woken consumer
+    /// cannot preempt the sender while later frames of the burst are still
+    /// unsent. A frame to a co-hosted process finds its worker running,
+    /// so it wakes nobody.
     fn ship(
         &mut self,
         from: ProcessId,
@@ -201,12 +226,14 @@ impl<M: Clone + Send + 'static, O: Send + 'static> Wire<M, O> {
     ) {
         match self.links.plan(from, to, now, rng) {
             SendPlan::Direct { dup } => {
+                let host = to % self.inboxes.len();
                 if dup {
-                    let _ = self.peers[to].send_quiet(Ctl::Frame { from, frame: frame.clone() });
+                    let dup = Ctl::Frame { from, to, frame: frame.clone() };
+                    let _ = self.inboxes[host].send_quiet(dup);
                 }
-                if let Ok(true) = self.peers[to].send_quiet(Ctl::Frame { from, frame }) {
-                    if !self.wake_buf.contains(&to) {
-                        self.wake_buf.push(to);
+                if let Ok(true) = self.inboxes[host].send_quiet(Ctl::Frame { from, to, frame }) {
+                    if !self.wake_buf.contains(&host) {
+                        self.wake_buf.push(host);
                     }
                 }
             }
@@ -218,10 +245,10 @@ impl<M: Clone + Send + 'static, O: Send + 'static> Wire<M, O> {
                 // order and each link's slots are strictly increasing,
                 // so per-link FIFO survives the detour.
                 let defer = |at: u64, frame: Frame<M>| {
-                    let tx = self.peers[to].clone();
+                    let tx = self.inbox(to).clone();
                     let links = Arc::clone(&self.links);
                     self.wheel.register(at, move || {
-                        let _ = tx.send(Ctl::Frame { from, frame });
+                        let _ = tx.send(Ctl::Frame { from, to, frame });
                         links.deferred_done(from, to);
                     });
                 };
@@ -233,37 +260,55 @@ impl<M: Clone + Send + 'static, O: Send + 'static> Wire<M, O> {
         }
     }
 
-    /// Wake every peer whose receiver was parked when [`Wire::ship`]
+    /// Wake every worker whose receiver was parked when [`Wire::ship`]
     /// published to it.
     fn wake_parked(&mut self) {
-        for to in self.wake_buf.drain(..) {
-            self.peers[to].wake();
+        for host in self.wake_buf.drain(..) {
+            self.inboxes[host].wake();
         }
     }
 
-    /// Have the wheel send `ctl` into `pid`'s inbox at tick `at`.
+    /// Put `ctl` into the inbox of `pid`'s worker now.
+    fn post(&self, pid: ProcessId, ctl: Ctl<M, O>) {
+        let _ = self.inbox(pid).send(ctl);
+    }
+
+    /// Have the wheel put `ctl` into the inbox of `pid`'s worker at tick
+    /// `at`.
     fn arm(&self, pid: ProcessId, at: u64, ctl: Ctl<M, O>) {
-        let tx = self.peers[pid].clone();
+        let tx = self.inbox(pid).clone();
         self.wheel.register(at, move || {
             let _ = tx.send(ctl);
         });
     }
 }
 
-/// Everything one worker thread needs; grouped to keep the spawn loop flat.
-struct Worker<M, O> {
-    pid: ProcessId,
+/// What a worker keeps for each process it hosts.
+struct Hosted<M, O> {
     auto: Box<dyn Automaton<M, O>>,
-    rx: Receiver<Ctl<M, O>>,
-    wire: Wire<M, O>,
-    out: Sender<Output<O>>,
     rng: StdRng,
     /// Bumped on restart; `Ctl::Timer` firings from older incarnations
     /// reach no automaton (the simulator's incarnation rule).
     incarnation: u64,
-    /// This worker's pending outgoing link queues; while any message
+    /// Armed timers stay in the wheel while crashed; their firings are
+    /// counted and discarded on receipt (and by incarnation after a
+    /// restart), as on the simulator.
+    crashed: bool,
+    /// The process's pending outgoing link queues; while any message
     /// waits there a `FlushLinks` wheel entry is outstanding.
     outbound: Outbound<M>,
+}
+
+/// One worker thread: the processes it hosts, its inbox, and its handle
+/// on the sending side.
+struct Worker<M, O> {
+    /// Process `pid` is `hosted[pid / W]` for `W` workers.
+    hosted: Vec<Hosted<M, O>>,
+    rx: Receiver<Ctl<M, O>>,
+    wire: Wire<M, O>,
+    out: Sender<Output<O>>,
+    /// Effect buffers lent to every callback's context.
+    bufs: Buffers<M, O>,
 }
 
 impl<M, O> Worker<M, O>
@@ -271,11 +316,17 @@ where
     M: Clone + std::fmt::Debug + Send + 'static,
     O: Send + 'static,
 {
-    /// The worker loop. Returning drops `out`, this worker's sender on the
-    /// output channel; a panicking automaton drops it while unwinding.
-    fn run(mut self) {
-        let mut crashed = false;
-        self.dispatch(|auto, ctx| auto.on_start(ctx));
+    fn hosted(&mut self, pid: ProcessId) -> &mut Hosted<M, O> {
+        &mut self.hosted[pid / self.wire.inboxes.len()]
+    }
+
+    /// The loop of worker `index`. Returning drops `out`, this worker's
+    /// sender on the output channel; a panicking automaton drops it while
+    /// unwinding, ending every process here.
+    fn run(mut self, index: usize) {
+        for pid in (index..self.wire.procs).step_by(self.wire.inboxes.len()) {
+            self.dispatch(pid, |auto, ctx| auto.on_start(ctx));
+        }
 
         // The whole loop is one blocking recv: deliveries, controls, and
         // timer firings all arrive as inbox messages, so the worker never
@@ -283,87 +334,92 @@ where
         loop {
             match self.rx.recv() {
                 Err(_) | Ok(Ctl::Stop) => return,
-                Ok(Ctl::Crash) => {
-                    crashed = true;
-                    // Armed timers stay in the wheel; their firings are
-                    // counted and discarded below while `crashed` (and by
-                    // incarnation after a restart), as on the simulator.
+                Ok(Ctl::Crash(pid)) => self.hosted(pid).crashed = true,
+                Ok(Ctl::Corrupt(pid)) => {
+                    let p = self.hosted(pid);
+                    p.auto.corrupt(&mut p.rng);
                 }
-                Ok(Ctl::Corrupt) => {
-                    self.auto.corrupt(&mut self.rng);
-                }
-                Ok(Ctl::Restart(auto)) => {
+                Ok(Ctl::Restart(pid, auto)) => {
                     // Crash recovery with state loss: fresh automaton, new
                     // incarnation (old firings die on receipt), inbox and
-                    // thread reused.
-                    self.auto = auto;
-                    crashed = false;
-                    self.incarnation += 1;
-                    self.dispatch(|auto, ctx| auto.on_start(ctx));
+                    // worker reused.
+                    let p = self.hosted(pid);
+                    p.auto = auto;
+                    p.crashed = false;
+                    p.incarnation += 1;
+                    self.dispatch(pid, |auto, ctx| auto.on_start(ctx));
                 }
-                Ok(Ctl::Timer { id, incarnation }) => {
+                Ok(Ctl::Timer { pid, id, incarnation }) => {
                     self.wire.metrics.event();
-                    if !crashed && incarnation == self.incarnation {
-                        self.dispatch(|auto, ctx| auto.on_timer(id, ctx));
+                    let p = self.hosted(pid);
+                    if !p.crashed && incarnation == p.incarnation {
+                        self.dispatch(pid, |auto, ctx| auto.on_timer(id, ctx));
                     }
                 }
-                Ok(Ctl::FlushLinks) => {
+                Ok(Ctl::FlushLinks(pid)) => {
                     // Tick watermark: ship every pending link queue. Pending
                     // batches are messages already in the channel, so they
-                    // flush even while this worker is crashed — a crashed
+                    // flush even while this process is crashed — a crashed
                     // *destination* drops them on receipt, as usual.
                     let now = self.wire.wheel.now_tick();
-                    for (from, to, frame) in self.outbound.flush(&mut self.wire.metrics) {
-                        self.wire.ship(from, to, frame, now, &mut self.rng);
+                    let p = &mut self.hosted[pid / self.wire.inboxes.len()];
+                    for (from, to, frame) in p.outbound.flush(&mut self.wire.metrics) {
+                        self.wire.ship(from, to, frame, now, &mut p.rng);
                     }
                     self.wire.wake_parked();
                 }
-                Ok(Ctl::Frame { from, frame }) => {
-                    self.wire.metrics.arrived(&frame, !crashed);
-                    if !crashed {
-                        self.dispatch(|auto, ctx| frame.apply(from, auto, ctx));
+                Ok(Ctl::Frame { from, to, frame }) => {
+                    let live = !self.hosted(to).crashed;
+                    self.wire.metrics.arrived(&frame, live);
+                    if live {
+                        self.dispatch(to, |auto, ctx| frame.apply(from, auto, ctx));
                     }
                 }
             }
         }
     }
 
-    /// Run one callback now, then flush its effects to peers/outputs/timers.
-    fn dispatch(&mut self, f: impl FnOnce(&mut dyn Automaton<M, O>, &mut Ctx<'_, M, O>)) {
-        let (me, now) = (self.pid, self.wire.wheel.now_tick());
-        let mut ctx = Ctx::new(me, now, &mut self.rng);
-        f(&mut *self.auto, &mut ctx);
-        let (outbox, outputs, set_timers) = ctx.drain();
-        for (to, msg) in outbox {
-            if to >= self.wire.peers.len() {
+    /// Run one callback of `pid` now, then flush its effects to
+    /// peers/outputs/timers.
+    fn dispatch(
+        &mut self,
+        pid: ProcessId,
+        f: impl FnOnce(&mut dyn Automaton<M, O>, &mut Ctx<'_, M, O>),
+    ) {
+        let now = self.wire.wheel.now_tick();
+        let p = &mut self.hosted[pid / self.wire.inboxes.len()];
+        let mut ctx = Ctx::lend(pid, now, &mut p.rng, &mut self.bufs);
+        f(&mut *p.auto, &mut ctx);
+        ctx.give_back(&mut self.bufs);
+        for (to, msg) in self.bufs.outbox.drain(..) {
+            if to >= self.wire.procs {
                 self.wire.metrics.dropped(1);
                 continue;
             }
-            match self.outbound.send(me, to, msg, &mut self.wire.metrics) {
-                Sent::Ship(frame) => self.wire.ship(me, to, frame, now, &mut self.rng),
+            match p.outbound.send(pid, to, msg, &mut self.wire.metrics) {
+                Sent::Ship(frame) => self.wire.ship(pid, to, frame, now, &mut p.rng),
                 Sent::Queued { arm_flush: true } => {
-                    let at = now + self.outbound.policy().flush_ticks;
-                    self.wire.arm(me, at, Ctl::FlushLinks);
+                    let at = now + p.outbound.policy().flush_ticks;
+                    self.wire.arm(pid, at, Ctl::FlushLinks(pid));
                 }
                 Sent::Queued { arm_flush: false } => {}
             }
         }
         self.wire.wake_parked();
-        for o in outputs {
-            let _ = self.out.send((now, me, o));
+        for o in self.bufs.outputs.drain(..) {
+            let _ = self.out.send((now, pid, o));
         }
-        for (delay, id) in set_timers {
+        for (delay, id) in self.bufs.timers.drain(..) {
             // Same arming rule as the simulator: fire at now + max(delay, 1).
-            let timer = Ctl::Timer { id, incarnation: self.incarnation };
-            self.wire.arm(me, now + delay.max(1), timer);
+            let timer = Ctl::Timer { pid, id, incarnation: p.incarnation };
+            self.wire.arm(pid, now + delay.max(1), timer);
         }
     }
 }
 
-/// A running cluster of automata on OS threads.
+/// A running cluster of automata on worker threads.
 pub struct ThreadedCluster<M, O> {
-    /// The cluster's own handle on the shared sending side: its `peers`
-    /// are the workers' inboxes.
+    /// The cluster's own handle on the shared sending side.
     wire: Wire<M, O>,
     outputs: Receiver<Output<O>>,
     handles: Vec<JoinHandle<()>>,
@@ -379,10 +435,22 @@ where
     M: Clone + std::fmt::Debug + Send + 'static,
     O: Send + 'static,
 {
-    /// Spawn one thread per automaton; `config.seed` derives each thread's
-    /// RNG.
+    /// Spawn one worker per core, at most one per automaton;
+    /// `config.seed` derives each process's RNG.
     pub fn spawn_with(procs: Vec<Box<dyn Automaton<M, O>>>, config: &SubstrateConfig) -> Self {
-        let (inboxes, inbox_rx): (Vec<_>, Vec<_>) = procs.iter().map(|_| unbounded()).unzip();
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let workers = cores.min(procs.len());
+        Self::spawn_on(procs, config, workers)
+    }
+
+    /// [`ThreadedCluster::spawn_with`] on `workers` worker threads, at
+    /// least one unless `procs` is empty.
+    fn spawn_on(
+        procs: Vec<Box<dyn Automaton<M, O>>>,
+        config: &SubstrateConfig,
+        workers: usize,
+    ) -> Self {
+        let (inboxes, inbox_rx): (Vec<_>, Vec<_>) = (0..workers).map(|_| unbounded()).unzip();
         // The cluster keeps no sender of its own: the channel disconnects
         // when the last worker is gone.
         let (out, outputs) = unbounded();
@@ -390,31 +458,43 @@ where
         let links = Arc::new(LinkFaults::default());
         let wheel = TimerWheel::spawn(Instant::now(), config.tick);
         let wire = || Wire {
-            peers: inboxes.clone(),
+            inboxes: inboxes.clone(),
+            procs: procs.len(),
             links: Arc::clone(&links),
             metrics: Arc::clone(&metrics),
             wheel: wheel.handle(),
             wake_buf: Vec::new(),
         };
-        let mut handles = Vec::with_capacity(procs.len());
-        for ((pid, auto), rx) in procs.into_iter().enumerate().zip(inbox_rx) {
-            let worker = Worker {
-                pid,
-                auto,
+        let mut hosts: Vec<Worker<M, O>> = inbox_rx
+            .into_iter()
+            .map(|rx| Worker {
+                hosted: Vec::new(),
                 rx,
                 wire: wire(),
                 out: out.clone(),
+                bufs: Buffers::default(),
+            })
+            .collect();
+        let cluster_wire = wire();
+        for (pid, auto) in procs.into_iter().enumerate() {
+            hosts[pid % workers].hosted.push(Hosted {
+                auto,
                 rng: StdRng::seed_from_u64(
                     config.seed ^ (pid as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
                 ),
                 incarnation: 0,
+                crashed: false,
                 outbound: Outbound::new(config.batch),
-            };
-            handles.push(std::thread::spawn(move || worker.run()));
+            });
         }
+        let handles = hosts
+            .into_iter()
+            .enumerate()
+            .map(|(index, worker)| std::thread::spawn(move || worker.run(index)))
+            .collect();
 
         Self {
-            wire: wire(),
+            wire: cluster_wire,
             outputs,
             handles,
             wheel,
@@ -426,12 +506,12 @@ where
 
     /// Number of processes.
     pub fn len(&self) -> usize {
-        self.wire.peers.len()
+        self.wire.procs
     }
 
     /// Whether the cluster is empty.
     pub fn is_empty(&self) -> bool {
-        self.wire.peers.is_empty()
+        self.wire.procs == 0
     }
 
     /// Elapsed ticks since spawn (the cluster-wide clock).
@@ -443,7 +523,7 @@ where
     /// may share the cluster, hence the tally through its own handle).
     fn send(&self, pid: ProcessId, msg: M) {
         let frame = Outbound::solo(msg, &mut Arc::clone(&self.wire.metrics));
-        let _ = self.wire.peers[pid].send(Ctl::Frame { from: ENV, frame });
+        self.wire.post(pid, Ctl::Frame { from: ENV, to: pid, frame });
     }
 }
 
@@ -453,7 +533,7 @@ impl<M, O> ThreadedCluster<M, O> {
             return;
         }
         self.stopped = true;
-        for tx in &self.wire.peers {
+        for tx in &self.wire.inboxes {
             let _ = tx.send(Ctl::Stop);
         }
         // Halt the wheel first: pending deferred deliveries and timer
@@ -530,7 +610,7 @@ where
     fn apply_fault(&mut self, plan: &FaultPlan, gen: &mut dyn FnMut(&mut StdRng) -> M) {
         for &pid in &plan.corrupt_processes {
             if pid < self.len() {
-                let _ = self.wire.peers[pid].send(Ctl::Corrupt);
+                self.wire.post(pid, Ctl::Corrupt(pid));
             }
         }
         let now = self.ticks();
@@ -547,14 +627,14 @@ where
     }
 
     fn crash(&mut self, pid: ProcessId) {
-        let _ = self.wire.peers[pid].send(Ctl::Crash);
+        self.wire.post(pid, Ctl::Crash(pid));
     }
 
     /// The control message lands FIFO after everything already in `pid`'s
     /// inbox, so the new incarnation sees only traffic sent after the
     /// restart was issued.
     fn restart(&mut self, pid: ProcessId, auto: Box<dyn Automaton<M, O>>) {
-        let _ = self.wire.peers[pid].send(Ctl::Restart(auto));
+        self.wire.post(pid, Ctl::Restart(pid, auto));
     }
 
     fn set_link_fault(&mut self, from: ProcessId, to: ProcessId, fault: Option<LinkFault>) {
@@ -910,5 +990,198 @@ mod tests {
         let got = next_output(&mut cluster, 100).expect("all 30 delivered");
         assert_eq!(got, (0..30).collect::<Vec<u32>>(), "per-link FIFO violated");
         cluster.stop();
+    }
+
+    // --- The pool: many processes per worker -----------------------------
+
+    /// Outputs every payload it receives.
+    struct Say;
+    impl Automaton<Ping, u32> for Say {
+        fn on_message(&mut self, _: ProcessId, msg: Ping, ctx: &mut Ctx<'_, Ping, u32>) {
+            ctx.output(msg.0);
+        }
+    }
+
+    #[test]
+    fn one_worker_per_core_at_most_one_per_process() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        for n in [1, 2, 3, 8] {
+            let procs: Vec<Box<dyn Automaton<Ping, u32>>> =
+                (0..n).map(|_| Box::new(Say) as _).collect();
+            let mut cluster = spawn(procs, 14);
+            assert_eq!((cluster.len(), cluster.handles.len()), (n, cores.min(n)));
+            cluster.stop();
+        }
+    }
+
+    #[test]
+    fn one_worker_serves_every_process_and_stops_in_time() {
+        let procs: Vec<Box<dyn Automaton<Ping, u32>>> =
+            (0..5).map(|_| Box::new(Say) as _).collect();
+        let mut cluster = ThreadedCluster::spawn_on(procs, &SubstrateConfig::seeded(15), 1);
+        for pid in 0..5 {
+            cluster.inject(pid, Ping(pid as u32));
+        }
+        let mut got: Vec<u32> = (0..5).filter_map(|_| next_output(&mut cluster, 50)).collect();
+        got.sort_unstable();
+        assert_eq!(got, vec![0, 1, 2, 3, 4], "every co-hosted process answers");
+        let t0 = Instant::now();
+        cluster.stop();
+        assert!(t0.elapsed() < JOIN_TIMEOUT, "stop waited out its bound: {:?}", t0.elapsed());
+        assert!(cluster.handles.is_empty());
+    }
+
+    /// Per-link FIFO between co-hosted processes 0 and 2 (one worker, or
+    /// worker 0 of two) while a delayed fault on 0→2 is installed, routes
+    /// frames through the wheel, and is cleared with sends still following.
+    /// Process 4, co-hosted too, holds the worker until the wheel has put
+    /// every deferred frame in the inbox and the link reads clear, so 0's
+    /// next sends go direct while those frames wait unprocessed: a send
+    /// that bypassed the inbox would overtake them.
+    #[test]
+    fn co_hosted_link_keeps_fifo_across_a_cleared_delay() {
+        /// Forwards env payloads to pid 2 and reports each one it sent.
+        struct Fwd;
+        impl Automaton<Ping, Vec<u32>> for Fwd {
+            fn on_message(&mut self, _: ProcessId, msg: Ping, ctx: &mut Ctx<'_, Ping, Vec<u32>>) {
+                ctx.output(vec![msg.0]);
+                ctx.send(2, msg);
+            }
+        }
+        /// Reports the payload order once all 30 arrived.
+        struct Collect(Vec<u32>);
+        impl Automaton<Ping, Vec<u32>> for Collect {
+            fn on_message(&mut self, _: ProcessId, msg: Ping, ctx: &mut Ctx<'_, Ping, Vec<u32>>) {
+                self.0.push(msg.0);
+                if self.0.len() == 30 {
+                    ctx.output(self.0.clone());
+                }
+            }
+        }
+        /// Blocks its worker on a message until the test opens the gate.
+        struct Gate(std::sync::mpsc::Receiver<()>);
+        impl Automaton<Ping, Vec<u32>> for Gate {
+            fn on_message(&mut self, _: ProcessId, _: Ping, _: &mut Ctx<'_, Ping, Vec<u32>>) {
+                let _ = self.0.recv();
+            }
+        }
+        struct Idle;
+        impl Automaton<Ping, Vec<u32>> for Idle {
+            fn on_message(&mut self, _: ProcessId, _: Ping, _: &mut Ctx<'_, Ping, Vec<u32>>) {}
+        }
+        for workers in [1, 2] {
+            let (open, gate) = std::sync::mpsc::channel();
+            let procs: Vec<Box<dyn Automaton<Ping, Vec<u32>>>> = vec![
+                Box::new(Fwd),
+                Box::new(Idle),
+                Box::new(Collect(Vec::new())),
+                Box::new(Idle),
+                Box::new(Gate(gate)),
+            ];
+            let mut cluster =
+                ThreadedCluster::spawn_on(procs, &SubstrateConfig::seeded(16), workers);
+            let forwarded = |cluster: &mut ThreadedCluster<Ping, Vec<u32>>, last: u32| {
+                let seen = cluster.pump_until(u64::MAX, 50, &mut |_, _, out: Vec<u32>| {
+                    (out == [last]).then_some(())
+                });
+                assert!(seen.is_some(), "{workers} workers: payload {last} never forwarded");
+            };
+            let pending = |c: &ThreadedCluster<Ping, Vec<u32>>| {
+                c.wire.links.map.lock().unwrap().get(&(0, 2)).map_or(0, |st| st.deferred_pending)
+            };
+            for i in 0..10 {
+                cluster.inject(0, Ping(i));
+            }
+            forwarded(&mut cluster, 9);
+            // 5,000 ticks of 100 µs: nothing below waits for the delay.
+            cluster.set_link_fault(0, 2, Some(LinkFault::flaky(0.0, 0.0, 5_000)));
+            for i in 10..20 {
+                cluster.inject(0, Ping(i));
+            }
+            forwarded(&mut cluster, 19);
+            assert_eq!(pending(&cluster), 10, "{workers} workers: the fault defers every frame");
+            cluster.set_link_fault(0, 2, None);
+            // Sent while frames wait in the wheel: deferred behind them.
+            for i in 20..25 {
+                cluster.inject(0, Ping(i));
+            }
+            forwarded(&mut cluster, 24);
+            assert_eq!(pending(&cluster), 15, "{workers} workers: the cleared link still defers");
+            // The gate holds the worker; 25..30 queue behind it, then the
+            // wheel's frames behind those.
+            cluster.inject(4, Ping(0));
+            for i in 25..30 {
+                cluster.inject(0, Ping(i));
+            }
+            let deadline = Instant::now() + JOIN_TIMEOUT;
+            while pending(&cluster) > 0 && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            assert_eq!(pending(&cluster), 0, "{workers} workers: the wheel never delivered");
+            open.send(()).unwrap();
+            let got = cluster
+                .pump_until(u64::MAX, 100, &mut |_, pid, out: Vec<u32>| (pid == 2).then_some(out));
+            assert_eq!(got, Some((0..30).collect()), "{workers} workers: per-link FIFO violated");
+            cluster.stop();
+        }
+    }
+
+    /// Crashing, restarting and corrupting process 0 leaves co-hosted
+    /// process 2 serving throughout, and the timer that 0's first
+    /// incarnation armed never fires into the second.
+    #[test]
+    fn faults_on_one_process_spare_its_co_hosted_neighbour() {
+        /// Arms a timer with its generation as id; adds 100 to every
+        /// payload once corrupted.
+        struct Victim {
+            generation: u32,
+            poisoned: bool,
+        }
+        impl Automaton<Ping, u32> for Victim {
+            fn on_start(&mut self, ctx: &mut Ctx<'_, Ping, u32>) {
+                ctx.set_timer(100, u64::from(self.generation));
+            }
+            fn on_timer(&mut self, id: u64, ctx: &mut Ctx<'_, Ping, u32>) {
+                ctx.output(id as u32);
+            }
+            fn on_message(&mut self, _: ProcessId, msg: Ping, ctx: &mut Ctx<'_, Ping, u32>) {
+                ctx.output(msg.0 + if self.poisoned { 100 } else { 0 });
+            }
+            fn corrupt(&mut self, _rng: &mut StdRng) {
+                self.poisoned = true;
+            }
+        }
+        let victim = |generation| Box::new(Victim { generation, poisoned: false });
+        for workers in [1, 2] {
+            let mut cluster: ThreadedCluster<Ping, u32> = ThreadedCluster::spawn_on(
+                vec![victim(1), Box::new(Say), Box::new(Say)],
+                &SubstrateConfig::seeded(17).with_tick(Duration::from_millis(2)),
+                workers,
+            );
+            let ask = |cluster: &mut ThreadedCluster<Ping, u32>, pid, payload| {
+                cluster.inject(pid, Ping(payload));
+                next_output(cluster, 50)
+            };
+            Substrate::crash(&mut cluster, 0);
+            assert_eq!(ask(&mut cluster, 2, 5), Some(5), "{workers} workers: after the crash");
+            cluster.restart(0, victim(2));
+            assert_eq!(ask(&mut cluster, 2, 6), Some(6), "{workers} workers: after the restart");
+            let plan = FaultPlan {
+                corrupt_processes: vec![0],
+                garbage_channels: vec![],
+                garbage_per_channel: 0,
+            };
+            Substrate::apply_fault(&mut cluster, &plan, &mut |_rng| Ping(0));
+            assert_eq!(ask(&mut cluster, 2, 8), Some(8), "{workers} workers: after the corruption");
+            assert_eq!(
+                ask(&mut cluster, 0, 9),
+                Some(109),
+                "{workers} workers: restarted, corrupted"
+            );
+            // Both incarnations' timers come due; only the second's fires.
+            assert_eq!(next_output(&mut cluster, 50), Some(2), "{workers} workers");
+            assert_eq!(next_output(&mut cluster, 3), None, "{workers} workers: stale timer fired");
+            cluster.stop();
+        }
     }
 }

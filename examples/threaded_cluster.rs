@@ -18,7 +18,7 @@ fn main() {
     let mut cluster =
         RegisterCluster::bounded(1).clients(CLIENTS).seed(9).backend(Backend::Threaded).build_any();
     println!(
-        "spawned {} server threads + {CLIENTS} client threads (backend: {:?})",
+        "spawned {} servers + {CLIENTS} clients on one worker thread per core (backend: {:?})",
         cluster.cfg.n,
         cluster.backend()
     );
